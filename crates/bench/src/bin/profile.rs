@@ -29,7 +29,7 @@ use nessa_core::{NessaConfig, NessaPipeline, RunReport};
 use nessa_data::SynthConfig;
 use nessa_nn::models::mlp;
 use nessa_smartssd::FaultPlan;
-use nessa_telemetry::{extract_num_field, extract_str_field, TelemetryMode, TelemetrySettings};
+use nessa_telemetry::{SpanRecord, TelemetryMode, TelemetrySettings};
 use nessa_tensor::rng::Rng64;
 use nessa_trace::{RunTrace, TraceReport};
 use std::fs;
@@ -114,23 +114,19 @@ fn main() {
         Some(path) => {
             let path = path.to_path_buf();
             let text = fs::read_to_string(&path).expect("telemetry artifact readable");
+            // Every line must parse back as a telemetry event.
+            let trace = RunTrace::from_str(&text).expect("telemetry artifact parses as a trace");
             if chaos {
                 // Under faults a phase can legitimately emit retry and
-                // fallback spans alongside its own, so only the line
-                // framing is checked.
-                for line in text.lines() {
-                    assert!(
-                        line.starts_with('{') && line.ends_with('}'),
-                        "malformed JSONL line: {line}"
-                    );
-                }
+                // fallback spans alongside its own, so only the parse-back
+                // is checked.
                 println!(
                     "JSONL artifact: {} ({} lines, chaos mode: span-shape check relaxed)",
                     path.display(),
                     text.lines().count()
                 );
             } else {
-                verify_artifact(&text, &report);
+                verify_artifact(&trace, &report);
                 println!(
                     "JSONL artifact: {} ({} lines, spans consistent with the run report)",
                     path.display(),
@@ -253,8 +249,8 @@ fn profile_overlap(settings: TelemetrySettings) {
     if settings.mode == TelemetryMode::Jsonl {
         let path = settings.resolved_jsonl_path();
         let text = fs::read_to_string(&path).expect("telemetry artifact readable");
-        verify_overlap_artifact(&text, &report);
-        let trace = RunTrace::from_str(&text).expect("telemetry artifact re-parses as a trace");
+        let trace = RunTrace::from_str(&text).expect("telemetry artifact parses as a trace");
+        verify_overlap_artifact(&trace, &report);
         let measured = TraceReport::from_trace(&trace).mean_overlap_ratio();
         match measured {
             Some(r) => println!("mean measured overlap ratio: {r:.3}"),
@@ -287,87 +283,66 @@ fn profile_overlap(settings: TelemetrySettings) {
     }
 }
 
+/// Spans named `name` whose `key` attribute equals `value`.
+fn spans_where<'a>(
+    trace: &'a RunTrace,
+    name: &'a str,
+    key: &'a str,
+    value: usize,
+) -> impl Iterator<Item = &'a SpanRecord> {
+    trace
+        .tree
+        .spans()
+        .iter()
+        .filter(move |s| s.name == name && s.attr_u64(key) == Some(value as u64))
+}
+
 /// Structural check for the overlapped artifact: every subset is
 /// selected exactly once wherever its round ran (prologue or worker
 /// thread), every epoch trains and hands off exactly once, every
 /// pipelined round is wrapped in `overlap.select`, and the epoch spans'
 /// simulated seconds reproduce the report's critical-path composition.
-fn verify_overlap_artifact(text: &str, report: &RunReport) {
-    let span_lines: Vec<&str> = text
-        .lines()
-        .filter(|l| extract_str_field(l, "type").as_deref() == Some("span"))
-        .collect();
-    let count = |name: &str, field: &str, value: f64| {
-        span_lines
-            .iter()
-            .filter(|l| {
-                extract_str_field(l, "name").as_deref() == Some(name)
-                    && extract_num_field(l, field) == Some(value)
-            })
-            .count()
-    };
+fn verify_overlap_artifact(trace: &RunTrace, report: &RunReport) {
+    let count = |name, key, value| spans_where(trace, name, key, value).count();
     for rec in &report.epochs {
-        let e = rec.epoch as f64;
+        let e = rec.epoch;
         for phase in ["scan", "select", "ship"] {
             assert_eq!(
                 count(phase, "epoch", e),
                 1,
-                "epoch {}: subset must be {phase}ed exactly once",
-                rec.epoch
+                "epoch {e}: subset must be {phase}ed exactly once"
             );
         }
         for phase in ["train", "overlap.handoff"] {
-            assert_eq!(count(phase, "epoch", e), 1, "epoch {}: {phase}", rec.epoch);
+            assert_eq!(count(phase, "epoch", e), 1, "epoch {e}: {phase}");
         }
-        if rec.epoch > 0 {
+        if e > 0 {
             assert_eq!(
                 count("overlap.select", "for_epoch", e),
                 1,
-                "epoch {}: its round must run under an overlap.select wrapper",
-                rec.epoch
+                "epoch {e}: its round must run under an overlap.select wrapper"
             );
         }
-        let epoch_span = span_lines
-            .iter()
-            .find(|l| {
-                extract_str_field(l, "name").as_deref() == Some("epoch")
-                    && extract_num_field(l, "epoch") == Some(e)
-            })
-            .unwrap_or_else(|| panic!("epoch {} span missing", rec.epoch));
-        let sim = extract_num_field(epoch_span, "sim_s").expect("epoch span has sim_s");
+        let sim = spans_where(trace, "epoch", "epoch", e)
+            .next()
+            .unwrap_or_else(|| panic!("epoch {e} span missing"))
+            .sim_secs;
         let expected = rec.total_secs();
         assert!(
             (sim - expected).abs() < 1e-9,
-            "epoch {}: span sim {sim} != ledger critical path {expected}",
-            rec.epoch
+            "epoch {e}: span sim {sim} != ledger critical path {expected}"
         );
     }
 }
 
-/// Checks that every line is a braced object, every epoch has one span
-/// per phase, and per-epoch simulated-second span totals agree with the
-/// run report within 1e-9.
-fn verify_artifact(text: &str, report: &RunReport) {
-    for line in text.lines() {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "malformed JSONL line: {line}"
-        );
-    }
-    let span_lines: Vec<&str> = text
-        .lines()
-        .filter(|l| extract_str_field(l, "type").as_deref() == Some("span"))
-        .collect();
+/// Checks that every epoch has one span per phase and that per-epoch
+/// simulated-second span totals agree with the run report within 1e-9.
+fn verify_artifact(trace: &RunTrace, report: &RunReport) {
     for epoch in &report.epochs {
         let mut sim_total = 0.0;
         for phase in PHASES {
-            let phase_spans: Vec<&&str> = span_lines
-                .iter()
-                .filter(|l| {
-                    extract_str_field(l, "name").as_deref() == Some(phase)
-                        && extract_num_field(l, "epoch") == Some(epoch.epoch as f64)
-                })
-                .collect();
+            let phase_spans: Vec<&SpanRecord> =
+                spans_where(trace, phase, "epoch", epoch.epoch).collect();
             assert_eq!(
                 phase_spans.len(),
                 1,
@@ -375,8 +350,7 @@ fn verify_artifact(text: &str, report: &RunReport) {
                 epoch.epoch,
                 phase_spans.len()
             );
-            sim_total += extract_num_field(phase_spans[0], "sim_s")
-                .unwrap_or_else(|| panic!("{phase} span missing sim_s"));
+            sim_total += phase_spans[0].sim_secs;
         }
         let expected = epoch.total_secs();
         assert!(

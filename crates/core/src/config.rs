@@ -89,14 +89,9 @@ pub struct NessaConfig {
     /// Overlapped epoch pipelining (paper §3, Figure 3): while the GPU
     /// trains epoch *e*, the SmartSSD concurrently selects the subset for
     /// epoch *e + 1* on a worker thread, using quantized-weight feedback
-    /// that is one epoch stale (see [`Self::max_staleness`]). Off by
-    /// default: the sequential loop is the byte-identical reference.
+    /// that is one epoch stale. Off by default: the sequential schedule
+    /// is the byte-identical reference.
     pub overlap: bool,
-    /// Maximum feedback staleness (in epochs) an overlapped selection
-    /// round may use. Overlapped rounds run at staleness 1; setting this
-    /// to 0 forces every round back to the synchronous path (fresh
-    /// feedback, no concurrency). Ignored when [`Self::overlap`] is off.
-    pub max_staleness: usize,
     /// Retry policy for failed device operations. Single-wait backoff is
     /// additionally clamped to `stall_budget_secs` at run time.
     pub retry: RetryPolicy,
@@ -139,7 +134,6 @@ impl NessaConfig {
             stall_budget_secs: 30.0,
             drives: 1,
             overlap: false,
-            max_staleness: 1,
             retry: RetryPolicy::default(),
             fault_plans: Vec::new(),
         }
@@ -150,13 +144,6 @@ impl NessaConfig {
     /// epoch stale).
     pub fn with_overlap(mut self, on: bool) -> Self {
         self.overlap = on;
-        self
-    }
-
-    /// Sets the maximum feedback staleness (in epochs) overlapped
-    /// selection rounds may use; `0` forces synchronous rounds.
-    pub fn with_max_staleness(mut self, epochs: usize) -> Self {
-        self.max_staleness = epochs;
         self
     }
 
@@ -284,7 +271,6 @@ mod tests {
         assert_eq!(cfg.biasing_drop_every, 20);
         assert!(cfg.feedback && cfg.subset_biasing && cfg.partitioning);
         assert!(!cfg.overlap, "sequential mode is the default");
-        assert_eq!(cfg.max_staleness, 1);
     }
 
     #[test]
@@ -316,9 +302,8 @@ mod tests {
             })
             .with_fault_plan(0, FaultPlan::none().with_read_error(1, 2))
             .with_fault_plan(1, FaultPlan::none().with_dropout_after(3));
-        let cfg = cfg.with_overlap(true).with_max_staleness(2);
+        let cfg = cfg.with_overlap(true);
         assert!(cfg.overlap);
-        assert_eq!(cfg.max_staleness, 2);
         assert_eq!(cfg.drives, 2);
         assert_eq!(cfg.retry.max_attempts, 5);
         assert_eq!(cfg.fault_plans.len(), 2);

@@ -8,27 +8,30 @@
 //! round falls back to seeded random selection. Every rung is surfaced
 //! through the [`HealthMonitor`] fault counters.
 //!
-//! # Overlapped pipelining
+//! # One epoch loop, two schedules
 //!
-//! With [`NessaConfig::overlap`] the pipeline runs the paper's
-//! double-buffered schedule: while the GPU trains epoch *e* on subset
-//! S\_e, a worker thread drives the SmartSSD through the selection round
-//! for S\_{e+1} (scan → kernel → ship) using the quantized weights fed
-//! back after epoch *e−1* — one epoch stale (§3.2.1). The two sides
-//! serialize only at the epoch boundary, where the main thread joins the
-//! worker (`overlap.wait`) and broadcasts fresh feedback
-//! (`overlap.handoff`). Epoch 0 selects S\_0 synchronously (the prologue
-//! round); [`NessaConfig::max_staleness`]` == 0` pins every round back to
-//! that synchronous path.
+//! [`NessaPipeline::run`] is the only epoch loop. By default it runs the
+//! paper's baseline schedule: select, train, feed back, every epoch on
+//! one thread, with every draw taken from the master RNG stream. With
+//! [`NessaConfig::overlap`] the same loop runs the double-buffered
+//! schedule: while the GPU trains epoch *e* on subset S\_e, a scoped
+//! worker thread drives the SmartSSD through the selection round for
+//! S\_{e+1} (scan → kernel → ship) using the quantized weights fed back
+//! after epoch *e−1* — one epoch stale (§3.2.1). The two sides serialize
+//! only at the epoch boundary, where the main thread joins the worker
+//! (`overlap.wait`) and broadcasts fresh feedback (`overlap.handoff`).
+//! Epoch 0 selects S\_0 synchronously (the prologue round). The schedule
+//! decides only which RNG stream a round draws from and whether the next
+//! round runs on the worker; everything else is shared.
 //!
-//! Determinism is preserved by construction: one RNG stream per epoch's
-//! round is split off the master seed before anything else draws, so the
-//! worker's randomness never races the trainer's, and the device sees
-//! the same op order (round *k* is always the *k*-th scan/select/ship)
-//! regardless of thread scheduling. Simulated time composes as
-//! `sync + max(select_side, train) + handoff` per epoch (recorded in
-//! [`OverlapRecord`]); wall-clock overlap is measured from the real
-//! concurrent span intervals by `nessa-trace`.
+//! Overlapped determinism holds by construction: one RNG stream per
+//! epoch's round is split off the master seed before anything else
+//! draws, so the worker's randomness never races the trainer's, and the
+//! device sees the same op order (round *k* is always the *k*-th
+//! scan/select/ship) regardless of thread scheduling. Simulated time
+//! composes as `sync + max(select_side, train) + handoff` per epoch
+//! (recorded in [`OverlapRecord`]); wall-clock overlap is measured from
+//! the real concurrent span intervals by `nessa-trace`.
 
 use crate::biasing::LossTracker;
 use crate::config::NessaConfig;
@@ -94,10 +97,24 @@ fn recover<T>(
     }
 }
 
+/// Maps a cluster failure that outlived [`recover`] to the run's error:
+/// [`PipelineError::AllDrivesLost`] once the cluster is empty, the
+/// device error itself otherwise.
+fn drive_err(device: &SsdCluster, e: ClusterError) -> PipelineError {
+    if device.is_empty() {
+        PipelineError::AllDrivesLost {
+            evicted: device.evicted(),
+        }
+    } else {
+        e.into()
+    }
+}
+
 /// Shared, read-only context one selection round needs besides the
 /// device and the selector network. Everything here is thread-shareable
-/// so the overlapped path can run a round on a worker thread while the
-/// main thread trains.
+/// so the overlapped schedule can run a round on a worker thread while
+/// the main thread trains.
+#[derive(Clone, Copy)]
 struct RoundCtx<'a> {
     cfg: &'a NessaConfig,
     retry: &'a RetryPolicy,
@@ -157,14 +174,11 @@ fn selection_round(
     };
     match scanned {
         Ok(secs) => io_secs += secs,
+        Err(e) if device.is_empty() => return Err(drive_err(device, e)),
         Err(_) => {
-            if device.is_empty() {
-                return Err(PipelineError::AllDrivesLost {
-                    evicted: device.evicted(),
-                });
-            }
             // P2P path out beyond recovery: degrade to the conventional
-            // staged read through the host.
+            // staged read through the host. If that fails too, no path
+            // to the data is left.
             on_host = true;
             ctx.health.note_fallback_host();
             let mut fb = ctx
@@ -172,24 +186,12 @@ fn selection_round(
                 .span("fallback")
                 .with_attr("epoch", epoch)
                 .with_attr("rung", "host");
-            match recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
+            let secs = recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
                 c.conventional_read_to_host(pool.len() as u64, record_bytes)
-            }) {
-                Ok(secs) => {
-                    fb.add_sim_secs(secs);
-                    io_secs += secs;
-                }
-                Err(e) => {
-                    // No path left to the data at all.
-                    return Err(if device.is_empty() {
-                        PipelineError::AllDrivesLost {
-                            evicted: device.evicted(),
-                        }
-                    } else {
-                        e.into()
-                    });
-                }
-            }
+            })
+            .map_err(|e| drive_err(device, e))?;
+            fb.add_sim_secs(secs);
+            io_secs += secs;
         }
     }
     // Corrupt records detected during the scan cannot join the candidate
@@ -263,17 +265,12 @@ fn selection_round(
             c.parallel_select(&profile)
         }) {
             Ok(secs) => kernel_secs = secs,
-            Err(e) => {
-                if device.is_empty() {
-                    return Err(PipelineError::AllDrivesLost {
-                        evicted: device.evicted(),
-                    });
-                }
-                if !e.error.is_transient() {
-                    // A chunk that does not fit is a config problem, not
-                    // a fault to degrade around.
-                    return Err(e.into());
-                }
+            // An emptied cluster ends the run, and a chunk that does not
+            // fit is a config problem, not a fault to degrade around.
+            Err(e) if device.is_empty() || !e.error.is_transient() => {
+                return Err(drive_err(device, e));
+            }
+            Err(_) => {
                 // Kernel path out beyond recovery: stage the pool to the
                 // host and select there.
                 ctx.health.note_fallback_host();
@@ -290,14 +287,8 @@ fn selection_round(
                         fb.add_sim_secs(secs);
                         io_secs += secs;
                     }
-                    Err(_) => {
-                        if device.is_empty() {
-                            return Err(PipelineError::AllDrivesLost {
-                                evicted: device.evicted(),
-                            });
-                        }
-                        force_random = true;
-                    }
+                    Err(e) if device.is_empty() => return Err(drive_err(device, e)),
+                    Err(_) => force_random = true,
                 }
             }
         }
@@ -360,23 +351,12 @@ fn selection_round(
             .with_attr("epoch", epoch)
             .with_attr("records", selection.len());
         if !on_host {
-            match recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
+            let secs = recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
                 c.gather_selections(selection.len() as u64, record_bytes)
-            }) {
-                Ok(secs) => {
-                    ship.add_sim_secs(secs);
-                    io_secs += secs;
-                }
-                Err(e) => {
-                    return Err(if device.is_empty() {
-                        PipelineError::AllDrivesLost {
-                            evicted: device.evicted(),
-                        }
-                    } else {
-                        e.into()
-                    });
-                }
-            }
+            })
+            .map_err(|e| drive_err(device, e))?;
+            ship.add_sim_secs(secs);
+            io_secs += secs;
         }
     }
     Ok(RoundOutcome {
@@ -466,9 +446,9 @@ impl NessaPipeline {
 
     /// Runs the full training loop and returns the report.
     ///
-    /// Dispatches to the sequential schedule (the byte-identical
-    /// reference) or the overlapped schedule when
-    /// [`NessaConfig::overlap`] is set.
+    /// One loop serves both schedules (module docs). Sequential mode is
+    /// the determinism reference: its RNG draw order and its report
+    /// bytes must never change.
     ///
     /// # Errors
     ///
@@ -480,20 +460,19 @@ impl NessaPipeline {
     /// drive has been evicted.
     pub fn run(&mut self) -> Result<RunReport, PipelineError> {
         self.history.clear();
-        if self.config.overlap {
-            self.run_overlapped()
-        } else {
-            self.run_sequential()
-        }
-    }
-
-    /// The paper's baseline schedule: select, then train, every epoch on
-    /// one thread. This path is the determinism reference — its RNG draw
-    /// order and its report bytes must never change.
-    fn run_sequential(&mut self) -> Result<RunReport, PipelineError> {
         let cfg = self.config.clone();
         let n = self.train.len();
-        let mut rng = Rng64::new(cfg.seed);
+        let mut master = Rng64::new(cfg.seed);
+        // Overlapped rounds draw from one stream per epoch, pre-split
+        // *before* any other draw: the worker's randomness is fixed at run
+        // start, so the subsets it picks cannot depend on how the two
+        // threads interleave (or on the trainer's draws from the master).
+        // Sequential rounds share the master stream with the trainer.
+        let mut streams: Vec<Rng64> = if cfg.overlap {
+            (0..cfg.epochs).map(|_| master.split()).collect()
+        } else {
+            Vec::new()
+        };
         let mut opt = Sgd::new(SgdConfig::default());
         let schedule = MultiStepLr::paper_schedule(cfg.epochs).with_base_lr(cfg.base_lr);
         let mut tracker = LossTracker::new(
@@ -509,6 +488,14 @@ impl NessaPipeline {
             cfg.sizing_factor,
             cfg.sizing_min_fraction.min(cfg.subset_fraction),
         );
+        // The candidate pool a round selects from.
+        let pool_of = |tracker: &LossTracker| -> Vec<usize> {
+            if cfg.subset_biasing {
+                tracker.active_pool().to_vec()
+            } else {
+                (0..n).collect()
+            }
+        };
         // Initialize the FPGA's selector with a quantized snapshot of the
         // (randomly initialized) target, as the system would at deployment.
         QuantizedModel::from_network(&mut self.target).apply_to(&mut self.selector);
@@ -526,228 +513,63 @@ impl NessaPipeline {
         // never looks wedged to the heartbeat.
         let retry = cfg.retry.bounded_by(cfg.stall_budget_secs);
         let mut fraction = cfg.subset_fraction;
-        for epoch in 0..cfg.epochs {
-            let lr = schedule.lr_at(epoch);
-            let mut epoch_span = self.telemetry.span("epoch").with_attr("epoch", epoch);
-            let mut select_secs = 0.0;
-            let mut io_secs = 0.0;
-            if epoch % cfg.select_every == 0 || selection.is_empty() {
-                let pool: Vec<usize> = if cfg.subset_biasing {
-                    tracker.active_pool().to_vec()
-                } else {
-                    (0..n).collect()
-                };
-                let out = selection_round(
-                    &RoundCtx {
-                        cfg: &cfg,
-                        retry: &retry,
-                        health: &health,
-                        telemetry: &self.telemetry,
-                        select_metrics: &select_metrics,
-                        train: &self.train,
-                    },
-                    &mut self.device,
-                    &mut self.selector,
-                    epoch,
-                    pool,
-                    fraction,
-                    &mut rng,
-                )?;
-                selection = out.selection;
-                select_secs += out.select_secs;
-                io_secs += out.io_secs;
-                self.history.push((epoch, selection.indices.clone()));
-            }
-            // Train the target model on the subset.
-            let outcome = {
-                let _train_span = self
-                    .telemetry
-                    .span("train")
-                    .with_attr("epoch", epoch)
-                    .with_attr("subset", selection.len());
-                train_epoch_metered(
-                    &mut self.target,
-                    &mut opt,
-                    &self.train,
-                    &selection.indices,
-                    &selection.weights,
-                    cfg.batch_size,
-                    lr,
-                    &mut rng,
-                    Some(&train_metrics),
-                )
-            };
-            // Feedback: quantize weights, broadcast to every live drive,
-            // refresh the selector.
-            if cfg.feedback {
-                let mut feedback = self.telemetry.span("feedback").with_attr("epoch", epoch);
-                let snap = QuantizedModel::from_network(&mut self.target);
-                feedback.set_attr("bytes", snap.payload_bytes());
-                let payload = snap.payload_bytes() as u64;
-                match recover(
-                    &mut self.device,
-                    &retry,
-                    &health,
-                    &self.telemetry,
-                    epoch,
-                    |c| c.broadcast_feedback(payload),
-                ) {
-                    Ok(secs) => {
-                        feedback.add_sim_secs(secs);
-                        io_secs += secs;
-                    }
-                    Err(e) => {
-                        return Err(if self.device.is_empty() {
-                            PipelineError::AllDrivesLost {
-                                evicted: self.device.evicted(),
-                            }
-                        } else {
-                            e.into()
-                        });
-                    }
-                }
-                snap.apply_to(&mut self.selector);
-            }
-            // Subset biasing: record subset losses; prune on schedule.
-            if cfg.subset_biasing {
-                tracker.record_epoch(&selection.indices, &outcome.per_sample_losses);
-                // Selection indices may have been pruned from the pool; the
-                // next selection round re-selects from the surviving pool.
-            }
-            if cfg.dynamic_sizing {
-                fraction = sizer.observe(outcome.mean_loss);
-            }
-            let test_acc = evaluate(&mut self.target, &self.test, cfg.batch_size);
-            epoch_span.add_sim_secs(select_secs + io_secs);
-            epoch_span.set_attr("train_loss", outcome.mean_loss);
-            epoch_span.set_attr("test_acc", test_acc);
-            epoch_span.finish();
-            // Heartbeat + progress gauges: the epoch span just closed, so a
-            // healthy loop always passes the stall check here; the gauges
-            // give any observer (timeline, JSONL tail) throughput and ETA.
-            health.epoch_completed(selection.len());
-            health.check_stall();
-            report.epochs.push(EpochRecord {
-                epoch,
-                lr,
-                subset_size: selection.len(),
-                pool_size: if cfg.subset_biasing {
-                    tracker.active_pool().len()
-                } else {
-                    n
-                },
-                train_loss: outcome.mean_loss,
-                test_acc,
-                select_secs,
-                io_secs,
-                overlap: None,
-            });
-        }
-        self.finish_run(&mut report, &health);
-        Ok(report)
-    }
-
-    /// The overlapped schedule (module docs): epoch 0 selects S_0
-    /// synchronously, then every epoch *e* trains on S_e while a worker
-    /// thread selects S_{e+1} on the device with one-epoch-stale
-    /// feedback, joining at the boundary before the handoff broadcast.
-    fn run_overlapped(&mut self) -> Result<RunReport, PipelineError> {
-        let cfg = self.config.clone();
-        let n = self.train.len();
-        let mut master = Rng64::new(cfg.seed);
-        // Pre-split one selection stream per epoch *before* any other
-        // draw: the worker's randomness is fixed at run start, so the
-        // subsets it picks cannot depend on how the two threads
-        // interleave (or on the trainer's draws from the master).
-        let mut select_streams: Vec<Rng64> = (0..cfg.epochs).map(|_| master.split()).collect();
-        let mut opt = Sgd::new(SgdConfig::default());
-        let schedule = MultiStepLr::paper_schedule(cfg.epochs).with_base_lr(cfg.base_lr);
-        let mut tracker = LossTracker::new(
-            n,
-            cfg.biasing_window,
-            cfg.biasing_drop_every,
-            cfg.biasing_drop_fraction,
-            ((n as f32) * cfg.biasing_min_pool) as usize,
-        );
-        let mut sizer = SubsetSizer::new(
-            cfg.subset_fraction,
-            cfg.sizing_threshold,
-            cfg.sizing_factor,
-            cfg.sizing_min_fraction.min(cfg.subset_fraction),
-        );
-        QuantizedModel::from_network(&mut self.target).apply_to(&mut self.selector);
-        let mut selection = Selection::default();
-        let mut report = RunReport {
-            name: "nessa".into(),
-            train_size: n,
-            ..RunReport::default()
-        };
-        let select_metrics = SelectMetrics::from_telemetry(&self.telemetry);
-        let train_metrics = TrainMetrics::from_telemetry(&self.telemetry);
-        let mut health = HealthMonitor::new(&self.telemetry, cfg.epochs, cfg.stall_budget_secs);
-        health.set_drives_alive(self.device.len());
-        let retry = cfg.retry.bounded_by(cfg.stall_budget_secs);
-        let mut fraction = cfg.subset_fraction;
         // Forward + backward ≈ 3× the forward cost; feeds the
         // deterministic GPU-side cost model for the overlap ledger.
         let train_flops = 3 * self.target.flops_per_sample();
         let gpu = DeviceSpec::v100();
         let loader = LoaderSpec::smartssd_p2p();
-        // The round selected concurrently during the previous epoch,
-        // waiting to be consumed.
+        // The round selected on the worker during the previous epoch,
+        // waiting to be consumed, and the feedback staleness (in epochs)
+        // behind the subset currently in `selection`.
         let mut pending: Option<RoundOutcome> = None;
-        // Staleness (in epochs) of the feedback behind the subset
-        // currently in `selection`.
-        let mut cur_staleness = 0usize;
+        let mut staleness = 0usize;
         for epoch in 0..cfg.epochs {
             let lr = schedule.lr_at(epoch);
             let mut epoch_span = self.telemetry.span("epoch").with_attr("epoch", epoch);
+            let ctx = RoundCtx {
+                cfg: &cfg,
+                retry: &retry,
+                health: &health,
+                telemetry: &self.telemetry,
+                select_metrics: &select_metrics,
+                train: &self.train,
+            };
             let mut select_secs = 0.0;
             let mut io_secs = 0.0;
             let mut orec = OverlapRecord::default();
             if epoch % cfg.select_every == 0 || selection.is_empty() {
-                match pending.take() {
+                if let Some(out) = pending.take() {
                     // Double-buffered hand-off: the subset was selected
                     // during the previous epoch (its cost is on that
                     // epoch's ledger) with feedback one epoch stale.
-                    Some(out) => {
-                        selection = out.selection;
-                        cur_staleness = 1;
-                    }
-                    // Synchronous round: the epoch-0 prologue, and every
-                    // round when max_staleness == 0 forbids pipelining.
-                    None => {
-                        let pool: Vec<usize> = if cfg.subset_biasing {
-                            tracker.active_pool().to_vec()
-                        } else {
-                            (0..n).collect()
-                        };
-                        let out = selection_round(
-                            &RoundCtx {
-                                cfg: &cfg,
-                                retry: &retry,
-                                health: &health,
-                                telemetry: &self.telemetry,
-                                select_metrics: &select_metrics,
-                                train: &self.train,
-                            },
-                            &mut self.device,
-                            &mut self.selector,
-                            epoch,
-                            pool,
-                            fraction,
-                            &mut select_streams[epoch],
-                        )?;
-                        orec.sync_secs = out.select_secs + out.io_secs;
-                        select_secs += out.select_secs;
-                        io_secs += out.io_secs;
-                        selection = out.selection;
-                        cur_staleness = 0;
-                        self.history.push((epoch, selection.indices.clone()));
-                    }
+                    selection = out.selection;
+                    staleness = 1;
+                } else {
+                    // Synchronous round: every round when sequential, the
+                    // epoch-0 prologue when overlapped.
+                    let rng = if cfg.overlap {
+                        &mut streams[epoch]
+                    } else {
+                        &mut master
+                    };
+                    let out = selection_round(
+                        &ctx,
+                        &mut self.device,
+                        &mut self.selector,
+                        epoch,
+                        pool_of(&tracker),
+                        fraction,
+                        rng,
+                    )?;
+                    orec.sync_secs = out.select_secs + out.io_secs;
+                    select_secs += out.select_secs;
+                    io_secs += out.io_secs;
+                    selection = out.selection;
+                    staleness = 0;
+                    self.history.push((epoch, selection.indices.clone()));
                 }
             }
-            orec.staleness = cur_staleness;
+            orec.staleness = staleness;
             orec.train_secs = epoch_time(
                 &gpu,
                 &loader,
@@ -758,35 +580,21 @@ impl NessaPipeline {
                 0,
             )
             .compute_s;
+            // Overlapped: the round first used at the next epoch runs on a
+            // worker while this epoch trains. It snapshots the pool and
+            // fraction *now* — the state left by epoch e−1 — so it sees
+            // biasing prunes and sizing updates one epoch stale, exactly
+            // like the weights it selects with.
             let next = epoch + 1;
-            let spawn = cfg.max_staleness >= 1 && next < cfg.epochs && next % cfg.select_every == 0;
-            let outcome;
-            if spawn {
-                // Snapshot the pool and fraction *now* — the state left
-                // by epoch e−1. The concurrent round therefore sees
-                // biasing prunes and sizing updates one epoch stale,
-                // exactly like the weights it selects with.
-                let pool: Vec<usize> = if cfg.subset_biasing {
-                    tracker.active_pool().to_vec()
-                } else {
-                    (0..n).collect()
-                };
-                let frac = fraction;
-                let parent = epoch_span.id();
-                let stream = &mut select_streams[next];
-                let ctx = RoundCtx {
-                    cfg: &cfg,
-                    retry: &retry,
-                    health: &health,
-                    telemetry: &self.telemetry,
-                    select_metrics: &select_metrics,
-                    train: &self.train,
-                };
-                let device = &mut self.device;
-                let selector = &mut self.selector;
-                let target = &mut self.target;
-                let (trained, joined) = std::thread::scope(|s| {
-                    let worker = s.spawn(move || {
+            let ahead = cfg.overlap && next < cfg.epochs && next % cfg.select_every == 0;
+            let (outcome, joined) = std::thread::scope(|s| {
+                let worker = ahead.then(|| {
+                    let pool = pool_of(&tracker);
+                    let parent = epoch_span.id();
+                    let stream = &mut streams[next];
+                    let device = &mut self.device;
+                    let selector = &mut self.selector;
+                    s.spawn(move || {
                         // Parent the wrapper to the epoch span explicitly:
                         // the worker thread has no open spans of its own,
                         // and the round's scan/select/ship spans then nest
@@ -796,58 +604,17 @@ impl NessaPipeline {
                             .span_child_of("overlap.select", parent)
                             .with_attr("epoch", epoch)
                             .with_attr("for_epoch", next);
-                        let r = selection_round(&ctx, device, selector, next, pool, frac, stream);
+                        let r =
+                            selection_round(&ctx, device, selector, next, pool, fraction, stream);
                         if let Ok(out) = &r {
                             wrap.add_sim_secs(out.select_secs + out.io_secs);
                             wrap.set_attr("subset", out.selection.len());
                         }
                         r
-                    });
-                    let trained = {
-                        let _train_span = self
-                            .telemetry
-                            .span("train")
-                            .with_attr("epoch", epoch)
-                            .with_attr("subset", selection.len());
-                        train_epoch_metered(
-                            target,
-                            &mut opt,
-                            &self.train,
-                            &selection.indices,
-                            &selection.weights,
-                            cfg.batch_size,
-                            lr,
-                            &mut master,
-                            Some(&train_metrics),
-                        )
-                    };
-                    let joined = {
-                        let _wait = self
-                            .telemetry
-                            .span("overlap.wait")
-                            .with_attr("epoch", epoch);
-                        worker.join()
-                    };
-                    (trained, joined)
+                    })
                 });
-                outcome = trained;
-                let round = match joined {
-                    Ok(r) => r,
-                    Err(_) => {
-                        Err(SelectError::Internal("overlapped selection worker panicked").into())
-                    }
-                }?;
-                orec.select_side_secs = round.select_secs + round.io_secs;
-                select_secs += round.select_secs;
-                io_secs += round.io_secs;
-                self.history.push((next, round.selection.indices.clone()));
-                // Device time hidden under concurrent training, on the
-                // simulated clock.
-                self.device
-                    .note_overlap_hidden(orec.select_side_secs.min(orec.train_secs));
-                pending = Some(round);
-            } else {
-                outcome = {
+                // Train the target model on the subset.
+                let outcome = {
                     let _train_span = self
                         .telemetry
                         .span("train")
@@ -865,44 +632,58 @@ impl NessaPipeline {
                         Some(&train_metrics),
                     )
                 };
+                let joined = worker.map(|w| {
+                    let _wait = self
+                        .telemetry
+                        .span("overlap.wait")
+                        .with_attr("epoch", epoch);
+                    w.join()
+                });
+                (outcome, joined)
+            });
+            if let Some(joined) = joined {
+                let round = joined.unwrap_or_else(|_| {
+                    Err(SelectError::Internal("overlapped selection worker panicked").into())
+                })?;
+                orec.select_side_secs = round.select_secs + round.io_secs;
+                select_secs += round.select_secs;
+                io_secs += round.io_secs;
+                self.history.push((next, round.selection.indices.clone()));
+                // Device time hidden under concurrent training, on the
+                // simulated clock.
+                self.device
+                    .note_overlap_hidden(orec.select_side_secs.min(orec.train_secs));
+                pending = Some(round);
             }
-            // The deterministic hand-off: quantize this epoch's weights,
-            // broadcast to every live drive (the device is idle again —
-            // the worker joined above), refresh the selector for the
-            // round that spawns next epoch.
+            // Feedback: quantize this epoch's weights, broadcast to every
+            // live drive (when overlapped, the worker joined above so the
+            // device is idle again), refresh the selector.
             if cfg.feedback {
-                let mut handoff = self
-                    .telemetry
-                    .span("overlap.handoff")
-                    .with_attr("epoch", epoch);
+                let mut feedback = if cfg.overlap {
+                    self.telemetry.span("overlap.handoff")
+                } else {
+                    self.telemetry.span("feedback")
+                }
+                .with_attr("epoch", epoch);
                 let snap = QuantizedModel::from_network(&mut self.target);
-                handoff.set_attr("bytes", snap.payload_bytes());
+                feedback.set_attr("bytes", snap.payload_bytes());
                 let payload = snap.payload_bytes() as u64;
-                match recover(
+                let secs = recover(
                     &mut self.device,
                     &retry,
                     &health,
                     &self.telemetry,
                     epoch,
                     |c| c.broadcast_feedback(payload),
-                ) {
-                    Ok(secs) => {
-                        handoff.add_sim_secs(secs);
-                        io_secs += secs;
-                        orec.handoff_secs = secs;
-                    }
-                    Err(e) => {
-                        return Err(if self.device.is_empty() {
-                            PipelineError::AllDrivesLost {
-                                evicted: self.device.evicted(),
-                            }
-                        } else {
-                            e.into()
-                        });
-                    }
-                }
+                )
+                .map_err(|e| drive_err(&self.device, e))?;
+                feedback.add_sim_secs(secs);
+                io_secs += secs;
+                orec.handoff_secs = secs;
                 snap.apply_to(&mut self.selector);
             }
+            // Subset biasing: record subset losses; prune on schedule. The
+            // next selection round re-selects from the surviving pool.
             if cfg.subset_biasing {
                 tracker.record_epoch(&selection.indices, &outcome.per_sample_losses);
             }
@@ -910,32 +691,27 @@ impl NessaPipeline {
                 fraction = sizer.observe(outcome.mean_loss);
             }
             let test_acc = evaluate(&mut self.target, &self.test, cfg.batch_size);
-            // Simulated epoch cost under overlap: the synchronous
-            // prologue, then the slower of the two concurrent sides,
-            // then the serializing hand-off.
-            epoch_span.add_sim_secs(
-                orec.sync_secs + orec.select_side_secs.max(orec.train_secs) + orec.handoff_secs,
-            );
-            epoch_span.set_attr("train_loss", outcome.mean_loss);
-            epoch_span.set_attr("test_acc", test_acc);
-            epoch_span.finish();
-            health.epoch_completed(selection.len());
-            health.check_stall();
-            report.epochs.push(EpochRecord {
+            let record = EpochRecord {
                 epoch,
                 lr,
                 subset_size: selection.len(),
-                pool_size: if cfg.subset_biasing {
-                    tracker.active_pool().len()
-                } else {
-                    n
-                },
+                pool_size: pool_of(&tracker).len(),
                 train_loss: outcome.mean_loss,
                 test_acc,
                 select_secs,
                 io_secs,
-                overlap: Some(orec),
-            });
+                overlap: cfg.overlap.then_some(orec),
+            };
+            epoch_span.add_sim_secs(record.total_secs());
+            epoch_span.set_attr("train_loss", outcome.mean_loss);
+            epoch_span.set_attr("test_acc", test_acc);
+            epoch_span.finish();
+            // Heartbeat + progress gauges: the epoch span just closed, so a
+            // healthy loop always passes the stall check here; the gauges
+            // give any observer (timeline, JSONL tail) throughput and ETA.
+            health.epoch_completed(selection.len());
+            health.check_stall();
+            report.epochs.push(record);
         }
         self.finish_run(&mut report, &health);
         Ok(report)
@@ -1171,24 +947,6 @@ mod tests {
             0.0,
             "nothing to select after the final epoch"
         );
-    }
-
-    #[test]
-    fn zero_staleness_pins_synchronous_rounds() {
-        let cfg = NessaConfig::new(0.3, 4)
-            .with_batch_size(32)
-            .with_seed(11)
-            .with_overlap(true)
-            .with_max_staleness(0);
-        let mut p = small_setup(&cfg);
-        let report = p.run().unwrap();
-        for rec in &report.epochs {
-            let o = rec.overlap.as_ref().unwrap();
-            assert_eq!(o.staleness, 0, "epoch {}", rec.epoch);
-            assert!(o.sync_secs > 0.0, "epoch {}", rec.epoch);
-            assert_eq!(o.select_side_secs, 0.0, "epoch {}", rec.epoch);
-        }
-        assert_eq!(p.device().hidden_secs(), 0.0);
     }
 
     #[test]

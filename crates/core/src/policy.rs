@@ -6,7 +6,7 @@ use crate::error::PipelineError;
 use crate::pipeline::NessaPipeline;
 use crate::proxy::{embeddings, gradient_proxies};
 use crate::report::{EpochRecord, RunReport};
-use crate::trainer::{evaluate, train_epoch};
+use crate::trainer::{evaluate, train_epoch_metered};
 use nessa_data::Dataset;
 use nessa_nn::models::Network;
 use nessa_nn::optim::{MultiStepLr, Sgd, SgdConfig};
@@ -159,7 +159,7 @@ fn run_cpu_policy(
             }
             Policy::Nessa(_) => unreachable!("handled by run_policy"),
         };
-        let outcome = train_epoch(
+        let outcome = train_epoch_metered(
             &mut net,
             &mut opt,
             train,
@@ -168,6 +168,7 @@ fn run_cpu_policy(
             batch_size,
             lr,
             &mut rng,
+            None,
         );
         let test_acc = evaluate(&mut net, test, batch_size);
         report.epochs.push(EpochRecord {

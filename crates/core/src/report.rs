@@ -16,8 +16,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OverlapRecord {
     /// Selection seconds paid synchronously *before* training could start
-    /// (the epoch-0 prologue round, or a round forced synchronous by
-    /// `max_staleness = 0`).
+    /// (the epoch-0 prologue round; zero for every later epoch).
     pub sync_secs: f64,
     /// Device seconds of the selection round overlapped with this epoch's
     /// training (scan + kernel + subset shipment for epoch *e + 1*).
@@ -300,23 +299,23 @@ mod tests {
 
     #[test]
     fn jsonl_has_epoch_and_run_lines() {
-        use nessa_telemetry::{extract_num_field, extract_str_field};
+        use nessa_telemetry::JsonValue;
         let jsonl = sample_report().to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
+        let lines: Vec<JsonValue> = jsonl
+            .lines()
+            .map(|l| JsonValue::parse(l).unwrap())
+            .collect();
         assert_eq!(lines.len(), 3);
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-        assert_eq!(
-            extract_str_field(lines[0], "type").as_deref(),
-            Some("epoch")
-        );
+        let str_of =
+            |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_str).map(String::from);
+        assert_eq!(str_of(&lines[0], "type").as_deref(), Some("epoch"));
         // Shortest-round-trip formatting preserves the exact f64 sum.
-        assert_eq!(extract_num_field(lines[0], "total_s"), Some(0.1 + 0.2));
-        let run = lines[2];
-        assert_eq!(extract_str_field(run, "type").as_deref(), Some("run"));
-        assert_eq!(extract_str_field(run, "name").as_deref(), Some("test"));
-        let device_secs = extract_num_field(run, "device_secs").unwrap();
+        let total = lines[0].get("total_s").and_then(JsonValue::as_f64);
+        assert_eq!(total, Some(0.1 + 0.2));
+        let run = &lines[2];
+        assert_eq!(str_of(run, "type").as_deref(), Some("run"));
+        assert_eq!(str_of(run, "name").as_deref(), Some("test"));
+        let device_secs = run.get("device_secs").and_then(JsonValue::as_f64).unwrap();
         assert!((device_secs - 0.6).abs() < 1e-12, "{device_secs}");
     }
 
@@ -341,7 +340,7 @@ mod tests {
 
     #[test]
     fn jsonl_overlap_fields_only_when_present() {
-        use nessa_telemetry::extract_num_field;
+        use nessa_telemetry::JsonValue;
         let plain = sample_report().to_jsonl();
         assert!(
             !plain.contains("select_side_s"),
@@ -356,12 +355,13 @@ mod tests {
             staleness: 1,
         });
         let jsonl = r.to_jsonl();
-        let first = jsonl.lines().next().unwrap();
-        assert_eq!(extract_num_field(first, "select_side_s"), Some(0.25));
-        assert_eq!(extract_num_field(first, "train_s"), Some(0.5));
-        assert_eq!(extract_num_field(first, "handoff_s"), Some(0.01));
-        assert_eq!(extract_num_field(first, "staleness"), Some(1.0));
-        assert_eq!(extract_num_field(first, "total_s"), Some(0.51));
+        let first = JsonValue::parse(jsonl.lines().next().unwrap()).unwrap();
+        let num = |k: &str| first.get(k).and_then(JsonValue::as_f64);
+        assert_eq!(num("select_side_s"), Some(0.25));
+        assert_eq!(num("train_s"), Some(0.5));
+        assert_eq!(num("handoff_s"), Some(0.01));
+        assert_eq!(num("staleness"), Some(1.0));
+        assert_eq!(num("total_s"), Some(0.51));
         let second = jsonl.lines().nth(1).unwrap();
         assert!(!second.contains("select_side_s"));
     }

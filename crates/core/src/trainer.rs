@@ -49,30 +49,14 @@ pub struct EpochOutcome {
 /// Batches are shuffled with `rng`. Gradients are zeroed before each batch;
 /// `opt` is stepped once per batch at learning rate `lr`.
 ///
+/// With `metrics`, each mini-batch counts toward `batches`/`samples` and
+/// observes its weighted mean loss in the `batch_loss` histogram.
+///
 /// # Panics
 ///
 /// Panics if `indices` and `weights` lengths differ, `indices` is empty,
 /// or `batch_size == 0`.
 #[allow(clippy::too_many_arguments)] // one call site per policy; a struct would obscure the paper's step list
-pub fn train_epoch(
-    net: &mut Network,
-    opt: &mut Sgd,
-    dataset: &Dataset,
-    indices: &[usize],
-    weights: &[f32],
-    batch_size: usize,
-    lr: f32,
-    rng: &mut Rng64,
-) -> EpochOutcome {
-    train_epoch_metered(
-        net, opt, dataset, indices, weights, batch_size, lr, rng, None,
-    )
-}
-
-/// [`train_epoch`] with optional per-batch instrumentation: each
-/// mini-batch counts toward `batches`/`samples` and observes its weighted
-/// mean loss in the `batch_loss` histogram.
-#[allow(clippy::too_many_arguments)] // see train_epoch
 pub fn train_epoch_metered(
     net: &mut Network,
     opt: &mut Sgd,
@@ -164,10 +148,14 @@ mod tests {
         let all: Vec<usize> = (0..train.len()).collect();
         let ones = vec![1.0f32; all.len()];
         let acc0 = evaluate(&mut net, &test, 32);
-        let first = train_epoch(&mut net, &mut opt, &train, &all, &ones, 32, 0.05, &mut rng);
+        let first = train_epoch_metered(
+            &mut net, &mut opt, &train, &all, &ones, 32, 0.05, &mut rng, None,
+        );
         let mut last = first.clone();
         for _ in 0..15 {
-            last = train_epoch(&mut net, &mut opt, &train, &all, &ones, 32, 0.05, &mut rng);
+            last = train_epoch_metered(
+                &mut net, &mut opt, &train, &all, &ones, 32, 0.05, &mut rng, None,
+            );
         }
         let acc = evaluate(&mut net, &test, 32);
         assert!(
@@ -187,7 +175,9 @@ mod tests {
         let mut opt = Sgd::new(SgdConfig::default());
         let idx = vec![3usize, 17, 42];
         let w = vec![1.0f32; 3];
-        let out = train_epoch(&mut net, &mut opt, &train, &idx, &w, 2, 0.01, &mut rng);
+        let out = train_epoch_metered(
+            &mut net, &mut opt, &train, &idx, &w, 2, 0.01, &mut rng, None,
+        );
         assert_eq!(out.per_sample_losses.len(), 3);
         assert!(out.per_sample_losses.iter().all(|&l| l > 0.0));
     }
@@ -203,7 +193,9 @@ mod tests {
         let class0: Vec<usize> = train.indices_by_class()[0].clone();
         let w = vec![1.0f32; class0.len()];
         for _ in 0..10 {
-            train_epoch(&mut net, &mut opt, &train, &class0, &w, 16, 0.05, &mut rng);
+            train_epoch_metered(
+                &mut net, &mut opt, &train, &class0, &w, 16, 0.05, &mut rng, None,
+            );
         }
         let preds: Vec<usize> = {
             let all: Vec<usize> = (0..test.len()).collect();
@@ -248,6 +240,6 @@ mod tests {
         let mut rng = Rng64::new(3);
         let mut net = mlp(&[8, 8, 4], &mut rng);
         let mut opt = Sgd::new(SgdConfig::default());
-        let _ = train_epoch(&mut net, &mut opt, &train, &[], &[], 4, 0.1, &mut rng);
+        let _ = train_epoch_metered(&mut net, &mut opt, &train, &[], &[], 4, 0.1, &mut rng, None);
     }
 }

@@ -4,8 +4,8 @@
 //! module is its inverse: a small recursive-descent JSON parser (still
 //! zero-dependency) plus a typed decoder that turns each line back into a
 //! [`TelemetryEvent`]. The offline trace analyzer (`nessa-trace`) builds
-//! entirely on this API, and the legacy field extractors in
-//! [`crate::sink`] are reimplemented on top of it so escaped quotes and
+//! entirely on this API; ad-hoc field lookups use
+//! [`JsonValue::parse`] + [`JsonValue::get`], so escaped quotes and
 //! nested objects are handled correctly.
 
 use crate::metrics::HistogramSummary;

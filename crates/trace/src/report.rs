@@ -47,12 +47,6 @@ pub struct EpochReport {
     /// ≈ 0. `None` when either side is absent or took no measurable
     /// wall time.
     pub overlap_ratio: Option<f64>,
-    /// The legacy *estimate*: simulated device seconds of the epoch's
-    /// non-`train` children divided by the `train` child's wall seconds
-    /// (how much training time selection *would need to hide under*,
-    /// not how much it actually did). Kept for old baselines and
-    /// capacity planning.
-    pub overlap_ratio_est: Option<f64>,
 }
 
 /// Span names that count as the near-storage selection side when
@@ -128,8 +122,6 @@ impl TraceReport {
                 sim_s: root.sim_secs,
                 ..EpochReport::default()
             };
-            let mut device_sim = 0.0;
-            let mut train_wall = 0.0;
             for child in trace.tree.children(root.id) {
                 rep.phases
                     .entry(child.name.clone())
@@ -139,11 +131,6 @@ impl TraceReport {
                     .entry(child.name.clone())
                     .or_default()
                     .add(child.wall_secs, child.sim_secs);
-                if child.name == "train" {
-                    train_wall += child.wall_secs;
-                } else {
-                    device_sim += child.sim_secs;
-                }
             }
             rep.critical_path = trace
                 .tree
@@ -151,7 +138,6 @@ impl TraceReport {
                 .iter()
                 .map(|s| s.name.clone())
                 .collect();
-            rep.overlap_ratio_est = (train_wall > 0.0).then_some(device_sim / train_wall);
             // Measured concurrency: collect wall intervals from the
             // whole epoch subtree (overlapped rounds nest their
             // scan/select/ship under an `overlap.select` wrapper, one
@@ -200,17 +186,6 @@ impl TraceReport {
         (!ratios.is_empty()).then(|| ratios.iter().sum::<f64>() / ratios.len() as f64)
     }
 
-    /// Mean of the legacy sim-vs-wall overlap *estimate* (see
-    /// [`EpochReport::overlap_ratio_est`]).
-    pub fn mean_overlap_ratio_est(&self) -> Option<f64> {
-        let ratios: Vec<f64> = self
-            .epochs
-            .iter()
-            .filter_map(|e| e.overlap_ratio_est)
-            .collect();
-        (!ratios.is_empty()).then(|| ratios.iter().sum::<f64>() / ratios.len() as f64)
-    }
-
     /// Renders the human-readable report.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -219,16 +194,12 @@ impl TraceReport {
         for e in &self.epochs {
             let _ = writeln!(
                 out,
-                "    epoch {:<3} wall {:>10.6}s  sim {:>10.6}s  overlap {}  (est {})",
+                "    epoch {:<3} wall {:>10.6}s  sim {:>10.6}s  overlap {}",
                 e.epoch,
                 e.wall_s,
                 e.sim_s,
                 match e.overlap_ratio {
                     Some(r) => format!("{r:.3}"),
-                    None => "-".into(),
-                },
-                match e.overlap_ratio_est {
-                    Some(r) => format!("{r:.3e}"),
                     None => "-".into(),
                 }
             );
@@ -253,12 +224,6 @@ impl TraceReport {
             let _ = writeln!(
                 out,
                 "  mean measured overlap ratio: {r:.3} (1 = shorter side fully hidden; sequential ≈ 0)"
-            );
-        }
-        if let Some(r) = self.mean_overlap_ratio_est() {
-            let _ = writeln!(
-                out,
-                "  mean overlap estimate (device sim / train wall): {r:.3e} (<1 = selection could hide under training)"
             );
         }
         if !self.device_phases.is_empty() {
@@ -336,19 +301,6 @@ mod tests {
         assert_eq!(scan.sim_s, 0.3);
         assert_eq!(rep.phase_totals["train"].count, 2);
         assert!((rep.phase_totals["train"].wall_s - 1.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_estimate_is_device_sim_over_train_wall() {
-        let rep = TraceReport::from_trace(&two_epoch_trace());
-        // epoch 0: (0.3 + 0.5 + 0.1) sim vs 0.8 train wall.
-        let r0 = rep.epochs[0].overlap_ratio_est.unwrap();
-        assert!((r0 - 0.9 / 0.8).abs() < 1e-12, "{r0}");
-        // epoch 1: 0.4 / 1.0.
-        let r1 = rep.epochs[1].overlap_ratio_est.unwrap();
-        assert!((r1 - 0.4).abs() < 1e-12, "{r1}");
-        let mean = rep.mean_overlap_ratio_est().unwrap();
-        assert!((mean - (r0 + r1) / 2.0).abs() < 1e-12);
     }
 
     #[test]

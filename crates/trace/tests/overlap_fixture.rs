@@ -51,24 +51,6 @@ fn mean_measured_ratio_averages_only_measurable_epochs() {
 }
 
 #[test]
-fn estimate_stays_independent_of_the_measured_ratio() {
-    // The legacy estimate divides simulated device seconds by train wall
-    // seconds; it must keep reporting even where the measured ratio does
-    // (epoch 0/1) and where it cannot (epoch 2 still has sim + train).
-    let rep = golden();
-    for e in &rep.epochs {
-        let est = e.overlap_ratio_est.expect("train wall > 0 everywhere");
-        assert!(est > 0.0);
-    }
-    let e0 = rep.epochs[0].overlap_ratio_est.unwrap();
-    let expected = (0.00062 + 0.000016 + 0.000134 + 0.00077 + 0.0000056) / 0.0038;
-    assert!(
-        (e0 - expected).abs() < 1e-9,
-        "expected {expected}, got {e0}"
-    );
-}
-
-#[test]
 fn phase_breakdown_reports_the_wrapper_not_its_children() {
     // Per-epoch phase stats stay direct-children-only (baseline summary
     // compatibility): the pipelined round appears as `overlap.select`,
@@ -83,8 +65,7 @@ fn phase_breakdown_reports_the_wrapper_not_its_children() {
 }
 
 #[test]
-fn render_prints_measured_and_estimated_ratios() {
+fn render_prints_the_measured_ratio() {
     let text = golden().render();
     assert!(text.contains("mean measured overlap ratio: 0.975"));
-    assert!(text.contains("mean overlap estimate (device sim / train wall):"));
 }
