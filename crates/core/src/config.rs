@@ -1,6 +1,5 @@
 //! Pipeline configuration.
 
-use crate::retry::RetryPolicy;
 use nessa_select::facility::GreedyVariant;
 use nessa_smartssd::FaultPlan;
 use nessa_telemetry::TelemetrySettings;
@@ -79,10 +78,6 @@ pub struct NessaConfig {
     /// to off; see [`TelemetrySettings::from_env`] for the
     /// `NESSA_TELEMETRY` environment control.
     pub telemetry: TelemetrySettings,
-    /// Stall budget for the live health monitor: seconds without any span
-    /// closing before the pipeline counts as wedged (see
-    /// [`crate::health::HealthMonitor`]).
-    pub stall_budget_secs: f64,
     /// SmartSSDs in the simulated cluster (1 = the paper's single-drive
     /// setup; more shards the scan/select phases).
     pub drives: usize,
@@ -92,9 +87,6 @@ pub struct NessaConfig {
     /// that is one epoch stale. Off by default: the sequential schedule
     /// is the byte-identical reference.
     pub overlap: bool,
-    /// Retry policy for failed device operations. Single-wait backoff is
-    /// additionally clamped to `stall_budget_secs` at run time.
-    pub retry: RetryPolicy,
     /// Deterministic fault schedules armed per drive before the run
     /// (`(drive index, plan)` pairs; out-of-range indexes are ignored).
     pub fault_plans: Vec<(usize, FaultPlan)>,
@@ -131,10 +123,8 @@ impl NessaConfig {
             threads: 1,
             seed: 42,
             telemetry: TelemetrySettings::off(),
-            stall_budget_secs: 30.0,
             drives: 1,
             overlap: false,
-            retry: RetryPolicy::default(),
             fault_plans: Vec::new(),
         }
     }
@@ -217,17 +207,6 @@ impl NessaConfig {
         self
     }
 
-    /// Sets the health monitor's stall budget in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is not positive.
-    pub fn with_stall_budget(mut self, secs: f64) -> Self {
-        assert!(secs > 0.0, "stall budget must be positive, got {secs}");
-        self.stall_budget_secs = secs;
-        self
-    }
-
     /// Sets the number of SmartSSDs in the simulated cluster.
     ///
     /// # Panics
@@ -236,12 +215,6 @@ impl NessaConfig {
     pub fn with_drives(mut self, drives: usize) -> Self {
         assert!(drives > 0, "a cluster needs at least one drive");
         self.drives = drives;
-        self
-    }
-
-    /// Sets the retry policy for failed device operations.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -282,13 +255,11 @@ mod tests {
             .with_dynamic_sizing(true)
             .with_batch_size(32)
             .with_threads(0)
-            .with_stall_budget(5.0)
             .with_seed(9);
         assert!(!cfg.feedback && !cfg.subset_biasing && !cfg.partitioning);
         assert!(cfg.dynamic_sizing);
         assert_eq!(cfg.batch_size, 32);
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.stall_budget_secs, 5.0);
         assert_eq!(cfg.seed, 9);
     }
 
@@ -296,16 +267,11 @@ mod tests {
     fn fault_builders_accumulate() {
         let cfg = NessaConfig::new(0.3, 10)
             .with_drives(2)
-            .with_retry(RetryPolicy {
-                max_attempts: 5,
-                ..RetryPolicy::default()
-            })
             .with_fault_plan(0, FaultPlan::none().with_read_error(1, 2))
             .with_fault_plan(1, FaultPlan::none().with_dropout_after(3));
         let cfg = cfg.with_overlap(true);
         assert!(cfg.overlap);
         assert_eq!(cfg.drives, 2);
-        assert_eq!(cfg.retry.max_attempts, 5);
         assert_eq!(cfg.fault_plans.len(), 2);
     }
 
@@ -327,12 +293,6 @@ mod tests {
     #[should_panic(expected = "at least one drive")]
     fn rejects_zero_drives() {
         let _ = NessaConfig::new(0.5, 10).with_drives(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "stall budget")]
-    fn rejects_nonpositive_stall_budget() {
-        let _ = NessaConfig::new(0.5, 10).with_stall_budget(0.0);
     }
 
     #[test]

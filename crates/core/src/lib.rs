@@ -41,8 +41,8 @@ pub mod trainer;
 
 pub use config::NessaConfig;
 pub use error::PipelineError;
-pub use health::{HealthMonitor, HealthStatus};
+pub use health::HealthMonitor;
 pub use pipeline::NessaPipeline;
 pub use policy::{run_policy, Policy};
 pub use report::{EpochRecord, OverlapRecord, RunReport};
-pub use retry::{degrade, Degraded, RetryPolicy, Rung};
+pub use retry::RetryPolicy;

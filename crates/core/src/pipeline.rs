@@ -1,12 +1,13 @@
 //! The NeSSA near-storage training pipeline (paper §3, Figure 3).
 //!
 //! The device path can fail (see [`nessa_smartssd::fault`]); every
-//! storage phase runs under the degradation ladder of [`crate::retry`]:
-//! transient faults are retried with sim-clock backoff, dead drives are
-//! evicted and the shards rebalance, a dead kernel path degrades to a
-//! staged host read + host-side selection, and if even that is out the
-//! round falls back to seeded random selection. Every rung is surfaced
-//! through the [`HealthMonitor`] fault counters.
+//! storage phase runs under the one degradation ladder, `recover` plus
+//! the rungs of `selection_round`: transient faults are retried with
+//! sim-clock backoff ([`RetryPolicy`]), dead drives are evicted and the
+//! shards rebalance, a dead scan or kernel path degrades to a staged
+//! host read + host-side selection, and if a dead kernel's host read is
+//! out too the round falls back to seeded random selection. Every rung
+//! is surfaced through the [`HealthMonitor`] fault counters.
 //!
 //! # One epoch loop, two schedules
 //!
@@ -54,20 +55,20 @@ use nessa_smartssd::{ClusterError, DeviceError, SmartSsdConfig, SsdCluster};
 use nessa_telemetry::{DeviceEvent, Telemetry};
 use nessa_tensor::rng::Rng64;
 
-/// Runs one cluster phase under the retry policy. Offline drives are
-/// evicted on the spot (the shard layout rebalances; no retry budget is
-/// consumed — eviction is repair, not retry); transient faults charge a
-/// deterministic backoff to every surviving drive's simulated clock and
-/// try again. Anything else — and an emptied cluster — surfaces to the
-/// caller.
+/// Runs one cluster phase under the default [`RetryPolicy`]. Offline
+/// drives are evicted on the spot (the shard layout rebalances; no retry
+/// budget is consumed — eviction is repair, not retry); transient faults
+/// charge a deterministic backoff to every surviving drive's simulated
+/// clock and try again. Anything else — and an emptied cluster —
+/// surfaces to the caller.
 fn recover<T>(
     cluster: &mut SsdCluster,
-    retry: &RetryPolicy,
     health: &HealthMonitor,
     telemetry: &Telemetry,
     epoch: usize,
     mut op: impl FnMut(&mut SsdCluster) -> Result<T, ClusterError>,
 ) -> Result<T, ClusterError> {
+    let retry = RetryPolicy::default();
     let mut attempts = 1u32;
     loop {
         match op(cluster) {
@@ -117,11 +118,49 @@ fn drive_err(device: &SsdCluster, e: ClusterError) -> PipelineError {
 #[derive(Clone, Copy)]
 struct RoundCtx<'a> {
     cfg: &'a NessaConfig,
-    retry: &'a RetryPolicy,
     health: &'a HealthMonitor,
     telemetry: &'a Telemetry,
     select_metrics: &'a SelectMetrics,
     train: &'a Dataset,
+}
+
+/// The ladder rung a selection round is on, which decides who computes
+/// the picks and whether they still have to be shipped.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rung {
+    /// The scan put the pool on the FPGA and the device kernel selects;
+    /// the subset ships to the GPU.
+    Device,
+    /// The P2P or kernel path is out and the pool was staged to the host
+    /// instead: selection runs host-side and the ship phase is free.
+    Host,
+    /// Even the staged read is out. The pool is still resident on the
+    /// FPGA from the scan, so the round takes seeded random picks and
+    /// ships them the normal way.
+    Random,
+}
+
+/// The host rung: counts the fallback, opens its span, then stages
+/// `records` records to the host over the conventional read path under
+/// [`recover`]. Returns the read's simulated seconds.
+fn stage_to_host(
+    ctx: &RoundCtx<'_>,
+    device: &mut SsdCluster,
+    epoch: usize,
+    records: u64,
+    record_bytes: u64,
+) -> Result<f64, ClusterError> {
+    ctx.health.note_fallback_host();
+    let mut fb = ctx
+        .telemetry
+        .span("fallback")
+        .with_attr("epoch", epoch)
+        .with_attr("rung", "host");
+    let secs = recover(device, ctx.health, ctx.telemetry, epoch, |c| {
+        c.conventional_read_to_host(records, record_bytes)
+    })?;
+    fb.add_sim_secs(secs);
+    Ok(secs)
 }
 
 /// What one selection round produced: the chosen subset plus the
@@ -153,10 +192,6 @@ fn selection_round(
     let mut select_secs = 0.0;
     let mut io_secs = 0.0;
     let record_bytes = ctx.train.bytes_per_sample() as u64;
-    // Set when the P2P/kernel path is out and the pool was staged to the
-    // host instead; selection math then runs host-side and the ship
-    // phase is free.
-    let mut on_host = false;
     // (1) Stream the candidate pool from flash to the FPGA.
     let scanned = {
         let mut scan = ctx
@@ -164,7 +199,7 @@ fn selection_round(
             .span("scan")
             .with_attr("epoch", epoch)
             .with_attr("records", pool.len());
-        let r = recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
+        let r = recover(device, ctx.health, ctx.telemetry, epoch, |c| {
             c.parallel_scan(pool.len() as u64, record_bytes)
         });
         if let Ok(secs) = &r {
@@ -172,28 +207,21 @@ fn selection_round(
         }
         r
     };
-    match scanned {
-        Ok(secs) => io_secs += secs,
+    let mut rung = match scanned {
+        Ok(secs) => {
+            io_secs += secs;
+            Rung::Device
+        }
         Err(e) if device.is_empty() => return Err(drive_err(device, e)),
         Err(_) => {
             // P2P path out beyond recovery: degrade to the conventional
             // staged read through the host. If that fails too, no path
             // to the data is left.
-            on_host = true;
-            ctx.health.note_fallback_host();
-            let mut fb = ctx
-                .telemetry
-                .span("fallback")
-                .with_attr("epoch", epoch)
-                .with_attr("rung", "host");
-            let secs = recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
-                c.conventional_read_to_host(pool.len() as u64, record_bytes)
-            })
-            .map_err(|e| drive_err(device, e))?;
-            fb.add_sim_secs(secs);
-            io_secs += secs;
+            io_secs += stage_to_host(ctx, device, epoch, pool.len() as u64, record_bytes)
+                .map_err(|e| drive_err(device, e))?;
+            Rung::Host
         }
-    }
+    };
     // Corrupt records detected during the scan cannot join the candidate
     // pool: count them and drop that many (chosen from the round's RNG
     // stream; the simulation does not track which physical records a
@@ -256,12 +284,8 @@ fn selection_round(
         k_per_chunk: cfg.batch_size,
     };
     let mut kernel_secs = 0.0;
-    // Set when even the staged host read is out: the pool is still
-    // resident on the FPGA from the scan, so the round degrades to
-    // seeded random picks shipped the normal way.
-    let mut force_random = false;
-    if !on_host {
-        match recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
+    if rung == Rung::Device {
+        match recover(device, ctx.health, ctx.telemetry, epoch, |c| {
             c.parallel_select(&profile)
         }) {
             Ok(secs) => kernel_secs = secs,
@@ -272,24 +296,16 @@ fn selection_round(
             }
             Err(_) => {
                 // Kernel path out beyond recovery: stage the pool to the
-                // host and select there.
-                ctx.health.note_fallback_host();
-                let mut fb = ctx
-                    .telemetry
-                    .span("fallback")
-                    .with_attr("epoch", epoch)
-                    .with_attr("rung", "host");
-                match recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
-                    c.conventional_read_to_host(pool.len() as u64, record_bytes)
-                }) {
+                // host and select there, or take random picks if the
+                // staged read fails too.
+                rung = match stage_to_host(ctx, device, epoch, pool.len() as u64, record_bytes) {
                     Ok(secs) => {
-                        on_host = true;
-                        fb.add_sim_secs(secs);
                         io_secs += secs;
+                        Rung::Host
                     }
                     Err(e) if device.is_empty() => return Err(drive_err(device, e)),
-                    Err(_) => force_random = true,
-                }
+                    Err(_) => Rung::Random,
+                };
             }
         }
     }
@@ -297,7 +313,7 @@ fn selection_round(
     // available (device and host produce the same picks — the simulation
     // models time, not arithmetic), seeded random picks as the last
     // rung.
-    let maybe = if force_random {
+    let maybe = if rung == Rung::Random {
         None
     } else {
         match select_per_class_factored(
@@ -350,8 +366,8 @@ fn selection_round(
             .span("ship")
             .with_attr("epoch", epoch)
             .with_attr("records", selection.len());
-        if !on_host {
-            let secs = recover(device, ctx.retry, ctx.health, ctx.telemetry, epoch, |c| {
+        if rung != Rung::Host {
+            let secs = recover(device, ctx.health, ctx.telemetry, epoch, |c| {
                 c.gather_selections(selection.len() as u64, record_bytes)
             })
             .map_err(|e| drive_err(device, e))?;
@@ -507,11 +523,8 @@ impl NessaPipeline {
         };
         let select_metrics = SelectMetrics::from_telemetry(&self.telemetry);
         let train_metrics = TrainMetrics::from_telemetry(&self.telemetry);
-        let mut health = HealthMonitor::new(&self.telemetry, cfg.epochs, cfg.stall_budget_secs);
+        let mut health = HealthMonitor::new(&self.telemetry, cfg.epochs);
         health.set_drives_alive(self.device.len());
-        // Backoff stays inside the stall budget so a retrying pipeline
-        // never looks wedged to the heartbeat.
-        let retry = cfg.retry.bounded_by(cfg.stall_budget_secs);
         let mut fraction = cfg.subset_fraction;
         // Forward + backward ≈ 3× the forward cost; feeds the
         // deterministic GPU-side cost model for the overlap ledger.
@@ -528,7 +541,6 @@ impl NessaPipeline {
             let mut epoch_span = self.telemetry.span("epoch").with_attr("epoch", epoch);
             let ctx = RoundCtx {
                 cfg: &cfg,
-                retry: &retry,
                 health: &health,
                 telemetry: &self.telemetry,
                 select_metrics: &select_metrics,
@@ -668,14 +680,9 @@ impl NessaPipeline {
                 let snap = QuantizedModel::from_network(&mut self.target);
                 feedback.set_attr("bytes", snap.payload_bytes());
                 let payload = snap.payload_bytes() as u64;
-                let secs = recover(
-                    &mut self.device,
-                    &retry,
-                    &health,
-                    &self.telemetry,
-                    epoch,
-                    |c| c.broadcast_feedback(payload),
-                )
+                let secs = recover(&mut self.device, &health, &self.telemetry, epoch, |c| {
+                    c.broadcast_feedback(payload)
+                })
                 .map_err(|e| drive_err(&self.device, e))?;
                 feedback.add_sim_secs(secs);
                 io_secs += secs;
@@ -706,11 +713,9 @@ impl NessaPipeline {
             epoch_span.set_attr("train_loss", outcome.mean_loss);
             epoch_span.set_attr("test_acc", test_acc);
             epoch_span.finish();
-            // Heartbeat + progress gauges: the epoch span just closed, so a
-            // healthy loop always passes the stall check here; the gauges
-            // give any observer (timeline, JSONL tail) throughput and ETA.
+            // Progress gauges: any observer (timeline, JSONL tail) sees
+            // throughput and ETA.
             health.epoch_completed(selection.len());
-            health.check_stall();
             report.epochs.push(record);
         }
         self.finish_run(&mut report, &health);
@@ -897,10 +902,6 @@ mod tests {
         assert!(gauges["health.samples_per_sec"] > 0.0);
         // The run is over: nothing remains, so the ETA gauge reads zero.
         assert_eq!(gauges["health.eta_secs"], 0.0);
-        // The loop closes a span every epoch, so the default 30 s budget
-        // never trips.
-        let counters: std::collections::BTreeMap<_, _> = snap.counters.into_iter().collect();
-        assert_eq!(counters["health.stalls"], 0);
     }
 
     #[test]

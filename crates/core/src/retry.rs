@@ -1,11 +1,12 @@
-//! Bounded retry with deterministic backoff, and the degradation ladder.
+//! Bounded retry with deterministic backoff.
 //!
 //! Near-storage selection adds storage-side failure modes to the training
-//! loop. The pipeline responds with a three-rung ladder: retry the device
-//! operation under a [`RetryPolicy`] (each wait charged to the *simulated*
-//! clock, never the wall clock), then fall back to host-side selection
-//! over a staged read, then fall back to seeded random selection. The
-//! generic [`degrade`] driver keeps that ordering in one tested place.
+//! loop. The pipeline's degradation ladder (`recover` and the rungs of
+//! the selection round in [`crate::pipeline`]) retries a faulted device
+//! operation under a [`RetryPolicy`], charging each wait to the
+//! *simulated* clock, never the wall clock. Only when the retries are
+//! spent does a round step down to the host staged read, and from there
+//! to seeded random picks.
 
 /// Bounded-attempt retry with deterministic exponential backoff.
 ///
@@ -42,103 +43,6 @@ impl RetryPolicy {
         let raw = self.base_backoff_secs * self.backoff_factor.powi(attempt.min(64) as i32);
         raw.min(self.max_backoff_secs).max(0.0)
     }
-
-    /// A copy whose single-wait clamp never exceeds `budget` seconds —
-    /// ties the policy to `NessaConfig::stall_budget_secs` so a backoff
-    /// can never trip the stall watchdog by itself.
-    pub fn bounded_by(&self, budget: f64) -> Self {
-        Self {
-            max_backoff_secs: self.max_backoff_secs.min(budget.max(0.0)),
-            ..*self
-        }
-    }
-
-    /// Total backoff charged when every attempt fails.
-    pub fn total_backoff_secs(&self) -> f64 {
-        (0..self.max_attempts.max(1).saturating_sub(1))
-            .map(|a| self.backoff_secs(a))
-            .sum()
-    }
-}
-
-/// Which rung of the degradation ladder produced a result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rung {
-    /// The device operation succeeded (possibly after retries).
-    Device,
-    /// The host-side fallback produced the result.
-    Host,
-    /// The seeded random fallback produced the result.
-    Random,
-}
-
-/// A ladder outcome: the value plus how far down the ladder it came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Degraded<T> {
-    /// The produced value.
-    pub value: T,
-    /// The rung that produced it.
-    pub rung: Rung,
-    /// Device attempts made (≥ 1).
-    pub attempts: u32,
-}
-
-/// Runs the degradation ladder: `device` is attempted up to
-/// `policy.max_attempts` times (with `on_backoff(ctx, attempt, secs)`
-/// called between attempts so the caller can charge the wait to the
-/// simulated clock); when attempts are exhausted — or the error is not
-/// transient per `is_transient` — `host` runs once; if `host` also
-/// fails, `random` decides the final outcome.
-///
-/// The shared `ctx` is threaded through every closure so callers can
-/// hand the same `&mut` state (a cluster, a pipeline) to each rung
-/// without aliasing.
-///
-/// # Errors
-///
-/// Returns `random`'s error when every rung fails (the `host` error is
-/// superseded by the deeper fallback).
-pub fn degrade<C, T, E>(
-    policy: &RetryPolicy,
-    ctx: &mut C,
-    mut device: impl FnMut(&mut C, u32) -> Result<T, E>,
-    is_transient: impl Fn(&E) -> bool,
-    mut on_backoff: impl FnMut(&mut C, u32, f64),
-    host: impl FnOnce(&mut C) -> Result<T, E>,
-    random: impl FnOnce(&mut C) -> Result<T, E>,
-) -> Result<Degraded<T>, E> {
-    let max = policy.max_attempts.max(1);
-    let mut attempts = 0u32;
-    loop {
-        match device(ctx, attempts) {
-            Ok(value) => {
-                return Ok(Degraded {
-                    value,
-                    rung: Rung::Device,
-                    attempts: attempts + 1,
-                })
-            }
-            Err(e) => {
-                attempts += 1;
-                if attempts >= max || !is_transient(&e) {
-                    break;
-                }
-                on_backoff(ctx, attempts, policy.backoff_secs(attempts - 1));
-            }
-        }
-    }
-    match host(ctx) {
-        Ok(value) => Ok(Degraded {
-            value,
-            rung: Rung::Host,
-            attempts,
-        }),
-        Err(_) => random(ctx).map(|value| Degraded {
-            value,
-            rung: Rung::Random,
-            attempts,
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -157,137 +61,5 @@ mod tests {
         assert!((p.backoff_secs(1) - 0.2).abs() < 1e-12);
         assert!((p.backoff_secs(2) - 0.35).abs() < 1e-12, "clamped");
         assert!((p.backoff_secs(60) - 0.35).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bounded_by_caps_the_single_wait() {
-        let p = RetryPolicy::default().bounded_by(0.08);
-        assert!(p.backoff_secs(10) <= 0.08 + 1e-12);
-        let unbounded = RetryPolicy::default().bounded_by(1e9);
-        assert!((unbounded.max_backoff_secs - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ladder_stays_on_device_when_it_succeeds() {
-        let p = RetryPolicy::default();
-        let mut calls = 0u32;
-        let out = degrade(
-            &p,
-            &mut calls,
-            |c, _| {
-                *c += 1;
-                Ok::<_, ()>(7)
-            },
-            |_| true,
-            |_, _, _| {},
-            |_| Ok(8),
-            |_| Ok(9),
-        )
-        .unwrap();
-        assert_eq!(out.value, 7);
-        assert_eq!(out.rung, Rung::Device);
-        assert_eq!(out.attempts, 1);
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn exhausted_retries_reach_host_before_random() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        let mut trail: Vec<&'static str> = Vec::new();
-        let out = degrade(
-            &p,
-            &mut trail,
-            |t, _| {
-                t.push("device");
-                Err::<u32, _>("transient")
-            },
-            |_| true,
-            |t, _, _| t.push("backoff"),
-            |t| {
-                t.push("host");
-                Ok(1)
-            },
-            |t| {
-                t.push("random");
-                Ok(2)
-            },
-        )
-        .unwrap();
-        assert_eq!(out.rung, Rung::Host);
-        assert_eq!(out.attempts, 3);
-        assert_eq!(
-            trail,
-            vec!["device", "backoff", "device", "backoff", "device", "host"],
-            "host must come after every device retry, random never"
-        );
-    }
-
-    #[test]
-    fn host_failure_falls_through_to_random() {
-        let p = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
-        let out = degrade(
-            &p,
-            &mut (),
-            |_, _| Err::<u32, _>("transient"),
-            |_| true,
-            |_, _, _| {},
-            |_| Err("host down"),
-            |_| Ok(3),
-        )
-        .unwrap();
-        assert_eq!(out.rung, Rung::Random);
-        assert_eq!(out.value, 3);
-    }
-
-    #[test]
-    fn non_transient_errors_skip_remaining_retries() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            ..RetryPolicy::default()
-        };
-        let mut device_calls = 0u32;
-        let out = degrade(
-            &p,
-            &mut device_calls,
-            |c, _| {
-                *c += 1;
-                Err::<u32, _>("fatal")
-            },
-            |_| false,
-            |_, _, _| {},
-            |_| Ok(4),
-            |_| Ok(5),
-        )
-        .unwrap();
-        assert_eq!(out.rung, Rung::Host);
-        assert_eq!(device_calls, 1, "no retry for a non-transient error");
-    }
-
-    #[test]
-    fn all_rungs_failing_returns_the_random_error() {
-        let p = RetryPolicy::default();
-        let err = degrade(
-            &p,
-            &mut (),
-            |_, _| Err::<u32, _>("device"),
-            |_| true,
-            |_, _, _| {},
-            |_| Err("host"),
-            |_| Err("random"),
-        )
-        .unwrap_err();
-        assert_eq!(err, "random");
-    }
-
-    #[test]
-    fn total_backoff_is_bounded() {
-        let p = RetryPolicy::default();
-        assert!(p.total_backoff_secs() <= (p.max_attempts as f64) * p.max_backoff_secs);
     }
 }

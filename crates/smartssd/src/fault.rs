@@ -10,7 +10,7 @@
 //! Schedules are indexed by *operation count* on the relevant data path
 //! (scan, kernel, transfer), never by wall clock: a plan either lists
 //! explicit op indexes or is drawn up front from a seeded
-//! [`Rng64`](nessa_tensor::rng::Rng64) via [`FaultPlan::seeded`]. Time
+//! [`Rng64`] via [`FaultPlan::seeded`]. Time
 //! only ever advances on the device's [`SimClock`](crate::SimClock), so
 //! the same plan against the same workload reproduces byte-identical
 //! traces (lint rules d1/d2 hold throughout).

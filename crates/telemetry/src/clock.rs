@@ -8,7 +8,7 @@
 //! simulator's own `SimClock`, which is virtual and deterministic), and
 //! `nessa-lint` rule **D1** rejects `Instant::now` / `SystemTime::now`
 //! anywhere else. Wall time may *decorate* telemetry (span durations,
-//! health heartbeats) but must never *decide* anything on the selection
+//! health gauges) but must never *decide* anything on the selection
 //! path.
 
 pub use std::time::Instant;

@@ -160,8 +160,6 @@ struct Inner {
     open_stack: Mutex<Vec<(std::thread::ThreadId, u64)>>,
     jsonl: Mutex<Option<BufWriter<fs::File>>>,
     jsonl_path: Option<PathBuf>,
-    // Heartbeat for the live health monitor: when the last span closed.
-    last_close: Mutex<Option<Instant>>,
 }
 
 /// A cloneable handle to one run's telemetry stream.
@@ -229,7 +227,6 @@ impl Telemetry {
                 open_stack: Mutex::new(Vec::new()),
                 jsonl: Mutex::new(jsonl),
                 jsonl_path,
-                last_close: Mutex::new(None),
             })),
         }
     }
@@ -348,19 +345,6 @@ impl Telemetry {
             }
         }
         inner.device_events.lock().unwrap().push(event);
-    }
-
-    /// Seconds since the most recent span closed — the health monitor's
-    /// heartbeat signal ("no span closed within the stall budget" means
-    /// the pipeline is wedged). Counts from stream creation until the
-    /// first span closes; `None` on a disabled handle.
-    pub fn idle_secs(&self) -> Option<f64> {
-        let inner = self.inner.as_ref()?;
-        let last = *inner.last_close.lock().unwrap();
-        Some(match last {
-            Some(t) => t.elapsed().as_secs_f64(),
-            None => inner.created.elapsed().as_secs_f64(),
-        })
     }
 
     /// Seconds since the stream was created (host wall clock); `None` on
@@ -488,7 +472,6 @@ impl Drop for SpanGuard {
             }
         }
         inner.spans.lock().unwrap().push(rec);
-        *inner.last_close.lock().unwrap() = Some(clock::now());
     }
 }
 
@@ -680,18 +663,6 @@ mod tests {
         assert!(first.start_secs >= 0.0);
         assert!(second.start_secs > first.start_secs);
         assert!(t.elapsed_secs().unwrap() >= second.start_secs);
-    }
-
-    #[test]
-    fn idle_secs_resets_on_span_close() {
-        let t = Telemetry::new(&TelemetrySettings::memory());
-        assert!(t.idle_secs().unwrap() >= 0.0);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let before = t.idle_secs().unwrap();
-        t.span("beat").finish();
-        let after = t.idle_secs().unwrap();
-        assert!(after < before, "{after} !< {before}");
-        assert_eq!(Telemetry::disabled().idle_secs(), None);
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub const REGISTERED_PHASES: &[&str] = &[
 /// Keep this list in sync with `nessa-lint`'s `REGISTERED_COUNTERS` (the
 /// same cross-check test asserts equality).
 pub const REGISTERED_COUNTERS: &[&str] = &[
-    // Heartbeat verdicts past the stall budget.
-    "health.stalls",
     // Training progress (batches / samples consumed).
     "train.batches",
     "train.samples",
