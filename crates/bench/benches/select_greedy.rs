@@ -1,5 +1,6 @@
-//! Criterion microbenchmarks of the facility-location maximizers —
-//! the kernels whose cost the FPGA model prices.
+//! Criterion microbenchmarks of the facility-location maximizers and the
+//! similarity builds they run on — the kernels whose cost the FPGA model
+//! prices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nessa_select::facility::{maximize, GreedyVariant, SimilarityMatrix};
@@ -46,6 +47,19 @@ fn bench_similarity_build(c: &mut Criterion) {
     let feats = clustered(512, 10, 9);
     c.bench_function("similarity_matrix_512x10", |b| {
         b.iter(|| black_box(SimilarityMatrix::from_features(black_box(&feats))))
+    });
+    // The path the pipeline runs: one select-heavy class tile of 600
+    // candidates, residual (10) ⊗ penultimate-feature (64) factors.
+    let mut rng = Rng64::new(10);
+    let residuals = Tensor::rand_uniform(&[600, 10], -1.0, 1.0, &mut rng);
+    let features = clustered(600, 64, 11);
+    c.bench_function("similarity_factored_600x10x64", |b| {
+        b.iter(|| {
+            black_box(SimilarityMatrix::from_factored(
+                black_box(&residuals),
+                black_box(&features),
+            ))
+        })
     });
 }
 

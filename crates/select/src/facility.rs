@@ -10,7 +10,7 @@
 
 use crate::metrics::SelectMetrics;
 use crate::{SelectError, Selection};
-use nessa_tensor::linalg::pairwise_sq_dists;
+use nessa_tensor::linalg::{pairwise_sq_dists, pairwise_sq_dists_factored};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 use std::cmp::Ordering;
@@ -35,11 +35,7 @@ impl SimilarityMatrix {
     ///
     /// Panics if `features` is not 2-D.
     pub fn from_features(features: &Tensor) -> Self {
-        let d = pairwise_sq_dists(features);
-        let n = d.dim(0);
-        let c0 = d.max().max(0.0);
-        let sim = d.as_slice().iter().map(|&v| c0 - v).collect();
-        Self { n, sim }
+        Self::from_dist_tensor(pairwise_sq_dists(features))
     }
 
     /// Builds the similarity matrix of a *product space*: candidate `i` is
@@ -49,33 +45,14 @@ impl SimilarityMatrix {
     /// 2 (a_i·a_j)(b_i·b_j)` — `O(dim_a + dim_b)` per pair instead of
     /// `O(dim_a · dim_b)`. This is how NeSSA's FPGA kernel compares
     /// last-layer gradients (residual ⊗ feature) without materializing
-    /// them.
+    /// them. The kernel is [`pairwise_sq_dists_factored`]: upper triangle
+    /// only, mirrored, bit-identical to the Gram-matrix evaluation.
     ///
     /// # Panics
     ///
     /// Panics if the factors are not 2-D or have different row counts.
     pub fn from_factored(a: &Tensor, b: &Tensor) -> Self {
-        assert_eq!(a.ndim(), 2, "factor a must be 2-D");
-        assert_eq!(b.ndim(), 2, "factor b must be 2-D");
-        assert_eq!(a.dim(0), b.dim(0), "factors must have equal row counts");
-        let n = a.dim(0);
-        let ga = a.matmul_transb(a);
-        let gb = b.matmul_transb(b);
-        let sq: Vec<f32> = (0..n).map(|i| ga.at(&[i, i]) * gb.at(&[i, i])).collect();
-        let mut dists = vec![0.0f32; n * n];
-        let mut c0 = 0.0f32;
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let d = (sq[i] + sq[j] - 2.0 * ga.at(&[i, j]) * gb.at(&[i, j])).max(0.0);
-                dists[i * n + j] = d;
-                c0 = c0.max(d);
-            }
-        }
-        let sim = dists.iter().map(|&d| c0 - d).collect();
-        Self { n, sim }
+        Self::from_dist_tensor(pairwise_sq_dists_factored(a, b))
     }
 
     /// Builds directly from a precomputed squared-distance matrix.
@@ -86,9 +63,18 @@ impl SimilarityMatrix {
     pub fn from_sq_dists(dists: &Tensor) -> Self {
         assert_eq!(dists.ndim(), 2, "distance matrix must be 2-D");
         assert_eq!(dists.dim(0), dists.dim(1), "distance matrix must be square");
+        Self::from_dist_tensor(dists.clone())
+    }
+
+    /// Turns a square distance matrix into `c0 − d` in place, with
+    /// `c0 = max(max d, 0)`, so every similarity is `≥ 0`.
+    fn from_dist_tensor(dists: Tensor) -> Self {
         let n = dists.dim(0);
         let c0 = dists.max().max(0.0);
-        let sim = dists.as_slice().iter().map(|&v| c0 - v).collect();
+        let mut sim = dists.into_vec();
+        for s in &mut sim {
+            *s = c0 - *s;
+        }
         Self { n, sim }
     }
 
@@ -244,7 +230,7 @@ fn naive_greedy(
     metrics: Option<&SelectMetrics>,
 ) -> Result<Vec<usize>, SelectError> {
     let n = sim.len();
-    let mut coverage = vec![f32::NEG_INFINITY; n];
+    let mut coverage = vec![0.0f32; n];
     let mut chosen = Vec::with_capacity(k);
     let mut in_set = vec![false; n];
     for round in 0..k {
@@ -273,22 +259,14 @@ fn naive_greedy(
     Ok(chosen)
 }
 
-/// Gain with `NEG_INFINITY` coverage meaning "uncovered": the first chosen
-/// medoid earns the full similarity column.
+/// Marginal gain `Σ_i max(sim(i, j) − coverage_i, 0)` of adding `j`.
+/// Coverage starts at `0.0`: every similarity is `c0 − d ≥ 0`, so the
+/// first pick earns its full similarity column.
 fn gain_from(sim: &SimilarityMatrix, j: usize, coverage: &[f32]) -> f32 {
     sim.row(j)
         .iter()
-        .zip(coverage.iter())
-        .map(|(&s, &c)| {
-            // nessa-lint: allow(f1-float-eq) — exact sentinel comparison:
-            // coverage is initialized to NEG_INFINITY and only ever
-            // overwritten by finite similarities.
-            if c == f32::NEG_INFINITY {
-                s
-            } else {
-                (s - c).max(0.0)
-            }
-        })
+        .zip(coverage)
+        .map(|(&s, &c)| (s - c).max(0.0))
         .sum()
 }
 
@@ -331,7 +309,7 @@ fn lazy_greedy(
     metrics: Option<&SelectMetrics>,
 ) -> Result<Vec<usize>, SelectError> {
     let n = sim.len();
-    let mut coverage = vec![f32::NEG_INFINITY; n];
+    let mut coverage = vec![0.0f32; n];
     let mut chosen = Vec::with_capacity(k);
     let mut heap: BinaryHeap<HeapEntry> = (0..n)
         .map(|j| HeapEntry {
@@ -378,7 +356,7 @@ fn stochastic_greedy(
     let n = sim.len();
     let eps = epsilon.clamp(1e-4, 0.99);
     let sample = (((n as f64 / k as f64) * (1.0 / eps as f64).ln()).ceil() as usize).max(1);
-    let mut coverage = vec![f32::NEG_INFINITY; n];
+    let mut coverage = vec![0.0f32; n];
     let mut chosen = Vec::with_capacity(k);
     let mut in_set = vec![false; n];
     let mut remaining: Vec<usize> = (0..n).collect();
@@ -549,7 +527,7 @@ mod tests {
         let mut rng = Rng64::new(7);
         let x = Tensor::rand_uniform(&[30, 5], -1.0, 1.0, &mut rng);
         let sim = SimilarityMatrix::from_features(&x);
-        let mut coverage = vec![f32::NEG_INFINITY; 30];
+        let mut coverage = vec![0.0f32; 30];
         let mut prev_gain = f32::INFINITY;
         for _ in 0..8 {
             let mut best = 0;
@@ -570,7 +548,7 @@ mod tests {
     #[test]
     fn absorb_is_idempotent() {
         let sim = SimilarityMatrix::from_features(&clustered_features());
-        let mut coverage = vec![f32::NEG_INFINITY; 12];
+        let mut coverage = vec![0.0f32; 12];
         absorb_from(&sim, 0, &mut coverage);
         let snapshot = coverage.clone();
         absorb_from(&sim, 0, &mut coverage);

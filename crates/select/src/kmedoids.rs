@@ -57,7 +57,8 @@ pub fn refine(features: &Tensor, start: &[usize], max_iters: usize) -> Selection
             let mut best = *medoid;
             let mut best_cost = f32::INFINITY;
             for &cand in &members {
-                let c: f32 = members.iter().map(|&m| dists.at(&[cand, m])).sum();
+                let row = dists.row(cand);
+                let c: f32 = members.iter().map(|&m| row[m]).sum();
                 if c < best_cost {
                     best_cost = c;
                     best = cand;
@@ -93,10 +94,11 @@ pub fn kmedoids(features: &Tensor, k: usize, max_iters: usize, rng: &mut Rng64) 
 fn assignments(dists: &Tensor, medoids: &[usize], n: usize) -> Vec<usize> {
     (0..n)
         .map(|i| {
+            let row = dists.row(i);
             let mut best = 0;
             let mut best_d = f32::INFINITY;
             for (ci, &m) in medoids.iter().enumerate() {
-                let d = dists.at(&[i, m]);
+                let d = row[m];
                 if d < best_d {
                     best_d = d;
                     best = ci;

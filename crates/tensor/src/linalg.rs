@@ -3,8 +3,8 @@
 //! The facility-location objective (NeSSA Eq. 5) and the k-centers baseline
 //! both reduce to operations over the pairwise Euclidean structure of a set
 //! of feature/gradient rows; this module provides those kernels with the
-//! `‖a‖² + ‖b‖² − 2a·b` expansion so the inner loop is a single matrix
-//! product.
+//! `‖a‖² + ‖b‖² − 2a·b` expansion so the inner loop is a run of dot
+//! products.
 
 use crate::Tensor;
 
@@ -12,27 +12,105 @@ use crate::Tensor;
 /// (`n × d`), returned as an `n × n` tensor.
 ///
 /// Uses the Gram-matrix expansion; tiny negative values from floating-point
-/// cancellation are clamped to zero and the diagonal is exactly zero.
+/// cancellation are clamped to zero and the diagonal is exactly zero. Each
+/// entry is bit-identical to `(g_ii + g_jj − 2·g_ij).max(0)` over the
+/// entries `g` of `x.matmul_transb(x)` (see [`pairwise_sq_dists_factored`]
+/// for how the kernel keeps that order).
 ///
 /// # Panics
 ///
 /// Panics if `x` is not 2-D.
 pub fn pairwise_sq_dists(x: &Tensor) -> Tensor {
     assert_eq!(x.ndim(), 2, "pairwise_sq_dists requires a 2-D tensor");
-    let n = x.dim(0);
-    let gram = x.matmul_transb(x);
-    let sq: Vec<f32> = (0..n).map(|i| gram.at(&[i, i])).collect();
-    let mut out = Tensor::zeros(&[n, n]);
+    symmetric_sq_dists(&[x])
+}
+
+/// All pairwise squared distances between the outer products `a_i ⊗ b_i`
+/// of the rows of `a` (`n × d_a`) and `b` (`n × d_b`), returned as `n × n`,
+/// without materializing the products:
+/// `‖a_i⊗b_i − a_j⊗b_j‖² = ‖a_i‖²‖b_i‖² + ‖a_j‖²‖b_j‖² −
+/// 2 (a_i·a_j)(b_i·b_j)`, i.e. `O(d_a + d_b)` per pair instead of
+/// `O(d_a · d_b)`. Negative cancellation noise is clamped to zero and the
+/// diagonal is exactly zero.
+///
+/// The result is bit-identical to evaluating that expression over the two
+/// Gram matrices `a·aᵀ` and `b·bᵀ` of [`Tensor::matmul_transb`]:
+/// - every dot product accumulates over the feature index in order,
+///   starting from `0.0`, exactly as `matmul_transb` does, with the inner
+///   loop running across candidates (reading column-major copies of the
+///   factors) so it vectorizes without reordering any sum;
+/// - only the upper triangle is computed and then mirrored, which is
+///   exact because each entry's operands commute;
+/// - no Gram matrix is built: the dots come straight from the factor rows.
+///
+/// # Panics
+///
+/// Panics if the factors are not 2-D or have different row counts.
+pub fn pairwise_sq_dists_factored(a: &Tensor, b: &Tensor) -> Tensor {
+    assert_eq!(a.ndim(), 2, "factor a must be 2-D");
+    assert_eq!(b.ndim(), 2, "factor b must be 2-D");
+    assert_eq!(a.dim(0), b.dim(0), "factors must have equal row counts");
+    symmetric_sq_dists(&[a, b])
+}
+
+/// The shared kernel: squared distances in the product space of
+/// `factors` (all `n × d_f`, at least one). Entry `(i, j)`, `i < j`, is
+/// `(sq_i + sq_j − 2·g¹_ij·g²_ij·…).max(0)` with the product folded left
+/// from `2.0` and `sq_i = g¹_ii·g²_ii·…`, where `gᶠ_ij` is the dot of rows
+/// `i` and `j` of factor `f`.
+fn symmetric_sq_dists(factors: &[&Tensor]) -> Tensor {
+    let n = factors[0].dim(0);
+    let cols: Vec<Tensor> = factors.iter().map(|f| f.transpose()).collect();
+    let sq: Vec<f32> = (0..n)
+        .map(|i| {
+            factors
+                .iter()
+                .map(|f| dot(f.row(i), f.row(i)))
+                .fold(1.0, |p, g| p * g)
+        })
+        .collect();
+    let mut out = vec![0.0f32; n * n];
+    let mut dots = vec![0.0f32; n];
     for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
+        // `upper[j − i − 1]` first holds the running product `2·g¹·g²·…`
+        // of pair (i, j), then its distance.
+        let upper = &mut out[i * n + i + 1..(i + 1) * n];
+        let dots = &mut dots[i + 1..];
+        upper.fill(2.0);
+        for (factor, fcols) in factors.iter().zip(&cols) {
+            dots_with_later_rows(factor.row(i), fcols, i + 1, dots);
+            for (p, &g) in upper.iter_mut().zip(dots.iter()) {
+                *p *= g;
             }
-            let d = sq[i] + sq[j] - 2.0 * gram.at(&[i, j]);
-            out.set(&[i, j], d.max(0.0));
+        }
+        for (p, &sq_j) in upper.iter_mut().zip(&sq[i + 1..]) {
+            *p = (sq[i] + sq_j - *p).max(0.0);
         }
     }
-    out
+    for i in 0..n {
+        for j in i + 1..n {
+            out[j * n + i] = out[i * n + j];
+        }
+    }
+    Tensor::from_vec(out, &[n, n])
+}
+
+/// `out[j − from] = row · x_j` for every row `x_j`, `j ≥ from`, of the
+/// matrix whose transpose is `cols` (`d × n`). Each sum runs over the
+/// feature index in order from `0.0`, like [`Tensor::matmul_transb`].
+fn dots_with_later_rows(row: &[f32], cols: &Tensor, from: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    for (p, &r) in row.iter().enumerate() {
+        for (acc, &x) in out.iter_mut().zip(&cols.row(p)[from..]) {
+            *acc += r * x;
+        }
+    }
+}
+
+/// `Σ a_p·b_p` accumulated in order from `0.0`, the per-entry order of
+/// [`Tensor::matmul_transb`].
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + x * y)
 }
 
 /// Squared Euclidean distances from every row of `x` (`n × d`) to every row
@@ -62,8 +140,8 @@ pub fn cross_sq_dists(x: &Tensor, centers: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(&[n, k]);
     for (i, &xi) in xs.iter().enumerate() {
         let row = out.row_mut(i);
-        for (j, r) in row.iter_mut().enumerate() {
-            *r = (xi + cs[j] - 2.0 * dots.at(&[i, j])).max(0.0);
+        for ((r, &cj), &g) in row.iter_mut().zip(&cs).zip(dots.row(i)) {
+            *r = (xi + cj - 2.0 * g).max(0.0);
         }
     }
     out

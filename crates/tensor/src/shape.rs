@@ -63,27 +63,27 @@ impl Shape {
 
     /// Flat row-major offset of a multi-dimensional index.
     ///
+    /// One Horner pass over the dimensions (`off = off · dim + i`), so the
+    /// hot `Tensor::at`/`set` path allocates nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`ShapeError::IndexOutOfBounds`] when `index` has the wrong
     /// rank or any coordinate exceeds its dimension.
     pub fn offset(&self, index: &[usize]) -> Result<usize, ShapeError> {
+        let out_of_bounds = || ShapeError::IndexOutOfBounds {
+            index: index.to_vec(),
+            shape: self.dims.clone(),
+        };
         if index.len() != self.dims.len() {
-            return Err(ShapeError::IndexOutOfBounds {
-                index: index.to_vec(),
-                shape: self.dims.clone(),
-            });
+            return Err(out_of_bounds());
         }
         let mut off = 0;
-        let strides = self.strides();
-        for (d, (&i, &s)) in index.iter().zip(strides.iter()).enumerate() {
-            if i >= self.dims[d] {
-                return Err(ShapeError::IndexOutOfBounds {
-                    index: index.to_vec(),
-                    shape: self.dims.clone(),
-                });
+        for (&i, &dim) in index.iter().zip(&self.dims) {
+            if i >= dim {
+                return Err(out_of_bounds());
             }
-            off += i * s;
+            off = off * dim + i;
         }
         Ok(off)
     }
@@ -192,6 +192,21 @@ mod tests {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.offset(&[1, 2, 3]).unwrap(), 12 + 8 + 3);
         assert_eq!(s.offset(&[0, 0, 0]).unwrap(), 0);
+    }
+
+    #[test]
+    fn offset_agrees_with_strides() {
+        let s = Shape::new(&[2, 3, 4]);
+        let strides = s.strides();
+        for i in 0..2 {
+            for j in 0..3 {
+                for k in 0..4 {
+                    let expect = i * strides[0] + j * strides[1] + k * strides[2];
+                    assert_eq!(s.offset(&[i, j, k]).unwrap(), expect);
+                }
+            }
+        }
+        assert_eq!(Shape::new(&[]).offset(&[]).unwrap(), 0);
     }
 
     #[test]
