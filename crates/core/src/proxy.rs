@@ -12,9 +12,11 @@
 //! samples: `‖a_i b_iᵀ − a_j b_jᵀ‖² = ‖a_i‖²‖b_i‖² + ‖a_j‖²‖b_j‖² −
 //! 2 (a_i·a_j)(b_i·b_j)`, so the FPGA kernel's cost per pair is
 //! `O(classes + feature_dim)` — the low-operational-intensity property of
-//! paper §2.2. At reproduction scale we *do* materialize it
-//! ([`GradientProxies::flatten_outer`]) so the selection crate's dense
-//! kernels apply unchanged.
+//! paper §2.2. The pipeline works the same way: it hands the two factors to
+//! `nessa_select::craig::select_per_class_factored`, which builds the
+//! similarities from them directly. Nothing in the pipeline calls
+//! [`GradientProxies::flatten_outer`]; it materializes the outer product,
+//! and the tests use it to check that identity.
 
 use nessa_data::Dataset;
 use nessa_nn::models::Network;

@@ -82,12 +82,21 @@ pub trait Layer: Send {
 }
 
 /// Fully-connected layer `y = xW^T + b` with He-normal initialization.
+///
+/// The weight is stored `out × in`, which is what the optimizer, the
+/// quantizer and [`crate::models::Network::export_weights`] see. The
+/// forward pass multiplies by an `in × out` copy built on first use, so it
+/// runs through the vectorized [`Tensor::matmul`] and still sums each
+/// output in order. [`Layer::visit_params`] drops that copy before it
+/// hands out the weight, and every weight write goes through it, so the
+/// copy is never stale.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param,
     bias: Param,
     in_features: usize,
     out_features: usize,
+    weight_t: Option<Tensor>,
     cached_input: Option<Tensor>,
 }
 
@@ -105,6 +114,7 @@ impl Linear {
             bias: Param::new(bias, true),
             in_features,
             out_features,
+            weight_t: None,
             cached_input: None,
         }
     }
@@ -124,7 +134,9 @@ impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear expects a 2-D batch");
         assert_eq!(x.dim(1), self.in_features, "Linear input width mismatch");
-        let mut y = x.matmul_transb(&self.weight.value);
+        let weight = &self.weight.value;
+        let weight_t = self.weight_t.get_or_insert_with(|| weight.transpose());
+        let mut y = x.matmul(weight_t);
         add_bias_rows(&mut y, &self.bias.value);
         self.cached_input = Some(x.clone());
         y
@@ -143,6 +155,7 @@ impl Layer for Linear {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.weight_t = None;
         f(&mut self.weight);
         f(&mut self.bias);
     }

@@ -216,7 +216,12 @@ impl Tensor {
 
     /// Matrix product of two 2-D tensors: `self (m×k) · other (k×n)`.
     ///
-    /// Uses an i-k-j loop order so the inner loop streams both operands.
+    /// Uses an i-k-j loop order: each row of `self` scales rows of `other`
+    /// into the output row (an axpy), so the inner loop streams both
+    /// operands and vectorizes across outputs. Every output still sums its
+    /// `k` products in order from `+0.0`. Skipping `a == 0.0` leaves that
+    /// sum bit-identical for finite `other`: the skipped product is `±0.0`,
+    /// and an accumulator that starts at `+0.0` never becomes `-0.0`.
     ///
     /// # Panics
     ///
@@ -246,8 +251,11 @@ impl Tensor {
 
     /// `self (m×k) · otherᵀ` where `other` is `n×k`.
     ///
-    /// This keeps both inner loops contiguous and is the fast path for the
-    /// linear layers' backward pass and for similarity kernels.
+    /// Transposes `other` and runs [`Tensor::matmul`], so each output is
+    /// the in-order dot product of a row of `self` with a row of `other`,
+    /// bit for bit, whenever `other` is finite. Callers that multiply by
+    /// the same `other` many times (the linear layers) keep the transpose
+    /// and call [`Tensor::matmul`] directly.
     ///
     /// # Panics
     ///
@@ -255,22 +263,9 @@ impl Tensor {
     pub fn matmul_transb(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul_transb lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul_transb rhs must be 2-D");
-        let (m, k) = (self.dim(0), self.dim(1));
-        let (n, k2) = (other.dim(0), other.dim(1));
+        let (k, k2) = (self.dim(1), other.dim(1));
         assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
+        self.matmul(&other.transpose())
     }
 
     /// `selfᵀ (k×m) · other (k×n)` producing `m×n`.
