@@ -1,11 +1,10 @@
-//! Criterion microbenchmarks of the quantized feedback loop: snapshot,
-//! apply, and the int8 matmul kernel vs its f32 counterpart.
+//! Criterion microbenchmarks of the quantized feedback loop: snapshot and
+//! apply.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nessa_nn::models::mlp;
-use nessa_quant::{QuantizedModel, QuantizedTensor};
+use nessa_quant::QuantizedModel;
 use nessa_tensor::rng::Rng64;
-use nessa_tensor::Tensor;
 use std::hint::black_box;
 
 fn bench_snapshot_roundtrip(c: &mut Criterion) {
@@ -21,19 +20,5 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     });
 }
 
-fn bench_qmatmul_vs_f32(c: &mut Criterion) {
-    let mut rng = Rng64::new(1);
-    let a = Tensor::rand_uniform(&[128, 64], -1.0, 1.0, &mut rng);
-    let w = Tensor::rand_uniform(&[100, 64], -1.0, 1.0, &mut rng);
-    let qa = QuantizedTensor::quantize(&a);
-    let qw = QuantizedTensor::quantize(&w);
-    c.bench_function("matmul_f32_128x64x100", |b| {
-        b.iter(|| black_box(a.matmul_transb(black_box(&w))))
-    });
-    c.bench_function("qmatmul_int8_128x64x100", |b| {
-        b.iter(|| black_box(qa.qmatmul_transb(black_box(&qw))))
-    });
-}
-
-criterion_group!(benches, bench_snapshot_roundtrip, bench_qmatmul_vs_f32);
+criterion_group!(benches, bench_snapshot_roundtrip);
 criterion_main!(benches);

@@ -15,11 +15,12 @@ use nessa_core::{NessaConfig, Policy};
 use nessa_data::DatasetSpec;
 use nessa_nn::models::mlp;
 use nessa_quant::schemes::{relative_error, Granularity, Scheme, SchemeQuantized};
-use nessa_select::craig::{select_per_class, CraigOptions};
+use nessa_select::craig::{select_per_class_factored, CraigOptions};
 use nessa_select::facility::{GreedyVariant, SimilarityMatrix};
 use nessa_select::kmedoids;
 use nessa_telemetry::json::JsonObject;
 use nessa_tensor::rng::Rng64;
+use nessa_tensor::Tensor;
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
@@ -63,6 +64,9 @@ fn main() {
     let members = train.indices_by_class()[0].clone();
     let feats = train.features().gather_rows(&members);
     let labels = vec![0usize; members.len()];
+    // Flat features select through the factored path with an all-ones
+    // residual factor, which reproduces their distances bit for bit.
+    let ones = Tensor::ones(&[members.len(), 1]);
     let sim = SimilarityMatrix::from_features(&feats);
     for chunk in [16usize, 32, 64, 128, usize::MAX] {
         let mut rng = Rng64::new(SEED);
@@ -72,7 +76,7 @@ fn main() {
             threads: 1,
             metrics: None,
         };
-        let sel = select_per_class(&feats, &labels, 1, fraction, &opts, &mut rng)
+        let sel = select_per_class_factored(&ones, &feats, &labels, 1, fraction, &opts, &mut rng)
             .expect("selection failed");
         let cost = kmedoids::cost(&feats, &sel.indices);
         let obj = sim.objective(&sel.indices);

@@ -1,7 +1,8 @@
 //! Future-work extension (paper §5: "scaling over multiple SmartSSDs and
 //! GPUs"): how NeSSA's near-storage phases scale when the dataset is
-//! sharded across a fleet of drives, using the GreeDi two-round selection
-//! of `nessa-select`.
+//! sharded across a fleet of drives: each drive of an `SsdCluster` selects
+//! over its shard and the local picks are gathered to the host (GreeDi's
+//! two rounds, modelled as simulated time).
 //!
 //! Regenerate with `cargo run --release -p nessa-bench --bin scaling`.
 //! Pass `--json` to emit one JSON object per drive count instead of the

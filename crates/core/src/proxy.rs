@@ -14,9 +14,8 @@
 //! `O(classes + feature_dim)` — the low-operational-intensity property of
 //! paper §2.2. The pipeline works the same way: it hands the two factors to
 //! `nessa_select::craig::select_per_class_factored`, which builds the
-//! similarities from them directly. Nothing in the pipeline calls
-//! [`GradientProxies::flatten_outer`]; it materializes the outer product,
-//! and the tests use it to check that identity.
+//! similarities from them directly; only this module's tests materialize
+//! the outer product, to check that identity.
 
 use nessa_data::Dataset;
 use nessa_nn::models::Network;
@@ -42,47 +41,6 @@ impl GradientProxies {
     /// True when no samples are present.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Materializes the flattened outer products: row `i` is
-    /// `vec(residual_i ⊗ feature_i)` of length `classes × feature_dim`.
-    /// Euclidean distances over these rows equal the last-layer gradient
-    /// distances CRAIG's facility location consumes.
-    pub fn flatten_outer(&self) -> Tensor {
-        let (n, c) = (self.residuals.dim(0), self.residuals.dim(1));
-        let f = self.features.dim(1);
-        let mut out = Tensor::zeros(&[n, c * f]);
-        for i in 0..n {
-            let res = self.residuals.row(i);
-            let feat = self.features.row(i);
-            let row = out.row_mut(i);
-            for (ci, &r) in res.iter().enumerate() {
-                // nessa-lint: allow(f1-float-eq) — exact-zero skip is a
-                // pure optimization; any nonzero residual takes the slow
-                // path and computes the same product.
-                if r == 0.0 {
-                    continue;
-                }
-                let dst = &mut row[ci * f..(ci + 1) * f];
-                for (d, &x) in dst.iter_mut().zip(feat.iter()) {
-                    *d = r * x;
-                }
-            }
-        }
-        out
-    }
-
-    /// Per-sample last-layer gradient norms
-    /// (`‖residual‖ · ‖feature‖`), without materializing the outer
-    /// product. Large norms mark hard, informative samples.
-    pub fn gradient_norms(&self) -> Vec<f32> {
-        (0..self.len())
-            .map(|i| {
-                let r: f32 = self.residuals.row(i).iter().map(|v| v * v).sum();
-                let f: f32 = self.features.row(i).iter().map(|v| v * v).sum();
-                (r * f).sqrt()
-            })
-            .collect()
     }
 }
 
@@ -186,6 +144,24 @@ mod tests {
     use nessa_tensor::linalg::sq_dist;
     use nessa_tensor::rng::Rng64;
 
+    /// Reference: the flattened outer products, row `i` being
+    /// `vec(residual_i ⊗ feature_i)` of length `classes × feature_dim`.
+    fn flatten_outer(p: &GradientProxies) -> Tensor {
+        let (n, c) = (p.residuals.dim(0), p.residuals.dim(1));
+        let f = p.features.dim(1);
+        let mut out = Tensor::zeros(&[n, c * f]);
+        for i in 0..n {
+            let feat = p.features.row(i);
+            let row = out.row_mut(i);
+            for (ci, &r) in p.residuals.row(i).iter().enumerate() {
+                for (d, &x) in row[ci * f..(ci + 1) * f].iter_mut().zip(feat) {
+                    *d = r * x;
+                }
+            }
+        }
+        out
+    }
+
     fn setup() -> (Network, Dataset) {
         let mut rng = Rng64::new(0);
         let cfg = SynthConfig {
@@ -227,7 +203,7 @@ mod tests {
         let (mut net, data) = setup();
         let idx: Vec<usize> = (0..5).collect();
         let p = gradient_proxies(&mut net, &data, &idx, 2);
-        let flat = p.flatten_outer();
+        let flat = flatten_outer(&p);
         assert_eq!(flat.shape().dims(), &[5, 3 * 16]);
         for i in 0..5 {
             for c in 0..3 {
@@ -246,7 +222,7 @@ mod tests {
         let (mut net, data) = setup();
         let idx: Vec<usize> = (0..6).collect();
         let p = gradient_proxies(&mut net, &data, &idx, 3);
-        let flat = p.flatten_outer();
+        let flat = flatten_outer(&p);
         for i in 0..6 {
             for j in 0..6 {
                 let direct = sq_dist(flat.row(i), flat.row(j));
@@ -278,23 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn gradient_norms_match_flattened_norms() {
-        let (mut net, data) = setup();
-        let idx: Vec<usize> = (0..8).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 4);
-        let flat = p.flatten_outer();
-        for (i, &n) in p.gradient_norms().iter().enumerate() {
-            let direct: f32 = flat.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
-            assert!((n - direct).abs() < 1e-4, "{n} vs {direct}");
-        }
-    }
-
-    #[test]
     fn batch_size_does_not_change_result() {
         let (mut net, data) = setup();
         let idx: Vec<usize> = (0..30).collect();
-        let a = gradient_proxies(&mut net, &data, &idx, 30).flatten_outer();
-        let b = gradient_proxies(&mut net, &data, &idx, 4).flatten_outer();
+        let a = flatten_outer(&gradient_proxies(&mut net, &data, &idx, 30));
+        let b = flatten_outer(&gradient_proxies(&mut net, &data, &idx, 4));
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((x - y).abs() < 1e-6);
         }

@@ -8,8 +8,10 @@
 //! slices as int8 MAC units (paper contribution 2: "quantize the selection
 //! model for high selection speed").
 //!
-//! * [`qtensor`] — symmetric per-tensor int8 quantization with integer
-//!   matmul kernels,
+//! * [`schemes`] — the one quantizer, [`SchemeQuantized`]: symmetric codes
+//!   of a chosen bit width with per-tensor or per-row scales; feedback uses
+//!   int8 per-tensor ([`Scheme::int8`]) and the ablation bench sweeps the
+//!   rest,
 //! * [`qmodel`] — whole-network snapshots: quantize a
 //!   [`Network`](nessa_nn::models::Network)'s weights, measure the payload
 //!   that crosses the interconnect, and materialize the dequantized
@@ -19,9 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod qmodel;
-pub mod qtensor;
 pub mod schemes;
 
 pub use qmodel::QuantizedModel;
-pub use qtensor::QuantizedTensor;
 pub use schemes::{Granularity, Scheme, SchemeQuantized};

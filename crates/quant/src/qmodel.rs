@@ -1,7 +1,7 @@
 //! Whole-network quantized snapshots — the payload of NeSSA's feedback
 //! loop.
 
-use crate::qtensor::QuantizedTensor;
+use crate::schemes::{Scheme, SchemeQuantized};
 use nessa_nn::models::Network;
 
 /// An int8 snapshot of every parameter of a network.
@@ -12,16 +12,17 @@ use nessa_nn::models::Network;
 /// FPGA then runs forward passes with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedModel {
-    tensors: Vec<QuantizedTensor>,
+    tensors: Vec<SchemeQuantized>,
 }
 
 impl QuantizedModel {
-    /// Quantizes all parameters of `net` (per-tensor symmetric int8).
+    /// Quantizes all parameters of `net` under [`Scheme::int8`]
+    /// (per-tensor symmetric int8).
     pub fn from_network(net: &mut Network) -> Self {
         let tensors = net
             .export_weights()
-            .iter()
-            .map(QuantizedTensor::quantize)
+            .into_iter()
+            .map(|t| SchemeQuantized::quantize(&t, Scheme::int8()))
             .collect();
         Self { tensors }
     }
@@ -36,7 +37,7 @@ impl QuantizedModel {
         let weights: Vec<_> = self
             .tensors
             .iter()
-            .map(QuantizedTensor::dequantize)
+            .map(SchemeQuantized::dequantize)
             .collect();
         target.import_weights(&weights);
     }
@@ -51,44 +52,12 @@ impl QuantizedModel {
         self.tensors.is_empty()
     }
 
-    /// The quantized tensors, in network parameter order.
-    pub fn tensors(&self) -> &[QuantizedTensor] {
-        &self.tensors
-    }
-
     /// Bytes this snapshot occupies on the interconnect.
     pub fn payload_bytes(&self) -> usize {
         self.tensors
             .iter()
-            .map(QuantizedTensor::payload_bytes)
+            .map(SchemeQuantized::payload_bytes)
             .sum()
-    }
-
-    /// Bytes the same snapshot would occupy unquantized (f32).
-    pub fn f32_bytes(&self) -> usize {
-        self.tensors.iter().map(|t| t.numel() * 4).sum()
-    }
-}
-
-/// Relative Frobenius error between a network's weights and a quantized
-/// snapshot of them — the quantity the feedback-ablation bench sweeps.
-pub fn quantization_error(net: &mut Network, snapshot: &QuantizedModel) -> f32 {
-    let originals = net.export_weights();
-    assert_eq!(originals.len(), snapshot.len(), "structure mismatch");
-    let mut num = 0.0f32;
-    let mut den = 0.0f32;
-    for (orig, q) in originals.iter().zip(snapshot.tensors()) {
-        let back = q.dequantize();
-        let diff = orig
-            .try_zip(&back, "quantization_error", |a, b| a - b)
-            .expect("shape mismatch");
-        num += diff.sq_norm();
-        den += orig.sq_norm();
-    }
-    if den == 0.0 {
-        0.0
-    } else {
-        (num / den).sqrt()
     }
 }
 
@@ -115,21 +84,12 @@ mod tests {
     }
 
     #[test]
-    fn quantization_error_is_small_but_nonzero() {
-        let mut rng = Rng64::new(1);
-        let mut net = mlp(&[10, 20, 5], &mut rng);
-        let snap = QuantizedModel::from_network(&mut net);
-        let err = quantization_error(&mut net, &snap);
-        assert!(err > 0.0, "int8 cannot be lossless on random weights");
-        assert!(err < 0.02, "relative error too large: {err}");
-    }
-
-    #[test]
     fn payload_is_about_quarter_of_f32() {
         let mut rng = Rng64::new(2);
         let mut net = mlp(&[32, 64, 10], &mut rng);
         let snap = QuantizedModel::from_network(&mut net);
-        let ratio = snap.payload_bytes() as f64 / snap.f32_bytes() as f64;
+        let f32_bytes: usize = net.export_weights().iter().map(|w| 4 * w.numel()).sum();
+        let ratio = snap.payload_bytes() as f64 / f32_bytes as f64;
         assert!(ratio < 0.27, "ratio {ratio}");
         assert!(!snap.is_empty());
         assert_eq!(snap.len(), 4); // two Linear layers × (weight, bias)

@@ -1,10 +1,10 @@
-//! Quantization schemes beyond the default symmetric per-tensor int8:
-//! configurable bit widths and per-row (per-output-channel) scales.
+//! The quantizer: symmetric codes of a configurable bit width with
+//! per-tensor or per-row (per-output-channel) scales.
 //!
-//! These power the feedback-precision ablation: the paper fixes int8, but
-//! the design space (4/8/16 bits, per-tensor vs per-channel) trades
-//! feedback-transfer bytes against selector fidelity, and the ablation
-//! bench quantifies exactly that.
+//! The paper fixes symmetric per-tensor int8 ([`Scheme::int8`]), which is
+//! what the feedback snapshots use. The rest of the design space (4/8/16
+//! bits, per-tensor vs per-channel) trades feedback-transfer bytes against
+//! selector fidelity, and the feedback-precision ablation quantifies that.
 
 use nessa_tensor::Tensor;
 
@@ -153,13 +153,50 @@ mod tests {
     use nessa_tensor::rng::Rng64;
 
     #[test]
-    fn int8_per_tensor_matches_legacy_quantizer() {
+    fn int8_per_tensor_contract_is_bit_exact() {
+        // The feedback format: scale `max|x| / 127`, codes `round(x / scale)`
+        // (no clamping needed at this scale), `q · scale` on the way back,
+        // and one byte per element plus the f32 scale on the wire.
         let mut rng = Rng64::new(0);
         let t = Tensor::rand_uniform(&[8, 8], -2.0, 2.0, &mut rng);
-        let legacy = crate::QuantizedTensor::quantize(&t).dequantize();
-        let new = SchemeQuantized::quantize(&t, Scheme::int8()).dequantize();
-        for (a, b) in legacy.as_slice().iter().zip(new.as_slice()) {
-            assert!((a - b).abs() < 1e-6);
+        let q = SchemeQuantized::quantize(&t, Scheme::int8());
+        let max_abs = t.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let scale = max_abs / 127.0;
+        assert_eq!(q.scales.len(), 1);
+        assert_eq!(q.scales[0].to_bits(), scale.to_bits());
+        let back = q.dequantize();
+        for ((&v, &c), &b) in t.as_slice().iter().zip(&q.codes).zip(back.as_slice()) {
+            let code = (v * (1.0 / scale)).round();
+            assert_eq!((c as f32).to_bits(), code.to_bits(), "{v}");
+            assert_eq!(b.to_bits(), (code * scale).to_bits(), "{v}");
+        }
+        assert_eq!(q.payload_bytes(), t.numel() + 4);
+    }
+
+    #[test]
+    fn int8_zero_tensor_round_trips_exactly() {
+        let t = Tensor::zeros(&[4, 4]);
+        let q = SchemeQuantized::quantize(&t, Scheme::int8());
+        assert_eq!(q.dequantize().as_slice(), t.as_slice());
+        assert_eq!(q.scales, vec![1.0]);
+    }
+
+    #[test]
+    fn int8_extremes_map_to_127() {
+        let t = Tensor::from_slice(&[-2.0, 0.0, 2.0]);
+        let q = SchemeQuantized::quantize(&t, Scheme::int8());
+        assert_eq!(q.codes, vec![-127, 0, 127]);
+    }
+
+    #[test]
+    fn int8_round_trip_error_within_half_a_step() {
+        let mut rng = Rng64::new(0);
+        let t = Tensor::rand_uniform(&[20, 20], -3.0, 3.0, &mut rng);
+        let q = SchemeQuantized::quantize(&t, Scheme::int8());
+        let back = q.dequantize();
+        let bound = q.error_bounds()[0] + 1e-6;
+        for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
+            assert!((a - b).abs() <= bound, "{a} vs {b} (bound {bound})");
         }
     }
 

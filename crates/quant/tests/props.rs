@@ -1,7 +1,6 @@
 //! Property tests for quantization.
 
 use nessa_quant::schemes::{relative_error, Granularity, Scheme, SchemeQuantized};
-use nessa_quant::QuantizedTensor;
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 use proptest::prelude::*;
@@ -12,9 +11,9 @@ proptest! {
         // Quantizing an already-dequantized tensor is exact: codes are
         // reproduced and a second round trip changes nothing.
         let t = Tensor::from_slice(&vals);
-        let q1 = QuantizedTensor::quantize(&t);
+        let q1 = SchemeQuantized::quantize(&t, Scheme::int8());
         let back1 = q1.dequantize();
-        let q2 = QuantizedTensor::quantize(&back1);
+        let q2 = SchemeQuantized::quantize(&back1, Scheme::int8());
         let back2 = q2.dequantize();
         for (a, b) in back1.as_slice().iter().zip(back2.as_slice()) {
             prop_assert!((a - b).abs() < 1e-5);

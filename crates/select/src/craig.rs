@@ -18,7 +18,7 @@ use crate::{SelectError, Selection};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 
-/// Options for [`select_per_class`].
+/// Options for [`select_per_class_factored`].
 #[derive(Debug, Clone)]
 pub struct CraigOptions {
     /// Greedy maximizer to use inside each class/chunk.
@@ -55,36 +55,8 @@ impl PartialEq for CraigOptions {
     }
 }
 
-/// Selects `⌈fraction · |class|⌉` medoids from every class of a candidate
-/// pool and returns one merged, globally-indexed [`Selection`].
-///
-/// * `features` — one gradient-proxy row per candidate (`n × d`),
-/// * `labels` — class of each candidate (`labels.len() == n`),
-/// * `classes` — number of classes,
-/// * `fraction` — subset fraction in `(0, 1]`.
-///
-/// # Errors
-///
-/// [`SelectError::LengthMismatch`] if the label count differs from the
-/// feature rows, [`SelectError::BadFraction`] if `fraction` is outside
-/// `(0, 1]`, [`SelectError::LabelOutOfRange`] if any label is
-/// `≥ classes`.
-pub fn select_per_class(
-    features: &Tensor,
-    labels: &[usize],
-    classes: usize,
-    fraction: f32,
-    options: &CraigOptions,
-    rng: &mut Rng64,
-) -> Result<Selection, SelectError> {
-    let by_class = group_by_class(features.dim(0), labels, classes, fraction)?;
-    let sim_of =
-        |members: &[usize]| SimilarityMatrix::from_features(&features.gather_rows(members));
-    run_per_class(&sim_of, &by_class, fraction, options, rng)
-}
-
-/// Validates the shared per-class preconditions and groups candidate
-/// indices by class.
+/// Validates the per-class preconditions and groups candidate indices by
+/// class.
 fn group_by_class(
     rows: usize,
     labels: &[usize],
@@ -165,17 +137,28 @@ fn run_per_class(
     Ok(merged)
 }
 
-/// Per-class CRAIG over **factored** (outer-product) gradient proxies:
-/// candidate `i` is `residuals[i] ⊗ features[i]`, compared through the
-/// norm/inner-product factorization so the outer products are never
-/// materialized (see [`SimilarityMatrix::from_factored`]). This is the
-/// memory- and FPGA-faithful path for last-layer gradients.
+/// Selects `⌈fraction · |class|⌉` medoids from every class of a candidate
+/// pool and returns one merged, globally-indexed [`Selection`].
+///
+/// Candidate `i` is the **factored** (outer-product) gradient proxy
+/// `residuals[i] ⊗ features[i]`, compared through the norm/inner-product
+/// factorization so the outer products are never materialized (see
+/// [`SimilarityMatrix::from_factored`]). This is the memory- and
+/// FPGA-faithful path for last-layer gradients. Plain feature rows `x`
+/// select as `residuals = 1` (an `n × 1` all-ones factor), which
+/// reproduces [`SimilarityMatrix::from_features`] bit for bit.
+///
+/// * `residuals`, `features` — the two factors, one row per candidate,
+/// * `labels` — class of each candidate (`labels.len() == n`),
+/// * `classes` — number of classes,
+/// * `fraction` — subset fraction in `(0, 1]`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`select_per_class`], plus
-/// [`SelectError::LengthMismatch`] on a row-count mismatch between the
-/// two factors.
+/// [`SelectError::LengthMismatch`] if the factors' row counts differ or
+/// the label count differs from them, [`SelectError::BadFraction`] if
+/// `fraction` is outside `(0, 1]`, [`SelectError::LabelOutOfRange`] if any
+/// label is `≥ classes`.
 pub fn select_per_class_factored(
     residuals: &Tensor,
     features: &Tensor,
@@ -202,8 +185,8 @@ pub fn select_per_class_factored(
     run_per_class(&sim_of, &by_class, fraction, options, rng)
 }
 
-/// Shared per-class body, generic over how a member set becomes a
-/// similarity matrix.
+/// Selects the medoids of one class; `sim_of` builds the similarity
+/// matrix of a member set.
 fn select_one_class_with(
     sim_of: &dyn Fn(&[usize]) -> SimilarityMatrix,
     members: &[usize],
@@ -256,6 +239,20 @@ fn select_one_class_with(
 mod tests {
     use super::*;
 
+    /// CRAIG over plain feature rows: an all-ones residual factor makes the
+    /// factored distances the flat ones, bit for bit.
+    fn select_flat(
+        x: &Tensor,
+        labels: &[usize],
+        classes: usize,
+        fraction: f32,
+        options: &CraigOptions,
+        rng: &mut Rng64,
+    ) -> Result<Selection, SelectError> {
+        let ones = Tensor::ones(&[x.dim(0), 1]);
+        select_per_class_factored(&ones, x, labels, classes, fraction, options, rng)
+    }
+
     /// Two classes, each with two tight clusters at distinct locations.
     fn toy() -> (Tensor, Vec<usize>) {
         let mut rows = Vec::new();
@@ -280,7 +277,7 @@ mod tests {
     fn respects_fraction_per_class() {
         let (x, y) = toy();
         let mut rng = Rng64::new(0);
-        let sel = select_per_class(&x, &y, 2, 0.2, &CraigOptions::default(), &mut rng).unwrap();
+        let sel = select_flat(&x, &y, 2, 0.2, &CraigOptions::default(), &mut rng).unwrap();
         assert_eq!(sel.len(), 4); // ceil(10 * 0.2) per class.
                                   // Selected labels split evenly.
         let c0 = sel.indices.iter().filter(|&&i| y[i] == 0).count();
@@ -291,7 +288,7 @@ mod tests {
     fn selects_cluster_representatives() {
         let (x, y) = toy();
         let mut rng = Rng64::new(1);
-        let sel = select_per_class(&x, &y, 2, 0.2, &CraigOptions::default(), &mut rng).unwrap();
+        let sel = select_flat(&x, &y, 2, 0.2, &CraigOptions::default(), &mut rng).unwrap();
         // With 2 picks per class and 2 clusters per class, facility location
         // should cover both clusters of each class.
         let cluster_of = |i: usize| i / 5;
@@ -312,7 +309,7 @@ mod tests {
     fn weights_cover_whole_class() {
         let (x, y) = toy();
         let mut rng = Rng64::new(2);
-        let sel = select_per_class(&x, &y, 2, 0.4, &CraigOptions::default(), &mut rng).unwrap();
+        let sel = select_flat(&x, &y, 2, 0.4, &CraigOptions::default(), &mut rng).unwrap();
         let total: f32 = sel.weights.iter().sum();
         assert_eq!(total, 20.0);
     }
@@ -325,7 +322,7 @@ mod tests {
             partition_chunk: Some(5),
             ..CraigOptions::default()
         };
-        let sel = select_per_class(&x, &y, 2, 0.4, &opts, &mut rng).unwrap();
+        let sel = select_flat(&x, &y, 2, 0.4, &opts, &mut rng).unwrap();
         assert!(sel.len() >= 4);
         let total: f32 = sel.weights.iter().sum();
         assert_eq!(total, 20.0);
@@ -339,7 +336,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let (x, y) = toy();
-        let seq = select_per_class(
+        let seq = select_flat(
             &x,
             &y,
             2,
@@ -351,7 +348,7 @@ mod tests {
             &mut Rng64::new(7),
         )
         .unwrap();
-        let par = select_per_class(
+        let par = select_flat(
             &x,
             &y,
             2,
@@ -370,7 +367,7 @@ mod tests {
     fn fraction_one_selects_everything() {
         let (x, y) = toy();
         let mut rng = Rng64::new(4);
-        let sel = select_per_class(&x, &y, 2, 1.0, &CraigOptions::default(), &mut rng).unwrap();
+        let sel = select_flat(&x, &y, 2, 1.0, &CraigOptions::default(), &mut rng).unwrap();
         assert_eq!(sel.len(), 20);
     }
 
@@ -378,7 +375,7 @@ mod tests {
     fn rejects_bad_fraction() {
         let (x, y) = toy();
         let mut rng = Rng64::new(5);
-        let err = select_per_class(&x, &y, 2, 0.0, &CraigOptions::default(), &mut rng);
+        let err = select_flat(&x, &y, 2, 0.0, &CraigOptions::default(), &mut rng);
         assert_eq!(err, Err(SelectError::BadFraction(0.0)));
     }
 
@@ -387,7 +384,7 @@ mod tests {
         let (x, _) = toy();
         let bad = vec![0usize; 19].into_iter().chain([7]).collect::<Vec<_>>();
         let mut rng = Rng64::new(5);
-        let err = select_per_class(&x, &bad, 2, 0.5, &CraigOptions::default(), &mut rng);
+        let err = select_flat(&x, &bad, 2, 0.5, &CraigOptions::default(), &mut rng);
         assert_eq!(
             err,
             Err(SelectError::LabelOutOfRange {
@@ -401,7 +398,7 @@ mod tests {
     fn rejects_length_mismatch() {
         let (x, _) = toy();
         let mut rng = Rng64::new(5);
-        let err = select_per_class(&x, &[0, 1], 2, 0.5, &CraigOptions::default(), &mut rng);
+        let err = select_flat(&x, &[0, 1], 2, 0.5, &CraigOptions::default(), &mut rng);
         assert_eq!(
             err,
             Err(SelectError::LengthMismatch {
@@ -432,8 +429,7 @@ mod tests {
             }
         }
         let opts = CraigOptions::default();
-        let sel_flat =
-            select_per_class(&flat, &labels, 2, 0.25, &opts, &mut Rng64::new(3)).unwrap();
+        let sel_flat = select_flat(&flat, &labels, 2, 0.25, &opts, &mut Rng64::new(3)).unwrap();
         let sel_fact =
             select_per_class_factored(&a, &b, &labels, 2, 0.25, &opts, &mut Rng64::new(3)).unwrap();
         assert_eq!(sel_flat.indices, sel_fact.indices);
@@ -445,7 +441,7 @@ mod tests {
         let (x, y) = toy();
         let mut rng = Rng64::new(6);
         // Declare 3 classes; class 2 has no members.
-        let sel = select_per_class(&x, &y, 3, 0.2, &CraigOptions::default(), &mut rng).unwrap();
+        let sel = select_flat(&x, &y, 3, 0.2, &CraigOptions::default(), &mut rng).unwrap();
         assert_eq!(sel.len(), 4);
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the selection algorithms.
 
-use nessa_select::craig::{select_per_class, select_per_class_factored, CraigOptions};
+use nessa_select::craig::{select_per_class_factored, CraigOptions};
 use nessa_select::facility::{maximize, GreedyVariant, SimilarityMatrix};
-use nessa_select::{fraction_count, kcenters, kmedoids, random};
+use nessa_select::{fraction_count, kcenters, kmedoids, random, SelectError, Selection};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 use proptest::prelude::*;
@@ -10,6 +10,20 @@ use proptest::prelude::*;
 fn features(n: usize, d: usize, seed: u64) -> Tensor {
     let mut rng = Rng64::new(seed);
     Tensor::rand_uniform(&[n, d], -3.0, 3.0, &mut rng)
+}
+
+/// CRAIG over plain feature rows: an all-ones residual factor makes the
+/// factored distances the flat ones, bit for bit.
+fn select_flat(
+    x: &Tensor,
+    labels: &[usize],
+    classes: usize,
+    fraction: f32,
+    options: &CraigOptions,
+    rng: &mut Rng64,
+) -> Result<Selection, SelectError> {
+    let ones = Tensor::ones(&[x.dim(0), 1]);
+    select_per_class_factored(&ones, x, labels, classes, fraction, options, rng)
 }
 
 fn labels(n: usize, classes: usize, seed: u64) -> Vec<usize> {
@@ -38,8 +52,7 @@ proptest! {
         let feats = features(n, 4, seed);
         let ys = labels(n, classes, seed ^ 2);
         let mut rng = Rng64::new(seed ^ 3);
-        let sel =
-            select_per_class(&feats, &ys, classes, f, &CraigOptions::default(), &mut rng).unwrap();
+        let sel = select_flat(&feats, &ys, classes, f, &CraigOptions::default(), &mut rng).unwrap();
         // Every selected index has a valid label; per-class counts honour
         // fraction_count.
         let mut per_class = vec![0usize; classes];
@@ -63,12 +76,13 @@ proptest! {
         n in 4usize..20, c in 2usize..4, seed in any::<u64>()
     ) {
         // Features with a constant second factor reduce the outer-product
-        // distance to a scaled flat distance.
+        // distance to a scaled flat distance; the flat path puts the
+        // constant factor first, so factor order must not matter.
         let a = features(n, c, seed);
         let ones = Tensor::ones(&[n, 1]);
         let ys = labels(n, 2, seed ^ 4);
         let opts = CraigOptions::default();
-        let flat = select_per_class(&a, &ys, 2, 0.5, &opts, &mut Rng64::new(9)).unwrap();
+        let flat = select_flat(&a, &ys, 2, 0.5, &opts, &mut Rng64::new(9)).unwrap();
         let fact =
             select_per_class_factored(&a, &ones, &ys, 2, 0.5, &opts, &mut Rng64::new(9)).unwrap();
         prop_assert_eq!(flat.indices, fact.indices);

@@ -3,9 +3,9 @@
 //! SmartSSDs and GPUs").
 //!
 //! A [`SsdCluster`] shards a dataset across several drives; each drive
-//! scans its shard and selects locally (the GreeDi round-1 of
-//! `nessa-select`), then ships its local picks over the interconnect for
-//! the host-side merge (round 2). Drives operate in parallel, so the
+//! scans its shard and selects locally (round 1 of GreeDi's two-round
+//! distributed selection, Mirzasoleiman et al. NeurIPS '13), then ships
+//! its local picks over the interconnect for the host-side merge (round 2). Drives operate in parallel, so the
 //! wall-clock of a phase is the slowest drive's time; bytes and energy are
 //! summed.
 //!

@@ -12,7 +12,7 @@
 use nessa::core::{NessaConfig, NessaPipeline, PipelineError, RetryPolicy, RunReport};
 use nessa::data::SynthConfig;
 use nessa::nn::models::mlp;
-use nessa::smartssd::{DeviceError, FaultPlan, FaultSpec};
+use nessa::smartssd::{DeviceError, FaultPlan, FaultSpec, KernelError};
 use nessa::telemetry::TelemetrySettings;
 use nessa::tensor::rng::Rng64;
 use proptest::prelude::*;
@@ -229,6 +229,43 @@ fn losing_every_drive_is_a_typed_error() {
     assert_eq!(err, PipelineError::AllDrivesLost { evicted: 1 });
     assert_eq!(counter(&p, "drive.evicted"), 1);
     assert!(p.device().is_empty());
+}
+
+#[test]
+fn oversized_unpartitioned_class_ends_the_run() {
+    // A non-transient kernel error ends the run. With partitioning off the
+    // kernel tiles a whole class: 1 200 candidates need a 5.76 MB f32
+    // similarity tile, over the FPGA's 4.32 MB on chip. A chunk that does
+    // not fit is a configuration error, so nothing retries, degrades to a
+    // fallback rung or evicts the (healthy) drive.
+    let cfg = chaos_cfg(EPOCHS).with_partitioning(false);
+    let (train, test) = SynthConfig {
+        train: 2_400,
+        test: 60,
+        dim: 8,
+        classes: 2,
+        ..SynthConfig::default()
+    }
+    .generate();
+    let mut rng = Rng64::new(cfg.seed);
+    let target = mlp(&[8, 24, 2], &mut rng);
+    let selector = mlp(&[8, 24, 2], &mut rng);
+    let mut p = NessaPipeline::new(cfg, target, selector, train, test);
+    let err = p.run().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PipelineError::Kernel(KernelError::ChunkTooLarge {
+                available: 4_320_000,
+                ..
+            })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(counter(&p, "retry.attempts"), 0);
+    assert_eq!(counter(&p, "fallback.host"), 0);
+    assert_eq!(counter(&p, "fallback.random"), 0);
+    assert_eq!(counter(&p, "drive.evicted"), 0);
 }
 
 #[test]

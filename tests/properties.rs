@@ -3,7 +3,7 @@
 use nessa::core::{NessaConfig, NessaPipeline};
 use nessa::data::{record, Dataset, SynthConfig};
 use nessa::nn::models::mlp;
-use nessa::quant::QuantizedTensor;
+use nessa::quant::{Scheme, SchemeQuantized};
 use nessa::select::facility::{maximize, GreedyVariant, SimilarityMatrix};
 use nessa::select::{fraction_count, kcenters};
 use nessa::smartssd::nand::NandArray;
@@ -96,9 +96,9 @@ proptest! {
     #[test]
     fn quantization_round_trip_error_bounded(vals in prop::collection::vec(-100.0f32..100.0, 1..64)) {
         let t = Tensor::from_slice(&vals);
-        let q = QuantizedTensor::quantize(&t);
+        let q = SchemeQuantized::quantize(&t, Scheme::int8());
         let back = q.dequantize();
-        let bound = q.error_bound() + 1e-4;
+        let bound = q.error_bounds()[0] + 1e-4;
         for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
             prop_assert!((a - b).abs() <= bound, "{} vs {} (bound {})", a, b, bound);
         }
