@@ -1,11 +1,14 @@
-//! Criterion microbenchmarks of the dense forward pass at the train-heavy
-//! workload's shapes: one training-size batch through the MLP, and the
-//! selector's gradient-proxy forward over a whole candidate pool.
+//! Criterion microbenchmarks of the dense layers at the train-heavy
+//! workload's shapes: one training-size batch through the MLP, one full
+//! training step on that batch, and the selector's gradient-proxy forward
+//! over a whole candidate pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nessa_core::proxy::gradient_proxies;
 use nessa_data::SynthConfig;
+use nessa_nn::loss::softmax_cross_entropy;
 use nessa_nn::models::mlp;
+use nessa_nn::optim::{Sgd, SgdConfig};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 use std::hint::black_box;
@@ -18,6 +21,23 @@ fn bench_mlp_forward(c: &mut Criterion) {
     let x = Tensor::randn(&[16, LAYERS[0]], 0.0, 1.0, &mut rng);
     c.bench_function("mlp_forward_b16_32x384x192x10", |b| {
         b.iter(|| black_box(net.forward(black_box(&x), false)))
+    });
+}
+
+fn bench_mlp_train_step(c: &mut Criterion) {
+    let mut rng = Rng64::new(3);
+    let mut net = mlp(&LAYERS, &mut rng);
+    let x = Tensor::randn(&[16, LAYERS[0]], 0.0, 1.0, &mut rng);
+    let labels: Vec<usize> = (0..16).map(|i| i % LAYERS[3]).collect();
+    let mut opt = Sgd::new(SgdConfig::default());
+    c.bench_function("mlp_train_step_b16_32x384x192x10", |b| {
+        b.iter(|| {
+            net.zero_grad();
+            let logits = net.forward(black_box(&x), true);
+            let loss = softmax_cross_entropy(&logits, &labels);
+            net.backward(&loss.grad_logits);
+            opt.step(&mut net, 0.01);
+        })
     });
 }
 
@@ -41,5 +61,10 @@ fn bench_gradient_proxies(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_mlp_forward, bench_gradient_proxies);
+criterion_group!(
+    benches,
+    bench_mlp_forward,
+    bench_mlp_train_step,
+    bench_gradient_proxies
+);
 criterion_main!(benches);

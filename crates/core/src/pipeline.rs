@@ -242,17 +242,11 @@ fn selection_round(
                 .collect();
         }
     }
-    // (2) Quantized forward pass → last-layer gradient proxies
-    // (outer-product space, compared via the factored distance so
-    // nothing of size classes × features is materialized).
     let mut select_span = ctx
         .telemetry
         .span("select")
         .with_attr("epoch", epoch)
         .with_attr("pool", pool.len());
-    let proxies = gradient_proxies(selector, ctx.train, &pool, cfg.batch_size);
-    let feature_dim = proxies.features.dim(1);
-    let pool_labels: Vec<usize> = pool.iter().map(|&i| ctx.train.label(i)).collect();
     let chunk = cfg.partitioning.then(|| cfg.partition_chunk(fraction));
     let opts = CraigOptions {
         variant: cfg.greedy,
@@ -267,13 +261,13 @@ fn selection_round(
     let profile = KernelProfile {
         samples: pool.len() as u64,
         forward_macs_per_sample: selector.flops_per_sample() / 2,
-        proxy_dim: ctx.train.classes() + feature_dim,
+        proxy_dim: ctx.train.classes() + selector.feature_dim(),
         chunk: chunk.unwrap_or_else(|| {
             // Without partitioning the kernel tiles at the largest class
             // size.
-            pool_labels
-                .iter()
-                .fold(vec![0usize; ctx.train.classes()], |mut acc, &y| {
+            pool.iter()
+                .map(|&i| ctx.train.label(i))
+                .fold(vec![0usize; ctx.train.classes()], |mut acc, y| {
                     acc[y] += 1;
                     acc
                 })
@@ -309,13 +303,18 @@ fn selection_round(
             }
         }
     }
-    // (3) The selection math: facility location when any compute path is
+    // (2) The selection math: facility location when any compute path is
     // available (device and host produce the same picks — the simulation
     // models time, not arithmetic), seeded random picks as the last
-    // rung.
+    // rung, which reads no proxies. Facility location runs over the
+    // quantized forward's last-layer gradient proxies (outer-product
+    // space, compared via the factored distance so nothing of size
+    // classes × features is materialized).
+    let pool_labels: Vec<usize> = pool.iter().map(|&i| ctx.train.label(i)).collect();
     let maybe = if rung == Rung::Random {
         None
     } else {
+        let proxies = gradient_proxies(selector, ctx.train, &pool, cfg.batch_size);
         match select_per_class_factored(
             &proxies.residuals,
             &proxies.features,
@@ -358,7 +357,7 @@ fn selection_round(
     select_span.set_attr("subset", selection.len());
     select_span.finish();
     select_secs += kernel_secs;
-    // (4) Ship the subset to the GPU. When the round already staged the
+    // (3) Ship the subset to the GPU. When the round already staged the
     // pool to the host, the subset is there — no further transfer.
     {
         let mut ship = ctx

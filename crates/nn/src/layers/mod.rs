@@ -1,8 +1,9 @@
 //! Layers with explicit forward/backward passes.
 //!
-//! Every layer caches whatever it needs during [`Layer::forward`] and
-//! consumes that cache in [`Layer::backward`]; gradients accumulate into
-//! [`Param::grad`] and are consumed by the optimizer.
+//! Every layer caches whatever it needs during a training
+//! [`Layer::forward`] and consumes that cache in [`Layer::backward`];
+//! gradients accumulate into [`Param::grad`] and are consumed by the
+//! optimizer.
 
 mod bottleneck;
 mod conv;
@@ -14,7 +15,7 @@ pub use conv::Conv2d;
 pub use norm::{BatchNorm1d, BatchNorm2d};
 pub use pool::{GlobalAvgPool, MaxPool2};
 
-use nessa_tensor::ops::{add_bias_rows, relu_grad_mask, sum_axis0};
+use nessa_tensor::ops::{add_bias_rows, relu, sum_axis0};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 
@@ -37,17 +38,18 @@ impl Param {
         Self { value, grad, decay }
     }
 
-    /// Resets the gradient to zero.
+    /// Resets the gradient to zero in place.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.shape().dims());
+        self.grad.as_mut_slice().fill(0.0);
     }
 }
 
 /// A differentiable network layer.
 ///
-/// Layers are stateful: `forward` caches activations, `backward` must be
-/// called with the gradient of the loss w.r.t. the layer's output *after*
-/// the corresponding `forward`, and returns the gradient w.r.t. the input.
+/// Layers are stateful: a training `forward` caches activations, `backward`
+/// must be called with the gradient of the loss w.r.t. the layer's output
+/// *after* the corresponding training `forward`, and returns the gradient
+/// w.r.t. the input.
 pub trait Layer: Send {
     /// Runs the layer on a batch. `train` selects training behaviour
     /// (e.g. batch statistics in batch-norm).
@@ -67,9 +69,26 @@ pub trait Layer: Send {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Back-propagates `grad_out` into the parameter gradients only, for
+    /// the first layer of a network, whose input gradient nothing reads.
+    /// The default runs [`Layer::backward`] and drops its result; layers
+    /// that can skip the input-gradient product override it.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before `forward`.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Visits every trainable parameter (used by optimizers and the
     /// quantizer). Layers without parameters use the default no-op.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    /// The input width when this is a [`Linear`] layer, `None` otherwise.
+    fn linear_in_features(&self) -> Option<usize> {
+        None
+    }
 
     /// Multiply-accumulate-dominated FLOPs per input sample for the forward
     /// pass (backward is modelled as 2× forward, as is conventional).
@@ -84,19 +103,18 @@ pub trait Layer: Send {
 /// Fully-connected layer `y = xW^T + b` with He-normal initialization.
 ///
 /// The weight is stored `out × in`, which is what the optimizer, the
-/// quantizer and [`crate::models::Network::export_weights`] see. The
-/// forward pass multiplies by an `in × out` copy built on first use, so it
-/// runs through the vectorized [`Tensor::matmul`] and still sums each
-/// output in order. [`Layer::visit_params`] drops that copy before it
-/// hands out the weight, and every weight write goes through it, so the
-/// copy is never stale.
+/// quantizer and [`crate::models::Network::export_weights`] see, and
+/// every product reads it in that layout: the forward pass runs the
+/// register-tiled [`Tensor::matmul_transb`], so each output is the
+/// in-order dot of an input row with a weight row, and no transposed copy
+/// exists to go stale. Training forwards cache the input for the backward
+/// pass; eval forwards keep nothing.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param,
     bias: Param,
     in_features: usize,
     out_features: usize,
-    weight_t: Option<Tensor>,
     cached_input: Option<Tensor>,
 }
 
@@ -114,7 +132,6 @@ impl Linear {
             bias: Param::new(bias, true),
             in_features,
             out_features,
-            weight_t: None,
             cached_input: None,
         }
     }
@@ -128,36 +145,47 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// Accumulates `dW = gᵀx` and `db = Σ_rows g` from the cached input.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("Linear::backward before a training forward");
+        self.weight.grad += &grad_out.matmul_transa(x);
+        self.bias.grad += &sum_axis0(grad_out);
+    }
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear expects a 2-D batch");
         assert_eq!(x.dim(1), self.in_features, "Linear input width mismatch");
-        let weight = &self.weight.value;
-        let weight_t = self.weight_t.get_or_insert_with(|| weight.transpose());
-        let mut y = x.matmul(weight_t);
+        let mut y = x.matmul_transb(&self.weight.value);
         add_bias_rows(&mut y, &self.bias.value);
-        self.cached_input = Some(x.clone());
+        if train {
+            self.cached_input = Some(x.clone());
+        }
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward before forward");
-        // dW = g^T x ; db = sum_rows(g) ; dx = g W
-        let gw = grad_out.matmul_transa(x);
-        self.weight.grad += &gw;
-        self.bias.grad += &sum_axis0(grad_out);
+        self.accumulate_param_grads(grad_out);
+        // dx = g W: backward gradients go through the zero-skipping axpy.
         grad_out.matmul(&self.weight.value)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.accumulate_param_grads(grad_out);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.weight_t = None;
         f(&mut self.weight);
         f(&mut self.bias);
+    }
+
+    fn linear_in_features(&self) -> Option<usize> {
+        Some(self.in_features)
     }
 
     fn flops_per_sample(&self) -> u64 {
@@ -183,20 +211,28 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.cached_input = Some(x.clone());
-        x.map(|v| v.max(0.0))
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        if train {
+            self.cached_input = Some(x.clone());
+        }
+        relu(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self
             .cached_input
             .as_ref()
-            .expect("Relu::backward before forward");
-        let mask = relu_grad_mask(x);
-        grad_out
-            .try_zip(&mask, "relu-backward", |g, m| g * m)
-            .expect("relu gradient shape mismatch")
+            .expect("Relu::backward before a training forward");
+        assert_eq!(x.shape(), grad_out.shape(), "relu gradient shape mismatch");
+        // Multiply by the 1/0 mask rather than select, so a negative
+        // gradient through a dead unit stays `-0.0`.
+        let g = grad_out
+            .as_slice()
+            .iter()
+            .zip(x.as_slice())
+            .map(|(&g, &v)| g * if v > 0.0 { 1.0 } else { 0.0 })
+            .collect();
+        Tensor::from_vec(g, grad_out.shape().dims())
     }
 
     fn name(&self) -> &'static str {

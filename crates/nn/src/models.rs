@@ -16,7 +16,6 @@ use nessa_tensor::Tensor;
 pub struct Network {
     name: String,
     layers: Vec<Box<dyn Layer>>,
-    cached_features: Option<Tensor>,
 }
 
 impl std::fmt::Debug for Network {
@@ -32,7 +31,6 @@ impl Network {
         Self {
             name: name.into(),
             layers: Vec::new(),
-            cached_features: None,
         }
     }
 
@@ -59,15 +57,7 @@ impl Network {
 
     /// Full forward pass.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = x.clone();
-        let last = self.layers.len().saturating_sub(1);
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            if i == last {
-                self.cached_features = Some(h.clone());
-            }
-            h = layer.forward(&h, train);
-        }
-        h
+        forward_through(&mut self.layers, x, train)
     }
 
     /// Forward pass that also returns the penultimate activations
@@ -75,21 +65,28 @@ impl Network {
     ///
     /// Returns `(features, logits)`.
     pub fn forward_with_features(&mut self, x: &Tensor, train: bool) -> (Tensor, Tensor) {
-        let logits = self.forward(x, train);
-        let features = self
-            .cached_features
-            .clone()
+        let (head, body) = self
+            .layers
+            .split_last_mut()
             .expect("forward_with_features on an empty network");
+        let features = forward_through(body, x, train);
+        let logits = head.forward(&features, train);
         (features, logits)
     }
 
-    /// Full backward pass; returns the gradient with respect to the input.
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    /// Backward pass: accumulates every parameter gradient. The first
+    /// layer runs [`Layer::backward_params`], so the gradient with
+    /// respect to the network input, which nothing reads, is never
+    /// computed.
+    pub fn backward(&mut self, grad_logits: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_logits)));
         }
-        g
+        first.backward_params(g.as_ref().unwrap_or(grad_logits));
     }
 
     /// Visits every parameter of every layer, in order.
@@ -115,6 +112,18 @@ impl Network {
     /// spatial extent only after a first forward pass).
     pub fn flops_per_sample(&self) -> u64 {
         self.layers.iter().map(|l| l.flops_per_sample()).sum()
+    }
+
+    /// Width of the features a gradient proxy pairs with the residual: the
+    /// input width of the network's last [`Linear`] layer (the features
+    /// [`Network::forward_with_features`] returns for an MLP or CNN head),
+    /// or `0` when it has none.
+    pub fn feature_dim(&self) -> usize {
+        self.layers
+            .iter()
+            .rev()
+            .find_map(|l| l.linear_in_features())
+            .unwrap_or(0)
     }
 
     /// Snapshot of all parameter values, in visiting order.
@@ -162,6 +171,15 @@ impl Network {
             })
             .collect()
     }
+}
+
+/// Runs `x` through `layers` in order (a copy of `x` when there are none).
+fn forward_through(layers: &mut [Box<dyn Layer>], x: &Tensor, train: bool) -> Tensor {
+    let mut h: Option<Tensor> = None;
+    for layer in layers {
+        h = Some(layer.forward(h.as_ref().unwrap_or(x), train));
+    }
+    h.unwrap_or_else(|| x.clone())
 }
 
 /// A pre-activationless basic residual block:
@@ -470,6 +488,23 @@ mod tests {
         assert_eq!(net.len(), 3);
     }
 
+    fn assert_param_grads_nonzero(net: &mut Network) {
+        let mut grad_sq = 0.0;
+        net.visit_params(&mut |p| grad_sq += p.grad.sq_norm());
+        assert!(
+            grad_sq > 0.0 && grad_sq.is_finite(),
+            "grad sq-norm {grad_sq}"
+        );
+    }
+
+    #[test]
+    fn feature_dim_is_the_head_input_width() {
+        let mut rng = Rng64::new(12);
+        assert_eq!(mlp(&[5, 8, 6, 3], &mut rng).feature_dim(), 6);
+        assert_eq!(small_cnn(3, 5, 4, &mut rng).feature_dim(), 8);
+        assert_eq!(Network::new("empty").feature_dim(), 0);
+    }
+
     #[test]
     fn forward_with_features_exposes_penultimate() {
         let mut rng = Rng64::new(1);
@@ -587,8 +622,8 @@ mod tests {
         let x = Tensor::randn(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
         let y = net.forward(&x, true);
         assert_eq!(y.shape().dims(), &[1, 7]);
-        let g = net.backward(&Tensor::ones(&[1, 7]));
-        assert_eq!(g.shape().dims(), x.shape().dims());
+        net.backward(&Tensor::ones(&[1, 7]));
+        assert_param_grads_nonzero(&mut net);
         // 16 bottleneck blocks + stem(3) + head(2).
         assert_eq!(net.len(), 21);
     }
@@ -600,8 +635,8 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
         let y = net.forward(&x, true);
         assert_eq!(y.shape().dims(), &[2, 5]);
-        let g = net.backward(&Tensor::ones(&[2, 5]));
-        assert_eq!(g.shape().dims(), x.shape().dims());
+        net.backward(&Tensor::ones(&[2, 5]));
+        assert_param_grads_nonzero(&mut net);
     }
 
     #[test]

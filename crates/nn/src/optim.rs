@@ -68,21 +68,21 @@ impl Sgd {
             if velocity.len() <= i {
                 velocity.push(Tensor::zeros(p.value.shape().dims()));
             }
-            let v = &mut velocity[i];
-            // g = grad (+ wd * w)
-            let mut g = p.grad.clone();
-            if cfg.weight_decay != 0.0 && p.decay {
-                g.axpy(cfg.weight_decay, &p.value);
-            }
-            // v = μv + g
-            v.scale_inplace(cfg.momentum);
-            *v += &g;
-            // step = g + μv (Nesterov) or v
-            if cfg.nesterov {
-                g.axpy(cfg.momentum, v);
-                p.value.axpy(-lr, &g);
-            } else {
-                p.value.axpy(-lr, v);
+            let wd = if p.decay { cfg.weight_decay } else { 0.0 };
+            let (mu, step) = (cfg.momentum, -lr);
+            // One pass per parameter, each element in the order of the
+            // textbook update: g = grad + wd·w; v = v·μ + g; then
+            // w += −lr·(g + μ·v) under Nesterov, or w += −lr·v.
+            let elems = p
+                .value
+                .as_mut_slice()
+                .iter_mut()
+                .zip(p.grad.as_slice())
+                .zip(velocity[i].as_mut_slice());
+            for ((w, &grad), v) in elems {
+                let g = if wd != 0.0 { grad + wd * *w } else { grad };
+                *v = *v * mu + g;
+                *w += step * if cfg.nesterov { g + mu * *v } else { *v };
             }
             i += 1;
         });

@@ -58,11 +58,6 @@ pub fn relu(x: &Tensor) -> Tensor {
     x.map(|v| v.max(0.0))
 }
 
-/// Gradient mask of ReLU: `1` where the forward input was positive.
-pub fn relu_grad_mask(forward_input: &Tensor) -> Tensor {
-    forward_input.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
-}
-
 /// One-hot encodes integer labels into an `n × classes` matrix.
 ///
 /// # Panics
@@ -186,10 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_mask() {
+    fn relu_clamps_negatives() {
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
         assert_eq!(relu(&x).as_slice(), &[0.0, 0.0, 2.0]);
-        assert_eq!(relu_grad_mask(&x).as_slice(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -249,13 +249,20 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// `self (m×k) · otherᵀ` where `other` is `n×k`.
+    /// `self (m×k) · otherᵀ` where `other` is `n×k`: the dense-layer
+    /// forward `x · Wᵀ`, reading the weight in its stored `out × in`
+    /// layout.
     ///
-    /// Transposes `other` and runs [`Tensor::matmul`], so each output is
-    /// the in-order dot product of a row of `self` with a row of `other`,
-    /// bit for bit, whenever `other` is finite. Callers that multiply by
-    /// the same `other` many times (the linear layers) keep the transpose
-    /// and call [`Tensor::matmul`] directly.
+    /// Every output is the in-order dot product of a row of `self` with a
+    /// row of `other`, summed from `+0.0`, so it is bit-identical to a
+    /// serial `acc += a * b` loop for any input. The kernel holds a tile
+    /// of 16 rows of `self` against two rows of `other` in registers: the
+    /// rows are packed lane-major (a small copy of the left operand), and
+    /// each lane is its own in-order sum. Rows of `self` past the last
+    /// full tile and a last odd row of `other` fall back to scalar dots.
+    /// Zeros are not skipped: on dense activations the tile outruns the
+    /// zero-skipping axpy of [`Tensor::matmul`], and on half-zero ones it
+    /// keeps up with it.
     ///
     /// # Panics
     ///
@@ -263,9 +270,50 @@ impl Tensor {
     pub fn matmul_transb(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul_transb lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul_transb rhs must be 2-D");
-        let (k, k2) = (self.dim(1), other.dim(1));
+        let (m, k) = (self.dim(0), self.dim(1));
+        let (n, k2) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
-        self.matmul(&other.transpose())
+        let mut out = vec![0.0f32; m * n];
+        if k == 0 || n == 0 {
+            // Every output is an empty sum, and `chunks_exact` below needs
+            // a non-zero row width.
+            return Tensor::from_vec(out, &[m, n]);
+        }
+        let tiled = m - m % TILE_LANES;
+        // Tile t holds, for each p < k, column p of its TILE_LANES rows.
+        let packed: Vec<[f32; TILE_LANES]> = self.data[..tiled * k]
+            .chunks_exact(TILE_LANES * k)
+            .flat_map(|rows| (0..k).map(move |p| std::array::from_fn(|l| rows[l * k + p])))
+            .collect();
+        let w_pairs = other.data.chunks_exact(2 * k);
+        for (lanes, o_rows) in packed
+            .chunks_exact(k)
+            .zip(out.chunks_exact_mut(TILE_LANES * n))
+        {
+            for (jp, pair) in w_pairs.clone().enumerate() {
+                let (w0, w1) = pair.split_at(k);
+                let (acc0, acc1) = dot_tile(lanes, w0, w1);
+                for ((o_row, v0), v1) in o_rows.chunks_exact_mut(n).zip(acc0).zip(acc1) {
+                    o_row[2 * jp] = v0;
+                    o_row[2 * jp + 1] = v1;
+                }
+            }
+        }
+        for (i, (a_row, o_row)) in self
+            .data
+            .chunks_exact(k)
+            .zip(out.chunks_exact_mut(n))
+            .enumerate()
+        {
+            let ragged = if i < tiled { n - n % 2 } else { 0 };
+            for (o, w_row) in o_row[ragged..]
+                .iter_mut()
+                .zip(other.data[ragged * k..].chunks_exact(k))
+            {
+                *o = dot_in_order(a_row, w_row);
+            }
+        }
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// `selfᵀ (k×m) · other (k×n)` producing `m×n`.
@@ -454,6 +502,41 @@ impl Tensor {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
+}
+
+/// Rows of the left operand in one register tile of
+/// [`Tensor::matmul_transb`]. Two weight rows × 16 lanes keeps both
+/// accumulator sets and the lane loads in registers; taller tiles spill.
+const TILE_LANES: usize = 16;
+
+/// The dots of `TILE_LANES` packed rows with `w0` and with `w1`: lane `l`
+/// of each result sums `lanes[p][l] * w[p]` over `p` in order from `+0.0`.
+///
+/// Kept out of line: inlined into the caller, whose stores interleave the
+/// two results, LLVM vectorizes across `acc0[l], acc1[l]` pairs instead of
+/// across lanes, spills, and runs about 3× slower.
+#[inline(never)]
+fn dot_tile(
+    lanes: &[[f32; TILE_LANES]],
+    w0: &[f32],
+    w1: &[f32],
+) -> ([f32; TILE_LANES], [f32; TILE_LANES]) {
+    let mut acc0 = [0.0f32; TILE_LANES];
+    let mut acc1 = [0.0f32; TILE_LANES];
+    for ((x, &a), &b) in lanes.iter().zip(w0).zip(w1) {
+        for (acc, &v) in acc0.iter_mut().zip(x) {
+            *acc += v * a;
+        }
+        for (acc, &v) in acc1.iter_mut().zip(x) {
+            *acc += v * b;
+        }
+    }
+    (acc0, acc1)
+}
+
+/// `Σ a[p]·b[p]` summed in order from `+0.0`.
+fn dot_in_order(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + x * y)
 }
 
 impl Add<&Tensor> for &Tensor {
