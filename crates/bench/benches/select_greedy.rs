@@ -48,20 +48,48 @@ fn bench_similarity_build(c: &mut Criterion) {
     c.bench_function("similarity_matrix_512x10", |b| {
         b.iter(|| black_box(SimilarityMatrix::from_features(black_box(&feats))))
     });
-    // The path the pipeline runs: one select-heavy class tile of 600
-    // candidates, residual (10) ⊗ penultimate-feature (64) factors.
+    // The path the pipeline runs: a class tile of residual (10) ⊗
+    // penultimate-feature factors. 600 × 64 is one select-heavy tile;
+    // 32 × 384 and 64 × 256 are the train-heavy and pipelined-faulty
+    // chunk tiles, few candidates with wide features.
+    for (n, d) in [(600, 64), (32, 384), (64, 256)] {
+        let (residuals, features) = factored_tile(n, d);
+        c.bench_function(&format!("similarity_factored_{n}x10x{d}"), |b| {
+            b.iter(|| {
+                black_box(SimilarityMatrix::from_factored(
+                    black_box(&residuals),
+                    black_box(&features),
+                ))
+            })
+        });
+    }
+}
+
+/// Residual (`n × 10`) and penultimate-feature (`n × d`) factors of one
+/// class tile.
+fn factored_tile(n: usize, d: usize) -> (Tensor, Tensor) {
     let mut rng = Rng64::new(10);
-    let residuals = Tensor::rand_uniform(&[600, 10], -1.0, 1.0, &mut rng);
-    let features = clustered(600, 64, 11);
-    c.bench_function("similarity_factored_600x10x64", |b| {
+    let residuals = Tensor::rand_uniform(&[n, 10], -1.0, 1.0, &mut rng);
+    (residuals, clustered(n, d, 11))
+}
+
+fn bench_lazy_greedy_factored(c: &mut Criterion) {
+    // The greedy the pipeline runs on one select-heavy class tile, keeping
+    // a fifth of its candidates.
+    let (residuals, features) = factored_tile(600, 64);
+    let sim = SimilarityMatrix::from_factored(&residuals, &features);
+    c.bench_function("lazy_greedy_factored_600_k120", |b| {
         b.iter(|| {
-            black_box(SimilarityMatrix::from_factored(
-                black_box(&residuals),
-                black_box(&features),
-            ))
+            let mut rng = Rng64::new(0);
+            black_box(maximize(&sim, 120, GreedyVariant::Lazy, &mut rng).unwrap())
         })
     });
 }
 
-criterion_group!(benches, bench_greedy_variants, bench_similarity_build);
+criterion_group!(
+    benches,
+    bench_greedy_variants,
+    bench_similarity_build,
+    bench_lazy_greedy_factored
+);
 criterion_main!(benches);

@@ -232,29 +232,28 @@ fn naive_greedy(
     let n = sim.len();
     let mut coverage = vec![0.0f32; n];
     let mut chosen = Vec::with_capacity(k);
-    let mut in_set = vec![false; n];
-    for round in 0..k {
+    let mut remaining: Vec<usize> = (0..n).collect();
+    let mut gains = vec![0.0f32; n];
+    for _ in 0..k {
+        let gains = &mut gains[..remaining.len()];
+        gains_into(sim, &remaining, &coverage, gains);
         let mut best = None;
         let mut best_gain = f32::NEG_INFINITY;
-        for (j, &taken) in in_set.iter().enumerate() {
-            if taken {
-                continue;
-            }
-            let g = gain_from(sim, j, &coverage);
+        for (&j, &g) in remaining.iter().zip(gains.iter()) {
             if g > best_gain {
                 best_gain = g;
                 best = Some(j);
             }
         }
-        note_evals(metrics, (n - round) as u64);
+        note_evals(metrics, remaining.len() as u64);
         note_pick(metrics, best_gain);
         let Some(j) = best else {
             // k < n makes this unreachable; surface it instead of panicking.
             return Err(SelectError::Internal("naive greedy ran out of candidates"));
         };
-        in_set[j] = true;
         chosen.push(j);
         absorb_from(sim, j, &mut coverage);
+        remaining.retain(|&c| c != j);
     }
     Ok(chosen)
 }
@@ -268,6 +267,35 @@ fn gain_from(sim: &SimilarityMatrix, j: usize, coverage: &[f32]) -> f32 {
         .zip(coverage)
         .map(|(&s, &c)| (s - c).max(0.0))
         .sum()
+}
+
+/// Candidates whose gains [`gains_into`] sums side by side.
+const GAIN_LANES: usize = 8;
+
+/// `out[c] = gain_from(sim, candidates[c], coverage)` for every `c`, bit
+/// for bit. Groups of [`GAIN_LANES`] candidates run as interleaved chains,
+/// one accumulator per candidate: each starts where `Iterator::sum` starts
+/// and adds its terms in order, so no sum is reordered, but the chains
+/// overlap instead of waiting on one another's adds. A last partial group
+/// runs through [`gain_from`].
+fn gains_into(sim: &SimilarityMatrix, candidates: &[usize], coverage: &[f32], out: &mut [f32]) {
+    let start: f32 = std::iter::empty::<f32>().sum();
+    let n = coverage.len();
+    let mut groups = candidates.chunks_exact(GAIN_LANES);
+    let mut outs = out.chunks_exact_mut(GAIN_LANES);
+    for (group, out) in (&mut groups).zip(&mut outs) {
+        let rows: [&[f32]; GAIN_LANES] = std::array::from_fn(|l| &sim.row(group[l])[..n]);
+        let mut acc = [start; GAIN_LANES];
+        for (i, &c) in coverage.iter().enumerate() {
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a += (row[i] - c).max(0.0);
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+    for (o, &j) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
+        *o = gain_from(sim, j, coverage);
+    }
 }
 
 fn absorb_from(sim: &SimilarityMatrix, j: usize, coverage: &mut [f32]) {
@@ -311,10 +339,14 @@ fn lazy_greedy(
     let n = sim.len();
     let mut coverage = vec![0.0f32; n];
     let mut chosen = Vec::with_capacity(k);
-    let mut heap: BinaryHeap<HeapEntry> = (0..n)
-        .map(|j| HeapEntry {
-            gain: gain_from(sim, j, &coverage),
-            index: j,
+    let mut gains = vec![0.0f32; n];
+    gains_into(sim, &(0..n).collect::<Vec<_>>(), &coverage, &mut gains);
+    let mut heap: BinaryHeap<HeapEntry> = gains
+        .into_iter()
+        .enumerate()
+        .map(|(index, gain)| HeapEntry {
+            gain,
+            index,
             round: 0,
         })
         .collect();
@@ -360,6 +392,7 @@ fn stochastic_greedy(
     let mut chosen = Vec::with_capacity(k);
     let mut in_set = vec![false; n];
     let mut remaining: Vec<usize> = (0..n).collect();
+    let mut gains = vec![0.0f32; sample.min(n)];
     for _ in 0..k {
         // Draw the candidate sample from the remaining pool.
         let s = sample.min(remaining.len());
@@ -367,10 +400,11 @@ fn stochastic_greedy(
             let j = i + rng.index(remaining.len() - i);
             remaining.swap(i, j);
         }
+        let gains = &mut gains[..s];
+        gains_into(sim, &remaining[..s], &coverage, gains);
         let mut best = remaining[0];
         let mut best_gain = f32::NEG_INFINITY;
-        for &j in remaining.iter().take(s) {
-            let g = gain_from(sim, j, &coverage);
+        for (&j, &g) in remaining.iter().zip(gains.iter()) {
             if g > best_gain {
                 best_gain = g;
                 best = j;
@@ -543,6 +577,71 @@ mod tests {
             prev_gain = best_gain;
             absorb_from(&sim, best, &mut coverage);
         }
+    }
+
+    /// A similarity tile shaped like one select-heavy class: residual (10)
+    /// ⊗ penultimate-feature (64) factors.
+    fn factored_sim(n: usize, seed: u64) -> SimilarityMatrix {
+        let mut rng = Rng64::new(seed);
+        let a = Tensor::rand_uniform(&[n, 10], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform(&[n, 64], -1.0, 1.0, &mut rng);
+        SimilarityMatrix::from_factored(&a, &b)
+    }
+
+    fn assert_gains_match(sim: &SimilarityMatrix, candidates: &[usize], coverage: &[f32]) {
+        let mut got = vec![f32::NAN; candidates.len()];
+        gains_into(sim, candidates, coverage, &mut got);
+        for (&j, g) in candidates.iter().zip(&got) {
+            let expect = gain_from(sim, j, coverage);
+            assert_eq!(
+                g.to_bits(),
+                expect.to_bits(),
+                "candidate {j}: {g} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn gains_into_is_bit_identical_to_gain_from() {
+        for n in [0, 1, 7, 8, 9, 600] {
+            let sim = factored_sim(n, n as u64);
+            let mut rng = Rng64::new(n as u64 + 1);
+            // Unsorted lists: descending, and a shuffle.
+            let descending: Vec<usize> = (0..n).rev().collect();
+            let mut shuffled: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                shuffled.swap(i, rng.index(i + 1));
+            }
+            let mut coverage = vec![0.0f32; n];
+            for pick in [None, Some(n / 2), Some(0), Some(n.saturating_sub(1))] {
+                if let Some(j) = pick.filter(|_| n > 0) {
+                    absorb_from(&sim, j, &mut coverage);
+                }
+                assert_gains_match(&sim, &descending, &coverage);
+                assert_gains_match(&sim, &shuffled, &coverage);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fully_covered_candidate_gains_positive_zero() {
+        let sim = factored_sim(9, 3);
+        let mut coverage = vec![0.0f32; 9];
+        absorb_from(&sim, 4, &mut coverage);
+        // Candidate 4 sits in the first group of lanes, not the remainder.
+        let candidates = [1, 4, 0, 2, 3, 5, 6, 7, 8];
+        assert_gains_match(&sim, &candidates, &coverage);
+        let mut got = [f32::NAN; 9];
+        gains_into(&sim, &candidates, &coverage, &mut got);
+        assert_eq!(got[1].to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn naive_and_lazy_pick_the_same_set_on_a_factored_tile() {
+        let sim = factored_sim(600, 11);
+        let naive = naive_greedy(&sim, 120, None).unwrap();
+        let lazy = lazy_greedy(&sim, 120, None).unwrap();
+        assert_eq!(naive, lazy);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Pins the similarity kernel's bit-exact contract.
 //!
 //! `SimilarityMatrix::from_factored` computes only the upper triangle,
-//! takes its dot products straight from the factor rows and mirrors the
-//! result. Every entry must still equal, bit for bit, the Gram-matrix
+//! takes its dot products straight from the factor rows in register tiles
+//! of 2 rows × 16 candidates and mirrors the result. Every entry must still equal, bit for bit, the Gram-matrix
 //! evaluation below (two full `matmul_transb` Gram matrices, every ordered
 //! pair, a separate distance buffer), which exists only here as the
 //! reference. The greedy maximizers start coverage at `0.0`, which relies
@@ -90,6 +90,16 @@ fn assert_matches_reference(a: &Tensor, b: &Tensor) {
     assert_eq!(bits(&sim), expect);
 }
 
+fn assert_pairwise_matches_reference(x: &Tensor) {
+    let got: Vec<u32> = pairwise_sq_dists(x)
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let expect: Vec<u32> = pairwise_reference(x).iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, expect, "n = {}, d = {}", x.dim(0), x.dim(1));
+}
+
 fn assert_nonnegative(sim: &SimilarityMatrix) {
     for j in 0..sim.len() {
         for (i, &s) in sim.row(j).iter().enumerate() {
@@ -115,6 +125,31 @@ fn factored_matches_gram_reference_on_small_and_degenerate_tiles() {
             let b = factor(n, db, 2.0, 0.1, 0.2, n as u64 + 1);
             assert_matches_reference(&a, &b);
         }
+    }
+}
+
+#[test]
+fn kernel_matches_gram_reference_across_tile_edges() {
+    // The kernel runs 2 rows against 16 candidate lanes at a time and
+    // mirrors in 32 × 32 blocks: cover one short of, exactly at and one
+    // past each edge, and a select-heavy tile with an odd last row.
+    for n in [15, 16, 17, 31, 32, 33, 601] {
+        let a = factor(n, 10, 1.0, 0.3, 0.05, 100 + n as u64);
+        let b = factor(n, 64, 3.0, 0.1, 0.05, 200 + n as u64);
+        assert_matches_reference(&a, &b);
+        assert_pairwise_matches_reference(&b);
+    }
+}
+
+#[test]
+fn kernel_matches_gram_reference_at_chunk_tile_shapes() {
+    // The train-heavy (32 × 10 × 384) and pipelined-faulty (64 × 10 × 256)
+    // chunk tiles: few candidates, wide features.
+    for (n, d, seed) in [(32, 384, 21), (64, 256, 22)] {
+        let a = factor(n, 10, 1.0, 0.3, 0.05, seed);
+        let b = factor(n, d, 3.0, 0.5, 0.05, seed + 100);
+        assert_matches_reference(&a, &b);
+        assert_pairwise_matches_reference(&b);
     }
 }
 

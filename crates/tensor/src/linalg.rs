@@ -6,6 +6,7 @@
 //! `‖a‖² + ‖b‖² − 2a·b` expansion so the inner loop is a run of dot
 //! products.
 
+use crate::tensor::{dot_tile, pack_lanes, TILE_LANES};
 use crate::Tensor;
 
 /// All pairwise squared Euclidean distances between the rows of `x`
@@ -35,12 +36,17 @@ pub fn pairwise_sq_dists(x: &Tensor) -> Tensor {
 ///
 /// The result is bit-identical to evaluating that expression over the two
 /// Gram matrices `a·aᵀ` and `b·bᵀ` of [`Tensor::matmul_transb`]:
-/// - every dot product accumulates over the feature index in order,
-///   starting from `0.0`, exactly as `matmul_transb` does, with the inner
-///   loop running across candidates (reading column-major copies of the
-///   factors) so it vectorizes without reordering any sum;
-/// - only the upper triangle is computed and then mirrored, which is
-///   exact because each entry's operands commute;
+/// - each factor is packed column-major in blocks of 16 candidates,
+///   zero-padded past `n`, and a register tile computes the dots of 2 rows
+///   `i` with 16 candidate lanes `j`. Each lane is one entry's only
+///   accumulator and sums over the feature index in order from `0.0`,
+///   exactly as `matmul_transb` does, so the tile vectorizes across
+///   entries without reordering any sum;
+/// - the pair product is folded left from `2.0` across the factors, and
+///   only entries with `j > i` are kept: tiles that cross the diagonal
+///   drop their lower lanes, and padded lanes are dropped;
+/// - the upper triangle is mirrored in 32 × 32 blocks, which is exact
+///   because each entry's operands commute;
 /// - no Gram matrix is built: the dots come straight from the factor rows.
 ///
 /// # Panics
@@ -60,7 +66,6 @@ pub fn pairwise_sq_dists_factored(a: &Tensor, b: &Tensor) -> Tensor {
 /// `i` and `j` of factor `f`.
 fn symmetric_sq_dists(factors: &[&Tensor]) -> Tensor {
     let n = factors[0].dim(0);
-    let cols: Vec<Tensor> = factors.iter().map(|f| f.transpose()).collect();
     let sq: Vec<f32> = (0..n)
         .map(|i| {
             factors
@@ -69,40 +74,64 @@ fn symmetric_sq_dists(factors: &[&Tensor]) -> Tensor {
                 .fold(1.0, |p, g| p * g)
         })
         .collect();
+    let packed: Vec<Vec<[f32; TILE_LANES]>> = factors
+        .iter()
+        .map(|f| pack_lanes(f.as_slice(), n, f.dim(1)))
+        .collect();
     let mut out = vec![0.0f32; n * n];
-    let mut dots = vec![0.0f32; n];
-    for i in 0..n {
-        // `upper[j − i − 1]` first holds the running product `2·g¹·g²·…`
-        // of pair (i, j), then its distance.
-        let upper = &mut out[i * n + i + 1..(i + 1) * n];
-        let dots = &mut dots[i + 1..];
-        upper.fill(2.0);
-        for (factor, fcols) in factors.iter().zip(&cols) {
-            dots_with_later_rows(factor.row(i), fcols, i + 1, dots);
-            for (p, &g) in upper.iter_mut().zip(dots.iter()) {
-                *p *= g;
+    // Rows pair up as (i, i + 1); an odd last row has no entry right of
+    // the diagonal, so every pair is complete.
+    for i in (0..n.saturating_sub(1)).step_by(2) {
+        for block in (i + 1) / TILE_LANES..n.div_ceil(TILE_LANES) {
+            // Lane `l` of `prods` holds the running product `2·g¹·g²·…`
+            // of pairs (i, j) and (i + 1, j), `j = j0 + l`.
+            let mut prods = [[2.0f32; TILE_LANES]; 2];
+            for (factor, lanes) in factors.iter().zip(&packed) {
+                let d = factor.dim(1);
+                let g = dot_tile(
+                    &lanes[block * d..(block + 1) * d],
+                    factor.row(i),
+                    factor.row(i + 1),
+                );
+                for (prod, g) in prods.iter_mut().zip([g.0, g.1]) {
+                    for (p, g) in prod.iter_mut().zip(g) {
+                        *p *= g;
+                    }
+                }
+            }
+            // Keep only `j > r` inside the matrix: lanes left of (or on)
+            // the diagonal and the zero padding past `n` are dropped.
+            let j0 = block * TILE_LANES;
+            for (r, prod) in (i..).zip(&prods) {
+                let (lo, hi) = ((r + 1).max(j0), n.min(j0 + TILE_LANES));
+                for ((d, &sq_j), &p) in out[r * n + lo..r * n + hi]
+                    .iter_mut()
+                    .zip(&sq[lo..hi])
+                    .zip(&prod[lo - j0..])
+                {
+                    *d = (sq[r] + sq_j - p).max(0.0);
+                }
             }
         }
-        for (p, &sq_j) in upper.iter_mut().zip(&sq[i + 1..]) {
-            *p = (sq[i] + sq_j - *p).max(0.0);
-        }
     }
-    for i in 0..n {
-        for j in i + 1..n {
-            out[j * n + i] = out[i * n + j];
-        }
-    }
+    mirror_upper(&mut out, n);
     Tensor::from_vec(out, &[n, n])
 }
 
-/// `out[j − from] = row · x_j` for every row `x_j`, `j ≥ from`, of the
-/// matrix whose transpose is `cols` (`d × n`). Each sum runs over the
-/// feature index in order from `0.0`, like [`Tensor::matmul_transb`].
-fn dots_with_later_rows(row: &[f32], cols: &Tensor, from: usize, out: &mut [f32]) {
-    out.fill(0.0);
-    for (p, &r) in row.iter().enumerate() {
-        for (acc, &x) in out.iter_mut().zip(&cols.row(p)[from..]) {
-            *acc += r * x;
+/// Side of the square blocks [`mirror_upper`] copies through.
+const MIRROR_BLOCK: usize = 32;
+
+/// Copies the strict upper triangle of the row-major `n × n` matrix `m`
+/// onto its lower triangle, block by block so both the rows read and the
+/// columns written stay in cache.
+fn mirror_upper(m: &mut [f32], n: usize) {
+    for ib in (0..n).step_by(MIRROR_BLOCK) {
+        for jb in (ib..n).step_by(MIRROR_BLOCK) {
+            for i in ib..n.min(ib + MIRROR_BLOCK) {
+                for j in (i + 1).max(jb)..n.min(jb + MIRROR_BLOCK) {
+                    m[j * n + i] = m[i * n + j];
+                }
+            }
         }
     }
 }
@@ -160,45 +189,6 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
         .sum()
 }
 
-/// Cosine similarity between two vectors (`0.0` when either is all-zero).
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "cosine_similarity requires equal lengths");
-    let dot: f32 = a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum();
-    let na: f32 = a.iter().map(|&x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|&x| x * x).sum::<f32>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
-/// Frobenius-norm relative error `‖a − b‖ / ‖a‖` (`0.0` when both empty or
-/// `a` is all-zero and `b == a`).
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn relative_error(a: &Tensor, b: &Tensor) -> f32 {
-    let diff = a
-        .try_zip(b, "relative_error", |x, y| x - y)
-        .expect("relative_error shape mismatch");
-    let na = a.norm();
-    if na == 0.0 {
-        if diff.norm() == 0.0 {
-            0.0
-        } else {
-            f32::INFINITY
-        }
-    } else {
-        diff.norm() / na
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,22 +243,5 @@ mod tests {
     #[should_panic(expected = "feature dimensions differ")]
     fn cross_rejects_dim_mismatch() {
         let _ = cross_sq_dists(&Tensor::zeros(&[2, 3]), &Tensor::zeros(&[2, 4]));
-    }
-
-    #[test]
-    fn cosine_basics() {
-        assert!((cosine_similarity(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
-        assert!(cosine_similarity(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
-        assert!((cosine_similarity(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn relative_error_basics() {
-        let a = Tensor::from_slice(&[3.0, 4.0]);
-        let b = Tensor::from_slice(&[3.0, 4.0]);
-        assert_eq!(relative_error(&a, &b), 0.0);
-        let c = Tensor::from_slice(&[0.0, 4.0]);
-        assert!((relative_error(&a, &c) - 3.0 / 5.0).abs() < 1e-6);
     }
 }

@@ -280,11 +280,7 @@ impl Tensor {
             return Tensor::from_vec(out, &[m, n]);
         }
         let tiled = m - m % TILE_LANES;
-        // Tile t holds, for each p < k, column p of its TILE_LANES rows.
-        let packed: Vec<[f32; TILE_LANES]> = self.data[..tiled * k]
-            .chunks_exact(TILE_LANES * k)
-            .flat_map(|rows| (0..k).map(move |p| std::array::from_fn(|l| rows[l * k + p])))
-            .collect();
+        let packed = pack_lanes(&self.data, tiled, k);
         let w_pairs = other.data.chunks_exact(2 * k);
         for (lanes, o_rows) in packed
             .chunks_exact(k)
@@ -504,10 +500,32 @@ impl Tensor {
     }
 }
 
-/// Rows of the left operand in one register tile of
-/// [`Tensor::matmul_transb`]. Two weight rows × 16 lanes keeps both
-/// accumulator sets and the lane loads in registers; taller tiles spill.
-const TILE_LANES: usize = 16;
+/// Lanes of one register tile: rows of the left operand in
+/// [`Tensor::matmul_transb`], candidates in the similarity kernel of
+/// [`crate::linalg`]. Two rows × 16 lanes keeps both accumulator sets and
+/// the lane loads in registers; taller tiles spill.
+pub(crate) const TILE_LANES: usize = 16;
+
+/// The first `rows` rows of the row-major `data` (`k` wide), packed for
+/// [`dot_tile`]: block `b` is the `k` lane arrays
+/// `packed[b·k + p][l] = data[(b·TILE_LANES + l)·k + p]`, i.e.
+/// `TILE_LANES` rows stored column-major, with rows past `rows` zero-padded.
+pub(crate) fn pack_lanes(data: &[f32], rows: usize, k: usize) -> Vec<[f32; TILE_LANES]> {
+    (0..rows.div_ceil(TILE_LANES))
+        .flat_map(|b| {
+            (0..k).map(move |p| {
+                std::array::from_fn(|l| {
+                    let r = b * TILE_LANES + l;
+                    if r < rows {
+                        data[r * k + p]
+                    } else {
+                        0.0
+                    }
+                })
+            })
+        })
+        .collect()
+}
 
 /// The dots of `TILE_LANES` packed rows with `w0` and with `w1`: lane `l`
 /// of each result sums `lanes[p][l] * w[p]` over `p` in order from `+0.0`.
@@ -516,7 +534,7 @@ const TILE_LANES: usize = 16;
 /// two results, LLVM vectorizes across `acc0[l], acc1[l]` pairs instead of
 /// across lanes, spills, and runs about 3× slower.
 #[inline(never)]
-fn dot_tile(
+pub(crate) fn dot_tile(
     lanes: &[[f32; TILE_LANES]],
     w0: &[f32],
     w1: &[f32],
