@@ -17,10 +17,10 @@ const LAYERS: [usize; 4] = [32, 384, 192, 10];
 
 fn bench_mlp_forward(c: &mut Criterion) {
     let mut rng = Rng64::new(1);
-    let mut net = mlp(&LAYERS, &mut rng);
+    let net = mlp(&LAYERS, &mut rng);
     let x = Tensor::randn(&[16, LAYERS[0]], 0.0, 1.0, &mut rng);
     c.bench_function("mlp_forward_b16_32x384x192x10", |b| {
-        b.iter(|| black_box(net.forward(black_box(&x), false)))
+        b.iter(|| black_box(net.infer(black_box(&x))))
     });
 }
 
@@ -33,7 +33,7 @@ fn bench_mlp_train_step(c: &mut Criterion) {
     c.bench_function("mlp_train_step_b16_32x384x192x10", |b| {
         b.iter(|| {
             net.zero_grad();
-            let logits = net.forward(black_box(&x), true);
+            let logits = net.forward(black_box(&x));
             let loss = softmax_cross_entropy(&logits, &labels);
             net.backward(&loss.grad_logits);
             opt.step(&mut net, 0.01);
@@ -51,12 +51,12 @@ fn bench_gradient_proxies(c: &mut Criterion) {
         ..SynthConfig::default()
     }
     .generate();
-    let mut selector = mlp(&LAYERS, &mut Rng64::new(2));
+    let selector = mlp(&LAYERS, &mut Rng64::new(2));
     let pool: Vec<usize> = (0..train.len()).collect();
     let mut group = c.benchmark_group("gradient_proxies");
     group.sample_size(10);
     group.bench_function("4000_b16_32x384x192x10", |b| {
-        b.iter(|| black_box(gradient_proxies(&mut selector, &train, &pool, 16)))
+        b.iter(|| black_box(gradient_proxies(&selector, &train, &pool, 16)))
     });
     group.finish();
 }

@@ -122,6 +122,8 @@ struct RoundCtx<'a> {
     telemetry: &'a Telemetry,
     select_metrics: &'a SelectMetrics,
     train: &'a Dataset,
+    /// The selector's forward FLOPs per sample.
+    flops_per_sample: u64,
 }
 
 /// The ladder rung a selection round is on, which decides who computes
@@ -182,7 +184,7 @@ struct RoundOutcome {
 fn selection_round(
     ctx: &RoundCtx<'_>,
     device: &mut SsdCluster,
-    selector: &mut Network,
+    selector: &Network,
     epoch: usize,
     mut pool: Vec<usize>,
     fraction: f32,
@@ -260,7 +262,7 @@ fn selection_round(
     // scales with classes + feature_dim, not the product.
     let profile = KernelProfile {
         samples: pool.len() as u64,
-        forward_macs_per_sample: selector.flops_per_sample() / 2,
+        forward_macs_per_sample: ctx.flops_per_sample / 2,
         proxy_dim: ctx.train.classes() + selector.feature_dim(),
         chunk: chunk.unwrap_or_else(|| {
             // Without partitioning the kernel tiles at the largest class
@@ -406,6 +408,10 @@ pub struct NessaPipeline {
     device: SsdCluster,
     telemetry: Telemetry,
     history: Vec<(usize, Vec<usize>)>,
+    /// Forward FLOPs per training sample, the same for the target and the
+    /// selector (they share a structure): the GPU and FPGA cost models'
+    /// compute term.
+    flops_per_sample: u64,
 }
 
 impl NessaPipeline {
@@ -447,6 +453,7 @@ impl NessaPipeline {
         for (drive, plan) in &config.fault_plans {
             device.inject_faults(*drive, plan.clone());
         }
+        let flops_per_sample = target.flops_per_sample(&[train.dim()]);
         Self {
             config,
             target,
@@ -456,6 +463,7 @@ impl NessaPipeline {
             device,
             telemetry,
             history: Vec::new(),
+            flops_per_sample,
         }
     }
 
@@ -527,7 +535,7 @@ impl NessaPipeline {
         let mut fraction = cfg.subset_fraction;
         // Forward + backward ≈ 3× the forward cost; feeds the
         // deterministic GPU-side cost model for the overlap ledger.
-        let train_flops = 3 * self.target.flops_per_sample();
+        let train_flops = 3 * self.flops_per_sample;
         let gpu = DeviceSpec::v100();
         let loader = LoaderSpec::smartssd_p2p();
         // The round selected on the worker during the previous epoch,
@@ -544,6 +552,7 @@ impl NessaPipeline {
                 telemetry: &self.telemetry,
                 select_metrics: &select_metrics,
                 train: &self.train,
+                flops_per_sample: self.flops_per_sample,
             };
             let mut select_secs = 0.0;
             let mut io_secs = 0.0;
@@ -566,7 +575,7 @@ impl NessaPipeline {
                     let out = selection_round(
                         &ctx,
                         &mut self.device,
-                        &mut self.selector,
+                        &self.selector,
                         epoch,
                         pool_of(&tracker),
                         fraction,
@@ -604,7 +613,7 @@ impl NessaPipeline {
                     let parent = epoch_span.id();
                     let stream = &mut streams[next];
                     let device = &mut self.device;
-                    let selector = &mut self.selector;
+                    let selector = &self.selector;
                     s.spawn(move || {
                         // Parent the wrapper to the epoch span explicitly:
                         // the worker thread has no open spans of its own,
@@ -696,7 +705,7 @@ impl NessaPipeline {
             if cfg.dynamic_sizing {
                 fraction = sizer.observe(outcome.mean_loss);
             }
-            let test_acc = evaluate(&mut self.target, &self.test, cfg.batch_size);
+            let test_acc = evaluate(&self.target, &self.test, cfg.batch_size);
             let record = EpochRecord {
                 epoch,
                 lr,

@@ -123,7 +123,7 @@ fn run_cpu_policy(
         let selection = match policy {
             Policy::Goal => Selection::new(all.clone(), vec![1.0; n]),
             Policy::Craig { fraction } => {
-                let proxies = gradient_proxies(&mut net, train, &all, batch_size);
+                let proxies = gradient_proxies(&net, train, &all, batch_size);
                 select_per_class_factored(
                     &proxies.residuals,
                     &proxies.features,
@@ -142,7 +142,7 @@ fn run_cpu_policy(
             Policy::KCenters { fraction } => {
                 // Sener & Savarese select in the penultimate embedding
                 // space, not the gradient space.
-                let embeds = embeddings(&mut net, train, &all, batch_size);
+                let embeds = embeddings(&net, train, &all, batch_size);
                 let mut sel = kcenters::select_per_class(
                     &embeds,
                     train.labels(),
@@ -170,7 +170,7 @@ fn run_cpu_policy(
             &mut rng,
             None,
         );
-        let test_acc = evaluate(&mut net, test, batch_size);
+        let test_acc = evaluate(&net, test, batch_size);
         report.epochs.push(EpochRecord {
             epoch,
             lr,

@@ -44,9 +44,32 @@ impl GradientProxies {
     }
 }
 
+/// Runs `net`'s eval pass over `dataset[indices]` in chunks of
+/// `batch_size` and hands each chunk's labels, penultimate features and
+/// logits to `visit`, in index order. Rows are independent, so the chunk
+/// size never changes a result bit.
+///
+/// # Panics
+///
+/// Panics if any index is out of bounds or `batch_size == 0`.
+pub(crate) fn for_each_eval_batch(
+    net: &Network,
+    dataset: &Dataset,
+    indices: &[usize],
+    batch_size: usize,
+    mut visit: impl FnMut(&[usize], &Tensor, &Tensor),
+) {
+    assert!(batch_size > 0, "batch size must be positive");
+    for chunk in indices.chunks(batch_size) {
+        let (x, y) = dataset.batch(chunk);
+        let (feats, logits) = net.infer_with_features(&x);
+        visit(&y, &feats, &logits);
+    }
+}
+
 /// Computes last-layer gradient proxies for the given samples.
 ///
-/// Runs `selector` in eval mode over `dataset[indices]` in batches of
+/// Runs `selector`'s eval pass over `dataset[indices]` in batches of
 /// `batch_size` and returns the residual/feature factors, one row per
 /// index.
 ///
@@ -54,22 +77,18 @@ impl GradientProxies {
 ///
 /// Panics if any index is out of bounds or `batch_size == 0`.
 pub fn gradient_proxies(
-    selector: &mut Network,
+    selector: &Network,
     dataset: &Dataset,
     indices: &[usize],
     batch_size: usize,
 ) -> GradientProxies {
-    assert!(batch_size > 0, "batch size must be positive");
-    let classes = dataset.classes();
-    let mut residuals = Tensor::zeros(&[indices.len(), classes]);
+    let n = indices.len();
+    let mut residuals = Tensor::zeros(&[n, dataset.classes()]);
     let mut features: Option<Tensor> = None;
     let mut row = 0;
-    for chunk in indices.chunks(batch_size) {
-        let (x, y) = dataset.batch(chunk);
-        let (feats, logits) = selector.forward_with_features(&x, false);
-        let probs = softmax_rows(&logits);
-        let fdim = feats.dim(1);
-        let features = features.get_or_insert_with(|| Tensor::zeros(&[indices.len(), fdim]));
+    let visit = |y: &[usize], feats: &Tensor, logits: &Tensor| {
+        let probs = softmax_rows(logits);
+        let features = features.get_or_insert_with(|| Tensor::zeros(&[n, feats.dim(1)]));
         for (b, &label) in y.iter().enumerate() {
             let dst = residuals.row_mut(row);
             dst.copy_from_slice(probs.row(b));
@@ -77,7 +96,8 @@ pub fn gradient_proxies(
             features.row_mut(row).copy_from_slice(feats.row(b));
             row += 1;
         }
-    }
+    };
+    for_each_eval_batch(selector, dataset, indices, batch_size, visit);
     GradientProxies {
         residuals,
         features: features.unwrap_or_else(|| Tensor::zeros(&[0, 0])),
@@ -91,56 +111,30 @@ pub fn gradient_proxies(
 ///
 /// Panics if any index is out of bounds or `batch_size == 0`.
 pub fn embeddings(
-    model: &mut Network,
+    model: &Network,
     dataset: &Dataset,
     indices: &[usize],
     batch_size: usize,
 ) -> Tensor {
-    assert!(batch_size > 0, "batch size must be positive");
     let mut out: Option<Tensor> = None;
     let mut row = 0;
-    for chunk in indices.chunks(batch_size) {
-        let (x, _) = dataset.batch(chunk);
-        let (feats, _) = model.forward_with_features(&x, false);
-        let fdim = feats.dim(1);
-        let out = out.get_or_insert_with(|| Tensor::zeros(&[indices.len(), fdim]));
-        for b in 0..chunk.len() {
+    for_each_eval_batch(model, dataset, indices, batch_size, |_, feats, _| {
+        let out = out.get_or_insert_with(|| Tensor::zeros(&[indices.len(), feats.dim(1)]));
+        for b in 0..feats.dim(0) {
             out.row_mut(row).copy_from_slice(feats.row(b));
             row += 1;
         }
-    }
+    });
     out.unwrap_or_else(|| Tensor::zeros(&[0, 0]))
-}
-
-/// Per-sample losses under the current model, in the order of `indices`
-/// (cross-entropy, eval mode). Used by subset biasing to find learned
-/// samples without a backward pass.
-///
-/// # Panics
-///
-/// Panics if any index is out of bounds or `batch_size == 0`.
-pub fn sample_losses(
-    model: &mut Network,
-    dataset: &Dataset,
-    indices: &[usize],
-    batch_size: usize,
-) -> Vec<f32> {
-    assert!(batch_size > 0, "batch size must be positive");
-    let mut out = Vec::with_capacity(indices.len());
-    for chunk in indices.chunks(batch_size) {
-        let (x, y) = dataset.batch(chunk);
-        let logits = model.forward(&x, false);
-        let loss = nessa_nn::loss::softmax_cross_entropy(&logits, &y);
-        out.extend(loss.per_sample);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::{evaluate, train_epoch_metered};
     use nessa_data::SynthConfig;
-    use nessa_nn::models::mlp;
+    use nessa_nn::models::{mlp, small_cnn_on_flat};
+    use nessa_nn::optim::{Sgd, SgdConfig};
     use nessa_tensor::linalg::sq_dist;
     use nessa_tensor::rng::Rng64;
 
@@ -178,9 +172,9 @@ mod tests {
 
     #[test]
     fn proxies_have_expected_shapes() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..20).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 7);
+        let p = gradient_proxies(&net, &data, &idx, 7);
         assert_eq!(p.residuals.shape().dims(), &[20, 3]);
         assert_eq!(p.features.shape().dims(), &[20, 16]);
         assert_eq!(p.len(), 20);
@@ -189,9 +183,9 @@ mod tests {
 
     #[test]
     fn residual_rows_sum_to_zero() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..20).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 20);
+        let p = gradient_proxies(&net, &data, &idx, 20);
         for i in 0..20 {
             let s: f32 = p.residuals.row(i).iter().sum();
             assert!(s.abs() < 1e-5, "row {i} sums to {s}");
@@ -200,9 +194,9 @@ mod tests {
 
     #[test]
     fn flatten_outer_matches_direct_outer_product() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..5).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 2);
+        let p = gradient_proxies(&net, &data, &idx, 2);
         let flat = flatten_outer(&p);
         assert_eq!(flat.shape().dims(), &[5, 3 * 16]);
         for i in 0..5 {
@@ -219,9 +213,9 @@ mod tests {
     fn outer_distance_factorization_identity() {
         // ‖a_i⊗b_i − a_j⊗b_j‖² = ‖a_i‖²‖b_i‖² + ‖a_j‖²‖b_j‖²
         //                         − 2 (a_i·a_j)(b_i·b_j)
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..6).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 3);
+        let p = gradient_proxies(&net, &data, &idx, 3);
         let flat = flatten_outer(&p);
         for i in 0..6 {
             for j in 0..6 {
@@ -255,45 +249,42 @@ mod tests {
 
     #[test]
     fn batch_size_does_not_change_result() {
-        let (mut net, data) = setup();
-        let idx: Vec<usize> = (0..30).collect();
-        let a = flatten_outer(&gradient_proxies(&mut net, &data, &idx, 30));
-        let b = flatten_outer(&gradient_proxies(&mut net, &data, &idx, 4));
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((x - y).abs() < 1e-6);
+        // Rows are independent: every chunking of the eval pass gives the
+        // same bits, which is what lets the rows be split across threads.
+        let (mlp_net, data) = setup();
+        let mut cnn = small_cnn_on_flat((2, 2, 2), 3, 4, &mut Rng64::new(1));
+        // One training step, so batch-norm's running statistics are no
+        // longer at their defaults.
+        let first: Vec<usize> = (0..16).collect();
+        let mut opt = Sgd::new(SgdConfig::default());
+        let mut rng = Rng64::new(2);
+        train_epoch_metered(
+            &mut cnn, &mut opt, &data, &first, &[1.0; 16], 16, 0.1, &mut rng, None,
+        );
+        let mut idx: Vec<usize> = (0..45).collect();
+        rng.shuffle(&mut idx);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for net in [&mlp_net, &cnn] {
+            let whole = gradient_proxies(net, &data, &idx, idx.len());
+            let embeds = embeddings(net, &data, &idx, idx.len());
+            let acc = evaluate(net, &data, data.len());
+            for batch in [1, 16] {
+                let p = gradient_proxies(net, &data, &idx, batch);
+                assert_eq!(bits(&p.residuals), bits(&whole.residuals), "{net:?}");
+                assert_eq!(bits(&p.features), bits(&whole.features), "{net:?}");
+                let e = embeddings(net, &data, &idx, batch);
+                assert_eq!(bits(&e), bits(&embeds), "{net:?}");
+                assert_eq!(evaluate(net, &data, batch).to_bits(), acc.to_bits());
+            }
         }
     }
 
     #[test]
     fn embeddings_match_proxy_features() {
-        let (mut net, data) = setup();
+        let (net, data) = setup();
         let idx: Vec<usize> = (0..10).collect();
-        let p = gradient_proxies(&mut net, &data, &idx, 5);
-        let e = embeddings(&mut net, &data, &idx, 3);
+        let p = gradient_proxies(&net, &data, &idx, 5);
+        let e = embeddings(&net, &data, &idx, 3);
         assert_eq!(e.as_slice(), p.features.as_slice());
-    }
-
-    #[test]
-    fn losses_align_with_indices() {
-        let (mut net, data) = setup();
-        let all: Vec<usize> = (0..10).collect();
-        let losses = sample_losses(&mut net, &data, &all, 3);
-        assert_eq!(losses.len(), 10);
-        let rev: Vec<usize> = all.iter().rev().copied().collect();
-        let rev_losses = sample_losses(&mut net, &data, &rev, 3);
-        for i in 0..10 {
-            assert!((losses[i] - rev_losses[9 - i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn losses_are_positive() {
-        let (mut net, data) = setup();
-        let idx: Vec<usize> = (0..15).collect();
-        let losses = sample_losses(&mut net, &data, &idx, 5);
-        // Cross-entropy is non-negative; an untrained net can be confidently
-        // right on individual samples, where f32 rounds the loss to zero.
-        assert!(losses.iter().all(|&l| l >= 0.0 && l.is_finite()));
-        assert!(losses.iter().any(|&l| l > 0.0));
     }
 }

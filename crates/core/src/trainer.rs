@@ -1,9 +1,10 @@
 //! Shared training-loop machinery: one weighted epoch, evaluation.
 
+use crate::proxy::for_each_eval_batch;
 use nessa_data::loader::BatchPlan;
 use nessa_data::Dataset;
 use nessa_nn::loss::weighted_softmax_cross_entropy;
-use nessa_nn::metrics::accuracy;
+use nessa_nn::metrics::{accuracy, argmax_rows};
 use nessa_nn::models::Network;
 use nessa_nn::optim::Sgd;
 use nessa_telemetry::{Counter, Histogram, Telemetry};
@@ -80,7 +81,7 @@ pub fn train_epoch_metered(
         let batch_w: Vec<f32> = positions.iter().map(|&p| weights[p]).collect();
         let (x, y) = dataset.batch(&batch_idx);
         net.zero_grad();
-        let logits = net.forward(&x, true);
+        let logits = net.forward(&x);
         let out = weighted_softmax_cross_entropy(&logits, &y, &batch_w);
         net.backward(&out.grad_logits);
         opt.step(net, lr);
@@ -102,19 +103,17 @@ pub fn train_epoch_metered(
     }
 }
 
-/// Test-set accuracy (eval-mode forward, batched).
+/// Test-set accuracy (eval pass, batched).
 ///
 /// # Panics
 ///
 /// Panics if `batch_size == 0`.
-pub fn evaluate(net: &mut Network, dataset: &Dataset, batch_size: usize) -> f32 {
-    assert!(batch_size > 0, "batch size must be positive");
+pub fn evaluate(net: &Network, dataset: &Dataset, batch_size: usize) -> f32 {
     let mut preds = Vec::with_capacity(dataset.len());
     let all: Vec<usize> = (0..dataset.len()).collect();
-    for chunk in all.chunks(batch_size) {
-        let (x, _) = dataset.batch(chunk);
-        preds.extend(net.predict(&x));
-    }
+    for_each_eval_batch(net, dataset, &all, batch_size, |_, _, logits| {
+        preds.extend(argmax_rows(logits));
+    });
     accuracy(&preds, dataset.labels())
 }
 
@@ -147,7 +146,7 @@ mod tests {
         let mut opt = Sgd::new(SgdConfig::default());
         let all: Vec<usize> = (0..train.len()).collect();
         let ones = vec![1.0f32; all.len()];
-        let acc0 = evaluate(&mut net, &test, 32);
+        let acc0 = evaluate(&net, &test, 32);
         let first = train_epoch_metered(
             &mut net, &mut opt, &train, &all, &ones, 32, 0.05, &mut rng, None,
         );
@@ -157,7 +156,7 @@ mod tests {
                 &mut net, &mut opt, &train, &all, &ones, 32, 0.05, &mut rng, None,
             );
         }
-        let acc = evaluate(&mut net, &test, 32);
+        let acc = evaluate(&net, &test, 32);
         assert!(
             last.mean_loss < first.mean_loss,
             "{} !< {}",

@@ -21,7 +21,6 @@ pub struct Conv2d {
     pad: usize,
     cached_cols: Vec<Tensor>,
     cached_in_dims: Option<Vec<usize>>,
-    cached_out_hw: (usize, usize),
 }
 
 impl Conv2d {
@@ -53,7 +52,6 @@ impl Conv2d {
             pad,
             cached_cols: Vec::new(),
             cached_in_dims: None,
-            cached_out_hw: (0, 0),
         }
     }
 
@@ -131,17 +129,15 @@ impl Conv2d {
             }
         }
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    /// Convolves `x`, handing each sample's column matrix to `keep_col`.
+    fn convolve(&self, x: &Tensor, mut keep_col: impl FnMut(Tensor)) -> Tensor {
         assert_eq!(x.ndim(), 4, "Conv2d expects [n, c, h, w]");
         assert_eq!(x.dim(1), self.in_ch, "Conv2d channel mismatch");
         let (n, h, w) = (x.dim(0), x.dim(2), x.dim(3));
         let (oh, ow) = self.out_hw(h, w);
         let plane = self.in_ch * h * w;
         let mut out = Tensor::zeros(&[n, self.out_ch, oh, ow]);
-        self.cached_cols.clear();
         let bias = self.bias.value.as_slice().to_vec();
         for i in 0..n {
             let sample = &x.as_slice()[i * plane..(i + 1) * plane];
@@ -156,10 +152,23 @@ impl Layer for Conv2d {
                     *dv = sv + b;
                 }
             }
-            self.cached_cols.push(col);
+            keep_col(col);
         }
+        out
+    }
+}
+
+impl Layer for Conv2d {
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.convolve(x, drop)
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut cols = std::mem::take(&mut self.cached_cols);
+        cols.clear();
+        let out = self.convolve(x, |col| cols.push(col));
+        self.cached_cols = cols;
         self.cached_in_dims = Some(x.shape().dims().to_vec());
-        self.cached_out_hw = (oh, ow);
         out
     }
 
@@ -169,7 +178,7 @@ impl Layer for Conv2d {
             .clone()
             .expect("Conv2d::backward before forward");
         let (n, h, w) = (in_dims[0], in_dims[2], in_dims[3]);
-        let (oh, ow) = self.cached_out_hw;
+        let (oh, ow) = self.out_hw(h, w);
         assert_eq!(grad_out.shape().dims(), &[n, self.out_ch, oh, ow]);
         let mut grad_in = Tensor::zeros(&in_dims);
         let plane = self.in_ch * h * w;
@@ -204,10 +213,9 @@ impl Layer for Conv2d {
         f(&mut self.bias);
     }
 
-    fn flops_per_sample(&self) -> u64 {
-        let (oh, ow) = self.cached_out_hw;
-        let spatial = if oh == 0 { 1 } else { (oh * ow) as u64 };
-        2 * self.out_ch as u64 * (self.in_ch * self.k * self.k) as u64 * spatial
+    fn flops_per_sample(&self, x: &Tensor) -> u64 {
+        let (oh, ow) = self.out_hw(x.dim(2), x.dim(3));
+        2 * self.out_ch as u64 * (self.in_ch * self.k * self.k) as u64 * (oh * ow) as u64
     }
 
     fn name(&self) -> &'static str {
@@ -232,7 +240,7 @@ mod tests {
             }
         });
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -249,7 +257,7 @@ mod tests {
             }
         });
         let x = Tensor::ones(&[1, 1, 3, 3]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         // Centre pixel sees all 9 ones; corners see 4.
         assert_eq!(y.at(&[0, 0, 1, 1]), 9.0);
         assert_eq!(y.at(&[0, 0, 0, 0]), 4.0);
@@ -261,7 +269,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let mut conv = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
         let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut rng);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.shape().dims(), &[2, 3, 4, 4]);
     }
 
@@ -270,7 +278,7 @@ mod tests {
         let mut rng = Rng64::new(2);
         let mut conv = Conv2d::new(2, 2, 3, 1, 1, &mut rng);
         let x = Tensor::randn(&[1, 2, 4, 4], 0.0, 1.0, &mut rng);
-        check_input_gradient(&mut conv, &x, 2e-2, true);
+        check_input_gradient(&mut conv, &x, 2e-2);
     }
 
     #[test]
@@ -278,7 +286,7 @@ mod tests {
         let mut rng = Rng64::new(3);
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng);
         let x = Tensor::randn(&[1, 1, 4, 4], 0.0, 1.0, &mut rng);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         let _ = conv.backward(&Tensor::ones(y.shape().dims()));
         let mut analytic = Vec::new();
         conv.visit_params(&mut |p: &mut Param| analytic.push(p.grad.clone()));
@@ -292,9 +300,9 @@ mod tests {
                 });
             };
             perturb(eps, &mut conv);
-            let fp = conv.forward(&x, true).sum();
+            let fp = conv.forward(&x).sum();
             perturb(-2.0 * eps, &mut conv);
-            let fm = conv.forward(&x, true).sum();
+            let fm = conv.forward(&x).sum();
             perturb(eps, &mut conv);
             let num = (fp - fm) / (2.0 * eps);
             let ana = analytic[0].as_slice()[wi];
@@ -319,12 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn flops_counted_after_forward() {
+    fn flops_follow_the_input_shape() {
         let mut rng = Rng64::new(5);
-        let mut conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
-        let x = Tensor::randn(&[1, 3, 8, 8], 0.0, 1.0, &mut rng);
-        let _ = conv.forward(&x, true);
-        // 2 * 8 * 27 * 64
-        assert_eq!(conv.flops_per_sample(), 2 * 8 * 27 * 64);
+        let conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
+        // 2 · out_ch · (in_ch · k²) · (oh · ow)
+        let x = Tensor::zeros(&[1, 3, 8, 8]);
+        assert_eq!(conv.flops_per_sample(&x), 2 * 8 * 27 * 64);
+        let x = Tensor::zeros(&[1, 3, 4, 4]);
+        assert_eq!(conv.flops_per_sample(&x), 2 * 8 * 27 * 16);
     }
 }

@@ -1,19 +1,18 @@
 //! Layers with explicit forward/backward passes.
 //!
-//! Every layer caches whatever it needs during a training
-//! [`Layer::forward`] and consumes that cache in [`Layer::backward`];
-//! gradients accumulate into [`Param::grad`] and are consumed by the
-//! optimizer.
+//! Every layer has two passes. [`Layer::infer`] is the eval pass: it
+//! borrows the layer shared and writes nothing, so one network can serve
+//! several readers at once. [`Layer::forward`] is the training pass: it
+//! caches whatever [`Layer::backward`] consumes; gradients accumulate into
+//! [`Param::grad`] and are consumed by the optimizer.
 
-mod bottleneck;
 mod conv;
 mod norm;
 mod pool;
 
-pub use bottleneck::Bottleneck;
 pub use conv::Conv2d;
 pub use norm::{BatchNorm1d, BatchNorm2d};
-pub use pool::{GlobalAvgPool, MaxPool2};
+pub use pool::GlobalAvgPool;
 
 use nessa_tensor::ops::{add_bias_rows, relu, sum_axis0};
 use nessa_tensor::rng::Rng64;
@@ -46,19 +45,23 @@ impl Param {
 
 /// A differentiable network layer.
 ///
-/// Layers are stateful: a training `forward` caches activations, `backward`
+/// A training [`Layer::forward`] caches activations; [`Layer::backward`]
 /// must be called with the gradient of the loss w.r.t. the layer's output
-/// *after* the corresponding training `forward`, and returns the gradient
-/// w.r.t. the input.
-pub trait Layer: Send {
-    /// Runs the layer on a batch. `train` selects training behaviour
-    /// (e.g. batch statistics in batch-norm).
-    ///
-    /// The `Send` supertrait lets a whole [`crate::models::Network`]
-    /// move to a worker thread (layers are plain tensors), which the
-    /// overlapped pipeline relies on to run selection concurrently with
-    /// training.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+/// *after* that forward, and returns the gradient w.r.t. the input.
+/// [`Layer::infer`] computes the same function in eval mode (batch-norm
+/// reads its running statistics) and touches no state.
+///
+/// The `Send + Sync` supertraits let a whole [`crate::models::Network`]
+/// move to, or be shared with, worker threads (layers are plain tensors):
+/// the overlapped pipeline runs selection on a shared borrow of the
+/// selector while training runs.
+pub trait Layer: Send + Sync {
+    /// Eval pass over a batch.
+    fn infer(&self, x: &Tensor) -> Tensor;
+
+    /// Training pass over a batch: batch statistics where the layer has
+    /// them, and caches what [`Layer::backward`] needs.
+    fn forward(&mut self, x: &Tensor) -> Tensor;
 
     /// Back-propagates `grad_out` (gradient w.r.t. this layer's output),
     /// accumulating parameter gradients, and returns the gradient w.r.t.
@@ -90,9 +93,10 @@ pub trait Layer: Send {
         None
     }
 
-    /// Multiply-accumulate-dominated FLOPs per input sample for the forward
-    /// pass (backward is modelled as 2× forward, as is conventional).
-    fn flops_per_sample(&self) -> u64 {
+    /// Multiply-accumulate-dominated forward FLOPs per sample of `x`, a
+    /// batch shaped like this layer's input (backward is modelled as 2×
+    /// forward, as is conventional).
+    fn flops_per_sample(&self, _x: &Tensor) -> u64 {
         0
     }
 
@@ -107,8 +111,8 @@ pub trait Layer: Send {
 /// every product reads it in that layout: the forward pass runs the
 /// register-tiled [`Tensor::matmul_transb`], so each output is the
 /// in-order dot of an input row with a weight row, and no transposed copy
-/// exists to go stale. Training forwards cache the input for the backward
-/// pass; eval forwards keep nothing.
+/// exists to go stale. The training forward caches the input for the
+/// backward pass.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param,
@@ -151,21 +155,24 @@ impl Linear {
         let x = self
             .cached_input
             .as_ref()
-            .expect("Linear::backward before a training forward");
+            .expect("Linear::backward before forward");
         self.weight.grad += &grad_out.matmul_transa(x);
         self.bias.grad += &sum_axis0(grad_out);
     }
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear expects a 2-D batch");
         assert_eq!(x.dim(1), self.in_features, "Linear input width mismatch");
         let mut y = x.matmul_transb(&self.weight.value);
         add_bias_rows(&mut y, &self.bias.value);
-        if train {
-            self.cached_input = Some(x.clone());
-        }
+        y
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.infer(x);
+        self.cached_input = Some(x.clone());
         y
     }
 
@@ -188,7 +195,7 @@ impl Layer for Linear {
         Some(self.in_features)
     }
 
-    fn flops_per_sample(&self) -> u64 {
+    fn flops_per_sample(&self, _x: &Tensor) -> u64 {
         2 * self.in_features as u64 * self.out_features as u64
     }
 
@@ -211,10 +218,12 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(x.clone());
-        }
+    fn infer(&self, x: &Tensor) -> Tensor {
+        relu(x)
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.cached_input = Some(x.clone());
         relu(x)
     }
 
@@ -222,7 +231,7 @@ impl Layer for Relu {
         let x = self
             .cached_input
             .as_ref()
-            .expect("Relu::backward before a training forward");
+            .expect("Relu::backward before forward");
         assert_eq!(x.shape(), grad_out.shape(), "relu gradient shape mismatch");
         // Multiply by the 1/0 mask rather than select, so a negative
         // gradient through a dead unit stays `-0.0`.
@@ -263,7 +272,7 @@ impl ToImage {
 }
 
 impl Layer for ToImage {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 2, "ToImage expects flat [n, d] rows");
         assert_eq!(
             x.dim(1),
@@ -277,6 +286,10 @@ impl Layer for ToImage {
         x.reshape(&[x.dim(0), self.c, self.h, self.w])
     }
 
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.infer(x)
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let n = grad_out.dim(0);
         grad_out.reshape(&[n, self.c * self.h * self.w])
@@ -287,49 +300,14 @@ impl Layer for ToImage {
     }
 }
 
-/// Reshapes `[n, c, h, w]` activations into `[n, c*h*w]` rows.
-#[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    cached_dims: Option<Vec<usize>>,
-}
-
-impl Flatten {
-    /// Creates a flatten layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert!(x.ndim() >= 2, "Flatten expects a batched tensor");
-        let n = x.dim(0);
-        let rest: usize = x.shape().dims()[1..].iter().product();
-        self.cached_dims = Some(x.shape().dims().to_vec());
-        x.reshape(&[n, rest])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .expect("Flatten::backward before forward");
-        grad_out.reshape(dims)
-    }
-
-    fn name(&self) -> &'static str {
-        "flatten"
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
 
     /// Finite-difference check of a layer's input gradient on a small batch.
-    pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor, tol: f32, train: bool) {
+    pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
         // Scalar loss: sum of outputs. dL/dy = ones.
-        let y = layer.forward(x, train);
+        let y = layer.forward(x);
         let gin = layer.backward(&Tensor::ones(y.shape().dims()));
         let eps = 1e-3;
         for i in 0..x.numel().min(24) {
@@ -337,8 +315,8 @@ pub(crate) mod testutil {
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let fp = layer.forward(&xp, train).sum();
-            let fm = layer.forward(&xm, train).sum();
+            let fp = layer.forward(&xp).sum();
+            let fm = layer.forward(&xm).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = gin.as_slice()[i];
             assert!(
@@ -366,7 +344,7 @@ mod tests {
             }
         });
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-        let y = l.forward(&x, true);
+        let y = l.forward(&x);
         assert_eq!(y.as_slice(), &[3.5, 6.5]);
     }
 
@@ -375,7 +353,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let mut l = Linear::new(3, 4, &mut rng);
         let x = Tensor::randn(&[2, 3], 0.0, 1.0, &mut rng);
-        testutil::check_input_gradient(&mut l, &x, 1e-2, true);
+        testutil::check_input_gradient(&mut l, &x, 1e-2);
     }
 
     #[test]
@@ -383,10 +361,10 @@ mod tests {
         let mut rng = Rng64::new(2);
         let mut l = Linear::new(2, 2, &mut rng);
         let x = Tensor::ones(&[1, 2]);
-        let _ = l.forward(&x, true);
+        let _ = l.forward(&x);
         let g = Tensor::ones(&[1, 2]);
         let _ = l.backward(&g);
-        let _ = l.forward(&x, true);
+        let _ = l.forward(&x);
         let _ = l.backward(&g);
         let mut grads = Vec::new();
         l.visit_params(&mut |p: &mut Param| grads.push(p.grad.clone()));
@@ -407,14 +385,14 @@ mod tests {
                 v
             }
         });
-        testutil::check_input_gradient(&mut l, &x, 1e-2, true);
+        testutil::check_input_gradient(&mut l, &x, 1e-2);
     }
 
     #[test]
     fn to_image_round_trip() {
         let mut l = ToImage::new(3, 2, 2);
         let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 12]);
-        let y = l.forward(&x, true);
+        let y = l.forward(&x);
         assert_eq!(y.shape().dims(), &[2, 3, 2, 2]);
         let back = l.backward(&y);
         assert_eq!(back.shape().dims(), &[2, 12]);
@@ -424,19 +402,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not factor")]
     fn to_image_rejects_bad_dims() {
-        let mut l = ToImage::new(3, 2, 2);
-        let _ = l.forward(&Tensor::zeros(&[1, 10]), true);
-    }
-
-    #[test]
-    fn flatten_round_trip() {
-        let mut l = Flatten::new();
-        let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 2, 2]);
-        let y = l.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[2, 12]);
-        let back = l.backward(&y);
-        assert_eq!(back.shape().dims(), &[2, 3, 2, 2]);
-        assert_eq!(back.as_slice(), x.as_slice());
+        let l = ToImage::new(3, 2, 2);
+        let _ = l.infer(&Tensor::zeros(&[1, 10]));
     }
 
     #[test]
@@ -451,6 +418,6 @@ mod tests {
     fn linear_flops() {
         let mut rng = Rng64::new(4);
         let l = Linear::new(10, 20, &mut rng);
-        assert_eq!(l.flops_per_sample(), 400);
+        assert_eq!(l.flops_per_sample(&Tensor::zeros(&[1, 10])), 400);
     }
 }

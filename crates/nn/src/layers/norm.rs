@@ -9,22 +9,43 @@ const MOMENTUM: f32 = 0.1;
 /// Batch normalization over the feature axis of `[n, f]` activations.
 #[derive(Debug, Clone)]
 pub struct BatchNorm1d {
-    gamma: Param,
-    beta: Param,
-    running_mean: Vec<f32>,
-    running_var: Vec<f32>,
-    features: usize,
-    cache: Option<BnCache>,
+    norm: Norm,
 }
 
 /// Batch normalization over the channel axis of `[n, c, h, w]` activations.
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
+    norm: Norm,
+}
+
+impl BatchNorm1d {
+    /// Creates a batch-norm layer for `features`-wide rows.
+    pub fn new(features: usize) -> Self {
+        Self {
+            norm: Norm::new(features, 2),
+        }
+    }
+}
+
+impl BatchNorm2d {
+    /// Creates a batch-norm layer for `channels`-channel feature maps.
+    pub fn new(channels: usize) -> Self {
+        Self {
+            norm: Norm::new(channels, 4),
+        }
+    }
+}
+
+/// What both batch-norm layers share: one scale, shift and pair of running
+/// statistics per group (a feature or a channel, axis 1 of the input).
+#[derive(Debug, Clone)]
+struct Norm {
     gamma: Param,
     beta: Param,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    channels: usize,
+    /// Rank of the inputs this layer accepts.
+    ndim: usize,
     cache: Option<BnCache>,
 }
 
@@ -39,51 +60,74 @@ struct BnCache {
     in_dims: Vec<usize>,
 }
 
-impl BatchNorm1d {
-    /// Creates a batch-norm layer for `features`-wide rows.
-    pub fn new(features: usize) -> Self {
+/// Maps a flat element index of a `dims`-shaped tensor to its group
+/// (its index along axis 1).
+fn group_fn(dims: &[usize]) -> impl Fn(usize) -> usize + Copy {
+    let groups = dims[1];
+    let inner: usize = dims[2..].iter().product();
+    move |i| (i / inner) % groups
+}
+
+fn inv_std(var: &[f32]) -> Vec<f32> {
+    var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect()
+}
+
+impl Norm {
+    fn new(groups: usize, ndim: usize) -> Self {
         Self {
-            gamma: Param::new(Tensor::ones(&[features]), false),
-            beta: Param::new(Tensor::zeros(&[features]), false),
-            running_mean: vec![0.0; features],
-            running_var: vec![1.0; features],
-            features,
+            gamma: Param::new(Tensor::ones(&[groups]), false),
+            beta: Param::new(Tensor::zeros(&[groups]), false),
+            running_mean: vec![0.0; groups],
+            running_var: vec![1.0; groups],
+            ndim,
             cache: None,
         }
     }
-}
 
-impl BatchNorm2d {
-    /// Creates a batch-norm layer for `channels`-channel feature maps.
-    pub fn new(channels: usize) -> Self {
-        Self {
-            gamma: Param::new(Tensor::ones(&[channels]), false),
-            beta: Param::new(Tensor::zeros(&[channels]), false),
-            running_mean: vec![0.0; channels],
-            running_var: vec![1.0; channels],
-            channels,
-            cache: None,
-        }
+    fn check(&self, x: &Tensor) {
+        assert_eq!(x.ndim(), self.ndim, "batch-norm input rank mismatch");
+        assert_eq!(
+            x.dim(1),
+            self.running_mean.len(),
+            "batch-norm channel mismatch"
+        );
     }
-}
 
-/// Shared forward: normalizes `groups` interleaved as described by
-/// `group_of`, which maps a flat element index to its channel/feature.
-#[allow(clippy::too_many_arguments)]
-fn bn_forward(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    running_mean: &mut [f32],
-    running_var: &mut [f32],
-    groups: usize,
-    group_of: impl Fn(usize) -> usize,
-    train: bool,
-    cache: &mut Option<BnCache>,
-) -> Tensor {
-    let n_elems = x.numel();
-    let group_size = n_elems / groups;
-    let (mean, var) = if train {
+    /// `x̂ = (x − mean) · inv_std`, per group.
+    fn normalize(x: &Tensor, mean: &[f32], inv_std: &[f32]) -> Tensor {
+        let group_of = group_fn(x.shape().dims());
+        let x_hat = x.as_slice().iter().enumerate().map(|(i, &v)| {
+            let g = group_of(i);
+            (v - mean[g]) * inv_std[g]
+        });
+        Tensor::from_vec(x_hat.collect(), x.shape().dims())
+    }
+
+    /// `γ · x̂ + β`, per group.
+    fn affine(&self, x_hat: &Tensor) -> Tensor {
+        let group_of = group_fn(x_hat.shape().dims());
+        let (gs, bs) = (self.gamma.value.as_slice(), self.beta.value.as_slice());
+        let out = x_hat.as_slice().iter().enumerate().map(|(i, &xh)| {
+            let g = group_of(i);
+            gs[g] * xh + bs[g]
+        });
+        Tensor::from_vec(out.collect(), x_hat.shape().dims())
+    }
+
+    /// Eval pass: normalizes with the running statistics.
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.check(x);
+        let x_hat = Self::normalize(x, &self.running_mean, &inv_std(&self.running_var));
+        self.affine(&x_hat)
+    }
+
+    /// Training pass: normalizes with the batch statistics, folds them
+    /// into the running ones and caches x̂ for the backward pass.
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.check(x);
+        let groups = self.running_mean.len();
+        let group_of = group_fn(x.shape().dims());
+        let group_size = x.numel() / groups;
         let mut mean = vec![0.0f32; groups];
         let mut var = vec![0.0f32; groups];
         for (i, &v) in x.as_slice().iter().enumerate() {
@@ -101,111 +145,79 @@ fn bn_forward(
             *v /= group_size as f32;
         }
         for g in 0..groups {
-            running_mean[g] = (1.0 - MOMENTUM) * running_mean[g] + MOMENTUM * mean[g];
-            running_var[g] = (1.0 - MOMENTUM) * running_var[g] + MOMENTUM * var[g];
+            self.running_mean[g] = (1.0 - MOMENTUM) * self.running_mean[g] + MOMENTUM * mean[g];
+            self.running_var[g] = (1.0 - MOMENTUM) * self.running_var[g] + MOMENTUM * var[g];
         }
-        (mean, var)
-    } else {
-        (running_mean.to_vec(), running_var.to_vec())
-    };
-    let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-    let mut x_hat = Tensor::zeros(x.shape().dims());
-    let mut out = Tensor::zeros(x.shape().dims());
-    let (gs, bs) = (gamma.as_slice(), beta.as_slice());
-    for (i, &v) in x.as_slice().iter().enumerate() {
-        let g = group_of(i);
-        let xh = (v - mean[g]) * inv_std[g];
-        x_hat.as_mut_slice()[i] = xh;
-        out.as_mut_slice()[i] = gs[g] * xh + bs[g];
-    }
-    if train {
-        *cache = Some(BnCache {
+        let inv_std = inv_std(&var);
+        let x_hat = Self::normalize(x, &mean, &inv_std);
+        let out = self.affine(&x_hat);
+        self.cache = Some(BnCache {
             x_hat,
             inv_std,
             group_size,
             in_dims: x.shape().dims().to_vec(),
         });
-    }
-    out
-}
-
-/// Shared backward using the cached normalized activations.
-fn bn_backward(
-    grad_out: &Tensor,
-    gamma: &Tensor,
-    gamma_grad: &mut Tensor,
-    beta_grad: &mut Tensor,
-    groups: usize,
-    group_of: impl Fn(usize) -> usize,
-    cache: &BnCache,
-) -> Tensor {
-    assert_eq!(
-        grad_out.shape().dims(),
-        cache.in_dims.as_slice(),
-        "batch-norm backward shape mismatch"
-    );
-    let m = cache.group_size as f32;
-    // Accumulate per-group sums: sum(dy), sum(dy * x̂).
-    let mut sum_dy = vec![0.0f32; groups];
-    let mut sum_dy_xhat = vec![0.0f32; groups];
-    for (i, &dy) in grad_out.as_slice().iter().enumerate() {
-        let g = group_of(i);
-        sum_dy[g] += dy;
-        sum_dy_xhat[g] += dy * cache.x_hat.as_slice()[i];
-    }
-    for g in 0..groups {
-        gamma_grad.as_mut_slice()[g] += sum_dy_xhat[g];
-        beta_grad.as_mut_slice()[g] += sum_dy[g];
-    }
-    let gs = gamma.as_slice();
-    let mut grad_in = Tensor::zeros(&cache.in_dims);
-    for (i, &dy) in grad_out.as_slice().iter().enumerate() {
-        let g = group_of(i);
-        let xh = cache.x_hat.as_slice()[i];
-        grad_in.as_mut_slice()[i] =
-            gs[g] * cache.inv_std[g] / m * (m * dy - sum_dy[g] - xh * sum_dy_xhat[g]);
-    }
-    grad_in
-}
-
-impl Layer for BatchNorm1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 2, "BatchNorm1d expects [n, f]");
-        assert_eq!(x.dim(1), self.features, "BatchNorm1d width mismatch");
-        let f = self.features;
-        bn_forward(
-            x,
-            &self.gamma.value,
-            &self.beta.value,
-            &mut self.running_mean,
-            &mut self.running_var,
-            f,
-            |i| i % f,
-            train,
-            &mut self.cache,
-        )
+        out
     }
 
+    /// Backward pass from the cached normalized activations.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self
             .cache
             .as_ref()
-            .expect("BatchNorm1d::backward before forward");
-        let f = self.features;
-        bn_backward(
-            grad_out,
-            &self.gamma.value,
-            &mut self.gamma.grad,
-            &mut self.beta.grad,
-            f,
-            |i| i % f,
-            cache,
-        )
+            .expect("batch-norm backward before forward");
+        assert_eq!(
+            grad_out.shape().dims(),
+            cache.in_dims.as_slice(),
+            "batch-norm backward shape mismatch"
+        );
+        let groups = self.running_mean.len();
+        let group_of = group_fn(&cache.in_dims);
+        let m = cache.group_size as f32;
+        // Accumulate per-group sums: sum(dy), sum(dy * x̂).
+        let mut sum_dy = vec![0.0f32; groups];
+        let mut sum_dy_xhat = vec![0.0f32; groups];
+        for (i, &dy) in grad_out.as_slice().iter().enumerate() {
+            let g = group_of(i);
+            sum_dy[g] += dy;
+            sum_dy_xhat[g] += dy * cache.x_hat.as_slice()[i];
+        }
+        for g in 0..groups {
+            self.gamma.grad.as_mut_slice()[g] += sum_dy_xhat[g];
+            self.beta.grad.as_mut_slice()[g] += sum_dy[g];
+        }
+        let gs = self.gamma.value.as_slice();
+        let mut grad_in = Tensor::zeros(&cache.in_dims);
+        for (i, &dy) in grad_out.as_slice().iter().enumerate() {
+            let g = group_of(i);
+            let xh = cache.x_hat.as_slice()[i];
+            grad_in.as_mut_slice()[i] =
+                gs[g] * cache.inv_std[g] / m * (m * dy - sum_dy[g] - xh * sum_dy_xhat[g]);
+        }
+        grad_in
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.gamma);
         f(&mut self.beta);
+    }
+}
+
+impl Layer for BatchNorm1d {
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.norm.infer(x)
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.norm.forward(x)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.norm.backward(grad_out)
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.norm.visit_params(f);
     }
 
     fn name(&self) -> &'static str {
@@ -214,45 +226,20 @@ impl Layer for BatchNorm1d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 4, "BatchNorm2d expects [n, c, h, w]");
-        assert_eq!(x.dim(1), self.channels, "BatchNorm2d channel mismatch");
-        let c = self.channels;
-        let hw = x.dim(2) * x.dim(3);
-        bn_forward(
-            x,
-            &self.gamma.value,
-            &self.beta.value,
-            &mut self.running_mean,
-            &mut self.running_var,
-            c,
-            move |i| (i / hw) % c,
-            train,
-            &mut self.cache,
-        )
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.norm.infer(x)
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.norm.forward(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("BatchNorm2d::backward before forward");
-        let c = self.channels;
-        let hw = cache.in_dims[2] * cache.in_dims[3];
-        bn_backward(
-            grad_out,
-            &self.gamma.value,
-            &mut self.gamma.grad,
-            &mut self.beta.grad,
-            c,
-            move |i| (i / hw) % c,
-            cache,
-        )
+        self.norm.backward(grad_out)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.gamma);
-        f(&mut self.beta);
+        self.norm.visit_params(f);
     }
 
     fn name(&self) -> &'static str {
@@ -270,7 +257,7 @@ mod tests {
         let mut rng = Rng64::new(0);
         let mut bn = BatchNorm1d::new(3);
         let x = Tensor::randn(&[64, 3], 5.0, 2.0, &mut rng);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         for f in 0..3 {
             let col: Vec<f32> = (0..64).map(|i| y.at(&[i, f])).collect();
             let mean: f32 = col.iter().sum::<f32>() / 64.0;
@@ -285,7 +272,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let mut bn = BatchNorm2d::new(2);
         let x = Tensor::randn(&[8, 2, 4, 4], -3.0, 4.0, &mut rng);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         for c in 0..2 {
             let mut vals = Vec::new();
             for n in 0..8 {
@@ -307,10 +294,10 @@ mod tests {
         // Warm up the running statistics.
         for _ in 0..200 {
             let x = Tensor::randn(&[32, 2], 10.0, 1.0, &mut rng);
-            let _ = bn.forward(&x, true);
+            let _ = bn.forward(&x);
         }
         let x = Tensor::full(&[4, 2], 10.0);
-        let y = bn.forward(&x, false);
+        let y = bn.infer(&x);
         // Inputs at the running mean should normalize to ~0 (γ=1, β=0).
         assert!(y.as_slice().iter().all(|&v| v.abs() < 0.2), "{y:?}");
     }
@@ -322,7 +309,7 @@ mod tests {
         let x = Tensor::randn(&[5, 2], 0.0, 1.0, &mut rng);
         // Loss = sum(y^2)/2 so the gradient actually depends on x (plain sum
         // is killed by mean subtraction).
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         let gin = bn.backward(&y);
         let eps = 1e-3;
         for i in 0..x.numel() {
@@ -330,8 +317,8 @@ mod tests {
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let fp = bn.forward(&xp, true).map(|v| v * v * 0.5).sum();
-            let fm = bn.forward(&xm, true).map(|v| v * v * 0.5).sum();
+            let fp = bn.forward(&xp).map(|v| v * v * 0.5).sum();
+            let fm = bn.forward(&xm).map(|v| v * v * 0.5).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = gin.as_slice()[i];
             assert!(

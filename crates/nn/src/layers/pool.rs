@@ -3,77 +3,6 @@
 use super::Layer;
 use nessa_tensor::Tensor;
 
-/// 2×2 max pooling with stride 2 over `[n, c, h, w]` activations.
-///
-/// Odd trailing rows/columns are dropped (floor semantics), matching the
-/// usual framework behaviour.
-#[derive(Debug, Clone, Default)]
-pub struct MaxPool2 {
-    /// Flat index (into the input) of each pooled maximum.
-    cached_argmax: Vec<usize>,
-    cached_in_dims: Option<Vec<usize>>,
-}
-
-impl MaxPool2 {
-    /// Creates a 2×2/stride-2 max-pool layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for MaxPool2 {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 4, "MaxPool2 expects [n, c, h, w]");
-        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        let (oh, ow) = (h / 2, w / 2);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        self.cached_argmax = vec![0; n * c * oh * ow];
-        let data = x.as_slice();
-        let mut oi = 0;
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let idx = base + (oy * 2 + dy) * w + ox * 2 + dx;
-                                if data[idx] > best {
-                                    best = data[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out.as_mut_slice()[oi] = best;
-                        self.cached_argmax[oi] = best_idx;
-                        oi += 1;
-                    }
-                }
-            }
-        }
-        self.cached_in_dims = Some(x.shape().dims().to_vec());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dims = self
-            .cached_in_dims
-            .as_ref()
-            .expect("MaxPool2::backward before forward");
-        let mut grad_in = Tensor::zeros(dims);
-        for (oi, &src) in self.cached_argmax.iter().enumerate() {
-            grad_in.as_mut_slice()[src] += grad_out.as_slice()[oi];
-        }
-        grad_in
-    }
-
-    fn name(&self) -> &'static str {
-        "maxpool2"
-    }
-}
-
 /// Global average pooling: `[n, c, h, w]` → `[n, c]`.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
@@ -88,7 +17,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 4, "GlobalAvgPool expects [n, c, h, w]");
         let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
         let hw = (h * w) as f32;
@@ -100,6 +29,11 @@ impl Layer for GlobalAvgPool {
                 out.as_mut_slice()[ni * c + ci] = s / hw;
             }
         }
+        out
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let out = self.infer(x);
         self.cached_in_dims = Some(x.shape().dims().to_vec());
         out
     }
@@ -132,48 +66,12 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nessa_tensor::rng::Rng64;
-
-    #[test]
-    fn maxpool_selects_maxima() {
-        let mut p = MaxPool2::new();
-        let x = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 3.0, 4.0, //
-                5.0, 6.0, 7.0, 8.0, //
-                9.0, 10.0, 11.0, 12.0, //
-                13.0, 14.0, 15.0, 16.0,
-            ],
-            &[1, 1, 4, 4],
-        );
-        let y = p.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
-        assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn maxpool_backward_routes_to_argmax() {
-        let mut p = MaxPool2::new();
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let _ = p.forward(&x, true);
-        let g = p.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
-        assert_eq!(g.as_slice(), &[0.0, 0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn maxpool_drops_odd_edges() {
-        let mut rng = Rng64::new(0);
-        let mut p = MaxPool2::new();
-        let x = Tensor::randn(&[1, 1, 5, 5], 0.0, 1.0, &mut rng);
-        let y = p.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
-    }
 
     #[test]
     fn gap_averages() {
         let mut p = GlobalAvgPool::new();
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]);
-        let y = p.forward(&x, true);
+        let y = p.forward(&x);
         assert_eq!(y.as_slice(), &[4.0]);
     }
 
@@ -181,7 +79,7 @@ mod tests {
     fn gap_backward_spreads_gradient() {
         let mut p = GlobalAvgPool::new();
         let x = Tensor::ones(&[1, 2, 2, 2]);
-        let _ = p.forward(&x, true);
+        let _ = p.forward(&x);
         let g = p.backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 2]));
         assert_eq!(g.as_slice(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }

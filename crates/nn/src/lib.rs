@@ -5,15 +5,17 @@
 //! 160 of 200 epochs, batch 128). This crate provides everything needed to
 //! run that loop on a CPU at reproduction scale:
 //!
-//! * layers with explicit forward/backward ([`layers`]),
-//! * residual networks and MLP builders ([`models`]),
+//! * layers with a shared-borrow eval pass and an explicit training
+//!   forward/backward ([`layers`]),
+//! * the MLP and small-CNN builders ([`models`]),
 //! * softmax cross-entropy with per-sample losses ([`loss`]) — the
 //!   per-sample losses feed NeSSA's subset-biasing optimization,
 //! * SGD with Nesterov momentum, weight decay and multi-step schedules
 //!   ([`optim`]),
 //! * accuracy metrics ([`metrics`]),
 //! * FLOP accounting ([`flops`]) and an analytic GPU cost model ([`cost`])
-//!   that stand in for the paper's V100/A100 wall-clock measurements,
+//!   that stand in for the paper's ResNets and its V100/A100 wall-clock
+//!   measurements,
 //! * the model zoo behind the paper's Figure 1 ([`zoo`]).
 //!
 //! # Example
@@ -29,10 +31,12 @@
 //! let x = Tensor::randn(&[8, 4], 0.0, 1.0, &mut rng);
 //! let y = vec![0usize, 1, 2, 0, 1, 2, 0, 1];
 //! let mut opt = Sgd::new(SgdConfig::default());
-//! let logits = net.forward(&x, true);
+//! let logits = net.forward(&x);
 //! let out = softmax_cross_entropy(&logits, &y);
 //! net.backward(&out.grad_logits);
 //! opt.step(&mut net, 0.1);
+//! let predictions = net.predict(&x); // eval pass, `&net`
+//! assert_eq!(predictions.len(), 8);
 //! ```
 
 #![forbid(unsafe_code)]

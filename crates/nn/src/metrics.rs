@@ -1,5 +1,25 @@
 //! Classification metrics.
 
+use nessa_tensor::Tensor;
+
+/// Index of each row's largest logit (the first on ties): the predicted
+/// class of every sample in a `[n, classes]` batch.
+pub fn argmax_rows(logits: &Tensor) -> Vec<usize> {
+    let (n, c) = (logits.dim(0), logits.dim(1));
+    (0..n)
+        .map(|i| {
+            let row = logits.row(i);
+            let mut best = 0;
+            for j in 1..c {
+                if row[j] > row[best] {
+                    best = j;
+                }
+            }
+            best
+        })
+        .collect()
+}
+
 /// Fraction of predictions equal to the labels (`0.0` when empty).
 ///
 /// # Panics

@@ -1,16 +1,16 @@
-//! Networks: a sequential container, residual blocks, and the model
-//! builders used by the paper (ResNet-20/18/50-style nets and MLPs).
+//! Networks: a sequential container and the builders for the models this
+//! reproduction trains (MLPs and a small CNN over flat rows). The paper's
+//! ResNet costs come from the analytic models in [`crate::flops`].
 
-use crate::layers::{
-    BatchNorm2d, Bottleneck, Conv2d, GlobalAvgPool, Layer, Linear, Param, Relu, ToImage,
-};
+use crate::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, Param, Relu, ToImage};
+use crate::metrics::argmax_rows;
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 
 /// A feed-forward network: an ordered stack of [`Layer`]s.
 ///
 /// The last layer of every classifier built in this crate is a [`Linear`]
-/// head, which lets [`Network::forward_with_features`] expose the
+/// head, which lets [`Network::infer_with_features`] expose the
 /// penultimate activations — the feature vectors from which NeSSA's
 /// selection model computes its gradient proxies.
 pub struct Network {
@@ -40,7 +40,7 @@ impl Network {
         self
     }
 
-    /// The network's name (e.g. `"resnet20"`).
+    /// The network's name (e.g. `"small_cnn_on_flat"`).
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -55,22 +55,33 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Full forward pass.
-    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        forward_through(&mut self.layers, x, train)
+    /// Eval pass over a batch: batch-norm uses its running statistics and
+    /// no layer writes any state.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        infer_through(&self.layers, x)
     }
 
-    /// Forward pass that also returns the penultimate activations
-    /// (the input to the final layer).
+    /// Training pass over a batch: every layer caches what
+    /// [`Network::backward`] needs.
+    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut h: Option<Tensor> = None;
+        for layer in &mut self.layers {
+            h = Some(layer.forward(h.as_ref().unwrap_or(x)));
+        }
+        h.unwrap_or_else(|| x.clone())
+    }
+
+    /// Eval pass that also returns the penultimate activations (the input
+    /// to the final layer).
     ///
     /// Returns `(features, logits)`.
-    pub fn forward_with_features(&mut self, x: &Tensor, train: bool) -> (Tensor, Tensor) {
+    pub fn infer_with_features(&self, x: &Tensor) -> (Tensor, Tensor) {
         let (head, body) = self
             .layers
-            .split_last_mut()
-            .expect("forward_with_features on an empty network");
-        let features = forward_through(body, x, train);
-        let logits = head.forward(&features, train);
+            .split_last()
+            .expect("infer_with_features on an empty network");
+        let features = infer_through(body, x);
+        let logits = head.infer(&features);
         (features, logits)
     }
 
@@ -108,15 +119,23 @@ impl Network {
         n
     }
 
-    /// Forward FLOPs per sample summed over layers (conv layers report their
-    /// spatial extent only after a first forward pass).
-    pub fn flops_per_sample(&self) -> u64 {
-        self.layers.iter().map(|l| l.flops_per_sample()).sum()
+    /// Forward FLOPs per sample summed over layers, for samples shaped
+    /// `sample_dims` (`&[d]` for flat rows). Threads the shape through one
+    /// single-sample [`Network::infer`], so each layer counts from the
+    /// input it receives.
+    pub fn flops_per_sample(&self, sample_dims: &[usize]) -> u64 {
+        let mut h = Tensor::zeros(&[&[1], sample_dims].concat());
+        let mut flops = 0;
+        for layer in &self.layers {
+            flops += layer.flops_per_sample(&h);
+            h = layer.infer(&h);
+        }
+        flops
     }
 
     /// Width of the features a gradient proxy pairs with the residual: the
     /// input width of the network's last [`Linear`] layer (the features
-    /// [`Network::forward_with_features`] returns for an MLP or CNN head),
+    /// [`Network::infer_with_features`] returns for an MLP or CNN head),
     /// or `0` when it has none.
     pub fn feature_dim(&self) -> usize {
         self.layers
@@ -154,157 +173,20 @@ impl Network {
         assert_eq!(i, weights.len(), "weight snapshot too long");
     }
 
-    /// Predicted class per row (eval-mode forward + argmax).
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        let logits = self.forward(x, false);
-        let (n, c) = (logits.dim(0), logits.dim(1));
-        (0..n)
-            .map(|i| {
-                let row = logits.row(i);
-                let mut best = 0;
-                for j in 1..c {
-                    if row[j] > row[best] {
-                        best = j;
-                    }
-                }
-                best
-            })
-            .collect()
+    /// Predicted class per row (eval pass + argmax).
+    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
+        argmax_rows(&self.infer(x))
     }
 }
 
-/// Runs `x` through `layers` in order (a copy of `x` when there are none).
-fn forward_through(layers: &mut [Box<dyn Layer>], x: &Tensor, train: bool) -> Tensor {
+/// Runs `x` through `layers`' eval passes in order (a copy of `x` when
+/// there are none).
+fn infer_through(layers: &[Box<dyn Layer>], x: &Tensor) -> Tensor {
     let mut h: Option<Tensor> = None;
     for layer in layers {
-        h = Some(layer.forward(h.as_ref().unwrap_or(x), train));
+        h = Some(layer.infer(h.as_ref().unwrap_or(x)));
     }
     h.unwrap_or_else(|| x.clone())
-}
-
-/// A pre-activationless basic residual block:
-/// `relu(bn2(conv2(relu(bn1(conv1 x)))) + shortcut(x))`.
-///
-/// When `stride > 1` or the channel count changes, the shortcut is a
-/// 1×1 strided convolution followed by batch-norm, as in ResNet.
-pub struct ResidualBlock {
-    conv1: Conv2d,
-    bn1: BatchNorm2d,
-    relu1: Relu,
-    conv2: Conv2d,
-    bn2: BatchNorm2d,
-    shortcut: Option<(Conv2d, BatchNorm2d)>,
-    cached_input: Option<Tensor>,
-    cached_preact: Option<Tensor>,
-}
-
-impl std::fmt::Debug for ResidualBlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ResidualBlock(projected_shortcut={})",
-            self.shortcut.is_some()
-        )
-    }
-}
-
-impl ResidualBlock {
-    /// Creates a basic block mapping `in_ch` to `out_ch` channels with the
-    /// given stride on the first convolution.
-    pub fn new(in_ch: usize, out_ch: usize, stride: usize, rng: &mut Rng64) -> Self {
-        let shortcut = if stride != 1 || in_ch != out_ch {
-            Some((
-                Conv2d::new(in_ch, out_ch, 1, stride, 0, rng),
-                BatchNorm2d::new(out_ch),
-            ))
-        } else {
-            None
-        };
-        Self {
-            conv1: Conv2d::new(in_ch, out_ch, 3, stride, 1, rng),
-            bn1: BatchNorm2d::new(out_ch),
-            relu1: Relu::new(),
-            conv2: Conv2d::new(out_ch, out_ch, 3, 1, 1, rng),
-            bn2: BatchNorm2d::new(out_ch),
-            shortcut,
-            cached_input: None,
-            cached_preact: None,
-        }
-    }
-}
-
-impl Layer for ResidualBlock {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = self.conv1.forward(x, train);
-        h = self.bn1.forward(&h, train);
-        h = self.relu1.forward(&h, train);
-        h = self.conv2.forward(&h, train);
-        h = self.bn2.forward(&h, train);
-        let skip = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let s = conv.forward(x, train);
-                bn.forward(&s, train)
-            }
-            None => x.clone(),
-        };
-        let preact = &h + &skip;
-        self.cached_input = Some(x.clone());
-        self.cached_preact = Some(preact.clone());
-        preact.map(|v| v.max(0.0))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let preact = self
-            .cached_preact
-            .as_ref()
-            .expect("ResidualBlock::backward before forward");
-        // Through the final ReLU.
-        let g = grad_out
-            .try_zip(
-                preact,
-                "resblock-relu",
-                |g, p| if p > 0.0 { g } else { 0.0 },
-            )
-            .expect("resblock gradient shape mismatch");
-        // Main branch.
-        let mut gb = self.bn2.backward(&g);
-        gb = self.conv2.backward(&gb);
-        gb = self.relu1.backward(&gb);
-        gb = self.bn1.backward(&gb);
-        gb = self.conv1.backward(&gb);
-        // Shortcut branch.
-        let gs = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let t = bn.backward(&g);
-                conv.backward(&t)
-            }
-            None => g,
-        };
-        &gb + &gs
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.conv1.visit_params(f);
-        self.bn1.visit_params(f);
-        self.conv2.visit_params(f);
-        self.bn2.visit_params(f);
-        if let Some((conv, bn)) = &mut self.shortcut {
-            conv.visit_params(f);
-            bn.visit_params(f);
-        }
-    }
-
-    fn flops_per_sample(&self) -> u64 {
-        let mut n = self.conv1.flops_per_sample() + self.conv2.flops_per_sample();
-        if let Some((conv, _)) = &self.shortcut {
-            n += conv.flops_per_sample();
-        }
-        n
-    }
-
-    fn name(&self) -> &'static str {
-        "resblock"
-    }
 }
 
 /// Builds an MLP with ReLU between consecutive [`Linear`] layers.
@@ -330,127 +212,11 @@ pub fn mlp(sizes: &[usize], rng: &mut Rng64) -> Network {
     net
 }
 
-/// Configuration for a scaled residual classifier.
-#[derive(Debug, Clone)]
-pub struct ResNetConfig {
-    /// Input channels (3 for RGB-like data).
-    pub in_channels: usize,
-    /// Number of output classes.
-    pub classes: usize,
-    /// Base width (16 in the paper's ResNet-20; smaller in tests).
-    pub width: usize,
-    /// Residual blocks per stage; the stage widths are
-    /// `width, 2*width, 4*width, ...`.
-    pub blocks_per_stage: Vec<usize>,
-}
-
-impl ResNetConfig {
-    /// ResNet-20 shape (3 stages × 3 blocks) at a given width.
-    pub fn resnet20(in_channels: usize, classes: usize, width: usize) -> Self {
-        Self {
-            in_channels,
-            classes,
-            width,
-            blocks_per_stage: vec![3, 3, 3],
-        }
-    }
-
-    /// ResNet-18 shape (4 stages × 2 blocks) at a given width.
-    pub fn resnet18(in_channels: usize, classes: usize, width: usize) -> Self {
-        Self {
-            in_channels,
-            classes,
-            width,
-            blocks_per_stage: vec![2, 2, 2, 2],
-        }
-    }
-
-    /// ResNet-50 *shape* (4 stages, 3/4/6/3 blocks) at a given width, built
-    /// from basic blocks. The paper's ResNet-50 uses bottleneck blocks; the
-    /// basic-block variant preserves depth/stage structure at reproduction
-    /// scale (documented substitution, DESIGN.md §2).
-    pub fn resnet50(in_channels: usize, classes: usize, width: usize) -> Self {
-        Self {
-            in_channels,
-            classes,
-            width,
-            blocks_per_stage: vec![3, 4, 6, 3],
-        }
-    }
-}
-
-/// Builds a residual classifier from a [`ResNetConfig`].
-pub fn resnet(config: &ResNetConfig, rng: &mut Rng64) -> Network {
-    let mut net = Network::new(format!(
-        "resnet(w={}, stages={:?})",
-        config.width, config.blocks_per_stage
-    ));
-    // Stem.
-    net.push(Conv2d::new(config.in_channels, config.width, 3, 1, 1, rng));
-    net.push(BatchNorm2d::new(config.width));
-    net.push(Relu::new());
-    // Stages.
-    let mut in_ch = config.width;
-    for (s, &blocks) in config.blocks_per_stage.iter().enumerate() {
-        let out_ch = config.width << s;
-        for b in 0..blocks {
-            let stride = if s > 0 && b == 0 { 2 } else { 1 };
-            net.push(ResidualBlock::new(in_ch, out_ch, stride, rng));
-            in_ch = out_ch;
-        }
-    }
-    // Head.
-    net.push(GlobalAvgPool::new());
-    net.push(Linear::new(in_ch, config.classes, rng));
-    net
-}
-
-/// Builds a ResNet-50-style classifier from bottleneck blocks
-/// (stages 3/4/6/3, expansion 4), scaled by `width` — the expanded stage
-/// widths are `4·width, 8·width, 16·width, 32·width` (the real ResNet-50
-/// is `width = 64`).
-pub fn resnet_bottleneck(
-    in_channels: usize,
-    classes: usize,
-    width: usize,
-    rng: &mut Rng64,
-) -> Network {
-    let mut net = Network::new(format!("resnet50-style(w={width})"));
-    net.push(Conv2d::new(in_channels, width, 3, 1, 1, rng));
-    net.push(BatchNorm2d::new(width));
-    net.push(Relu::new());
-    let mut in_ch = width;
-    for (s, &blocks) in [3usize, 4, 6, 3].iter().enumerate() {
-        let out_ch = (width * 4) << s;
-        for b in 0..blocks {
-            let stride = if s > 0 && b == 0 { 2 } else { 1 };
-            net.push(Bottleneck::new(in_ch, out_ch, stride, 4, rng));
-            in_ch = out_ch;
-        }
-    }
-    net.push(GlobalAvgPool::new());
-    net.push(Linear::new(in_ch, classes, rng));
-    net
-}
-
-/// Builds a small convolutional classifier (stem + pool + head) for cheap
-/// tests and examples where a full residual net is overkill.
-pub fn small_cnn(in_channels: usize, classes: usize, width: usize, rng: &mut Rng64) -> Network {
-    let mut net = Network::new("small_cnn");
-    net.push(Conv2d::new(in_channels, width, 3, 1, 1, rng));
-    net.push(BatchNorm2d::new(width));
-    net.push(Relu::new());
-    net.push(MaxPool2Wrapper::new());
-    net.push(Conv2d::new(width, 2 * width, 3, 1, 1, rng));
-    net.push(Relu::new());
-    net.push(GlobalAvgPool::new());
-    net.push(Linear::new(2 * width, classes, rng));
-    net
-}
-
-/// Like [`small_cnn`], but consuming flat `[n, c*h*w]` feature rows (the
-/// layout datasets use) via a leading [`ToImage`] adapter — the form the
-/// NeSSA pipeline and policy runner accept directly.
+/// Builds a small convolutional classifier (two convolutions, the second
+/// strided, then global average pooling and a [`Linear`] head) over flat
+/// `[n, c*h*w]` feature rows (the layout datasets use) via a leading
+/// [`ToImage`] adapter — the form the NeSSA pipeline and policy runner
+/// accept directly.
 pub fn small_cnn_on_flat(
     (c, h, w): (usize, usize, usize),
     classes: usize,
@@ -469,10 +235,6 @@ pub fn small_cnn_on_flat(
     net
 }
 
-// MaxPool2 lives in layers::pool; tiny wrapper purely to keep the import
-// surface of `small_cnn` local.
-use crate::layers::MaxPool2 as MaxPool2Wrapper;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,7 +245,7 @@ mod tests {
         let mut rng = Rng64::new(0);
         let mut net = mlp(&[8, 16, 4], &mut rng);
         let x = Tensor::randn(&[5, 8], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x, true);
+        let y = net.forward(&x);
         assert_eq!(y.shape().dims(), &[5, 4]);
         assert_eq!(net.len(), 3);
     }
@@ -501,18 +263,22 @@ mod tests {
     fn feature_dim_is_the_head_input_width() {
         let mut rng = Rng64::new(12);
         assert_eq!(mlp(&[5, 8, 6, 3], &mut rng).feature_dim(), 6);
-        assert_eq!(small_cnn(3, 5, 4, &mut rng).feature_dim(), 8);
+        assert_eq!(
+            small_cnn_on_flat((3, 4, 4), 5, 4, &mut rng).feature_dim(),
+            8
+        );
         assert_eq!(Network::new("empty").feature_dim(), 0);
     }
 
     #[test]
-    fn forward_with_features_exposes_penultimate() {
+    fn infer_with_features_exposes_penultimate() {
         let mut rng = Rng64::new(1);
-        let mut net = mlp(&[6, 12, 3], &mut rng);
+        let net = mlp(&[6, 12, 3], &mut rng);
         let x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut rng);
-        let (feats, logits) = net.forward_with_features(&x, false);
+        let (feats, logits) = net.infer_with_features(&x);
         assert_eq!(feats.shape().dims(), &[4, 12]);
         assert_eq!(logits.shape().dims(), &[4, 3]);
+        assert_eq!(logits.as_slice(), net.infer(&x).as_slice());
     }
 
     #[test]
@@ -523,8 +289,8 @@ mod tests {
         let w = a.export_weights();
         b.import_weights(&w);
         let x = Tensor::randn(&[3, 4], 0.0, 1.0, &mut rng);
-        let ya = a.forward(&x, false);
-        let yb = b.forward(&x, false);
+        let ya = a.infer(&x);
+        let yb = b.infer(&x);
         assert_eq!(ya.as_slice(), yb.as_slice());
     }
 
@@ -536,54 +302,6 @@ mod tests {
         let mut w = a.export_weights();
         w[0] = Tensor::zeros(&[1, 1]);
         a.import_weights(&w);
-    }
-
-    #[test]
-    fn residual_block_identity_path_shape() {
-        let mut rng = Rng64::new(4);
-        let mut block = ResidualBlock::new(4, 4, 1, &mut rng);
-        let x = Tensor::randn(&[2, 4, 6, 6], 0.0, 1.0, &mut rng);
-        let y = block.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[2, 4, 6, 6]);
-        let g = block.backward(&Tensor::ones(y.shape().dims()));
-        assert_eq!(g.shape().dims(), x.shape().dims());
-    }
-
-    #[test]
-    fn residual_block_downsample_shape() {
-        let mut rng = Rng64::new(5);
-        let mut block = ResidualBlock::new(4, 8, 2, &mut rng);
-        let x = Tensor::randn(&[2, 4, 8, 8], 0.0, 1.0, &mut rng);
-        let y = block.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[2, 8, 4, 4]);
-    }
-
-    #[test]
-    fn resnet20_config_builds_and_runs() {
-        let mut rng = Rng64::new(6);
-        let cfg = ResNetConfig::resnet20(3, 10, 4);
-        let mut net = resnet(&cfg, &mut rng);
-        let x = Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[2, 10]);
-        assert!(net.param_count() > 0);
-        assert!(net.flops_per_sample() > 0);
-    }
-
-    #[test]
-    fn resnet_variants_have_expected_depth() {
-        assert_eq!(
-            ResNetConfig::resnet20(3, 10, 16).blocks_per_stage,
-            vec![3, 3, 3]
-        );
-        assert_eq!(
-            ResNetConfig::resnet18(3, 10, 16).blocks_per_stage,
-            vec![2, 2, 2, 2]
-        );
-        assert_eq!(
-            ResNetConfig::resnet50(3, 100, 16).blocks_per_stage,
-            vec![3, 4, 6, 3]
-        );
     }
 
     #[test]
@@ -605,7 +323,7 @@ mod tests {
         let mut opt = crate::optim::Sgd::new(crate::optim::SgdConfig::default());
         for _ in 0..60 {
             net.zero_grad();
-            let logits = net.forward(&x, true);
+            let logits = net.forward(&x);
             let out = softmax_cross_entropy(&logits, &ys);
             net.backward(&out.grad_logits);
             opt.step(&mut net, 0.1);
@@ -616,27 +334,27 @@ mod tests {
     }
 
     #[test]
-    fn bottleneck_resnet_builds_and_backprops() {
-        let mut rng = Rng64::new(10);
-        let mut net = resnet_bottleneck(3, 7, 2, &mut rng);
-        let x = Tensor::randn(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x, true);
-        assert_eq!(y.shape().dims(), &[1, 7]);
-        net.backward(&Tensor::ones(&[1, 7]));
-        assert_param_grads_nonzero(&mut net);
-        // 16 bottleneck blocks + stem(3) + head(2).
-        assert_eq!(net.len(), 21);
-    }
-
-    #[test]
-    fn small_cnn_runs() {
+    fn small_cnn_on_flat_trains() {
         let mut rng = Rng64::new(8);
-        let mut net = small_cnn(3, 5, 4, &mut rng);
-        let x = Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x, true);
+        let mut net = small_cnn_on_flat((3, 8, 8), 5, 4, &mut rng);
+        let x = Tensor::randn(&[2, 192], 0.0, 1.0, &mut rng);
+        let y = net.forward(&x);
         assert_eq!(y.shape().dims(), &[2, 5]);
         net.backward(&Tensor::ones(&[2, 5]));
         assert_param_grads_nonzero(&mut net);
+    }
+
+    #[test]
+    fn cnn_flops_come_from_the_input_shape_not_from_a_forward() {
+        let mut rng = Rng64::new(11);
+        let mut net = small_cnn_on_flat((3, 6, 6), 3, 4, &mut rng);
+        // conv 3→4 (3×3, stride 1, pad 1) on 6×6: 2·4·27·36 = 7776;
+        // conv 4→8 (3×3, stride 2, pad 1) on 6×6 → 3×3: 2·8·36·9 = 5184;
+        // linear 8→3: 2·8·3 = 48.
+        let hand = 7776 + 5184 + 48;
+        assert_eq!(net.flops_per_sample(&[108]), hand);
+        let _ = net.forward(&Tensor::randn(&[2, 108], 0.0, 1.0, &mut rng));
+        assert_eq!(net.flops_per_sample(&[108]), hand);
     }
 
     #[test]

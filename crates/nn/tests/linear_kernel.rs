@@ -2,8 +2,8 @@
 //!
 //! `Tensor::matmul_transb` runs a register tile of 16 rows of its left
 //! operand against two weight rows, with scalar dots on the ragged edges,
-//! and `Linear::forward` calls it on the weight in its stored `out × in`
-//! layout, in training and eval alike. Every output must still equal, bit
+//! and `Linear`'s training `forward` and eval `infer` both call it on the
+//! weight in its stored `out × in` layout. Every output must still equal, bit
 //! for bit, the in-order dot product below (one serial `acc += a * b`
 //! chain per output, starting at `0.0`), which exists only here as the
 //! reference. No transposed copy of the weight exists, so a weight write
@@ -114,9 +114,9 @@ fn assert_kernels_match_reference(x: &Tensor, weight: &Tensor, bias: &Tensor) {
     assert_eq!(bits(x.matmul_transb(weight).as_slice()), expect);
     let mut layer = linear_with(weight, bias);
     let expect = bits(&linear_reference(x, weight, bias));
-    for train in [true, false, true] {
-        assert_eq!(bits(layer.forward(x, train).as_slice()), expect);
-    }
+    assert_eq!(bits(layer.forward(x).as_slice()), expect);
+    assert_eq!(bits(layer.infer(x).as_slice()), expect);
+    assert_eq!(bits(layer.forward(x).as_slice()), expect);
 }
 
 /// A network whose every `Linear` was built after its weights were set.
@@ -170,13 +170,13 @@ fn a_weight_write_by_sgd_step_is_visible_to_the_next_forward() {
     let sizes = [6, 9, 4];
     let mut net = mlp(&sizes, &mut Rng64::new(1));
     let x = relu_like(5, 6, 1.5, 0.2, 2);
-    let before = net.forward(&x, true);
+    let before = net.forward(&x);
     let loss = softmax_cross_entropy(&before, &[0, 1, 2, 3, 0]);
     net.backward(&loss.grad_logits);
     Sgd::new(SgdConfig::default()).step(&mut net, 0.5);
-    let after = net.forward(&x, false);
+    let after = net.infer(&x);
     assert_ne!(bits(after.as_slice()), bits(before.as_slice()));
-    let expect = fresh_with(&sizes, &net.export_weights()).forward(&x, false);
+    let expect = fresh_with(&sizes, &net.export_weights()).infer(&x);
     assert_eq!(bits(after.as_slice()), bits(expect.as_slice()));
 }
 
@@ -185,12 +185,12 @@ fn a_weight_write_by_import_weights_is_visible_to_the_next_forward() {
     let sizes = [7, 11, 3];
     let mut net = mlp(&sizes, &mut Rng64::new(3));
     let x = relu_like(4, 7, 1.0, 0.3, 4);
-    let before = net.forward(&x, false);
+    let before = net.infer(&x);
     let other = mlp(&sizes, &mut Rng64::new(5)).export_weights();
     net.import_weights(&other);
-    let after = net.forward(&x, false);
+    let after = net.infer(&x);
     assert_ne!(bits(after.as_slice()), bits(before.as_slice()));
-    let expect = fresh_with(&sizes, &other).forward(&x, false);
+    let expect = fresh_with(&sizes, &other).infer(&x);
     assert_eq!(bits(after.as_slice()), bits(expect.as_slice()));
 }
 
@@ -217,12 +217,12 @@ fn parameter_gradients_match_a_full_backward_through_every_layer() {
         // Two passes, so the second accumulates onto non-zero gradients.
         for pass in 0..2 {
             let x = relu_like(batch, sizes[0], 2.0, 0.1, seed * 10 + pass);
-            let logits = net.forward(&x, true);
+            let logits = net.forward(&x);
             let g = softmax_cross_entropy(&logits, &labels).grad_logits;
             net.backward(&g);
             let mut h = x;
             for layer in &mut reference {
-                h = layer.forward(&h, true);
+                h = layer.forward(&h);
             }
             assert_eq!(bits(h.as_slice()), bits(logits.as_slice()));
             let mut g = g;

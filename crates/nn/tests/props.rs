@@ -63,10 +63,10 @@ proptest! {
     #[test]
     fn forward_is_deterministic_in_eval_mode(seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
-        let mut net = mlp(&[6, 10, 3], &mut rng);
+        let net = mlp(&[6, 10, 3], &mut rng);
         let x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut rng);
-        let a = net.forward(&x, false);
-        let b = net.forward(&x, false);
+        let a = net.infer(&x);
+        let b = net.infer(&x);
         prop_assert_eq!(a.as_slice(), b.as_slice());
     }
 

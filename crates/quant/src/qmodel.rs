@@ -76,8 +76,8 @@ mod tests {
         let mut clone = mlp(&[8, 16, 4], &mut rng);
         snap.apply_to(&mut clone);
         let x = Tensor::randn(&[5, 8], 0.0, 1.0, &mut rng);
-        let exact = net.forward(&x, false);
-        let approx = clone.forward(&x, false);
+        let exact = net.infer(&x);
+        let approx = clone.infer(&x);
         for (a, b) in exact.as_slice().iter().zip(approx.as_slice()) {
             assert!((a - b).abs() < 0.15, "{a} vs {b}");
         }
@@ -112,21 +112,21 @@ mod tests {
 
     #[test]
     fn apply_to_a_warm_selector_matches_a_fresh_one_bit_for_bit() {
-        // The selector has run forward passes (its linear layers keep a
-        // transposed weight), then receives a snapshot: it must compute
-        // exactly what a network that only ever saw the snapshot computes.
+        // The selector has run forward passes, then receives a snapshot:
+        // it must compute exactly what a network that only ever saw the
+        // snapshot computes.
         let mut rng = Rng64::new(5);
         let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut rng);
         let mut selector = mlp(&[8, 16, 4], &mut rng);
-        let before = selector.forward(&x, false);
+        let before = selector.forward(&x);
         let snap = QuantizedModel::from_network(&mut mlp(&[8, 16, 4], &mut rng));
         snap.apply_to(&mut selector);
         let mut fresh = mlp(&[8, 16, 4], &mut rng);
         snap.apply_to(&mut fresh);
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let after = selector.forward(&x, false);
+        let after = selector.infer(&x);
         assert_ne!(bits(&after), bits(&before));
-        assert_eq!(bits(&after), bits(&fresh.forward(&x, false)));
+        assert_eq!(bits(&after), bits(&fresh.infer(&x)));
     }
 
     #[test]
