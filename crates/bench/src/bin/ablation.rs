@@ -204,11 +204,11 @@ fn main() {
         // host-side random sampler (the access pattern of per-sample
         // importance sampling) touches a 28 % subset at random.
         let pages = 9_375usize;
-        let mut seq = Ftl::format(NandConfig::default(), pages);
+        let seq = Ftl::format(NandConfig::default(), pages);
         let t_seq = seq.read_pages(0, pages);
         let mut rng = FtlRng::new(SEED);
         let sample: Vec<usize> = rng.sample_indices(pages, pages * 28 / 100);
-        let mut rand = Ftl::format(NandConfig::default(), pages);
+        let rand = Ftl::format(NandConfig::default(), pages);
         let t_rand = rand.read_scattered(&sample);
         if json {
             println!(

@@ -42,14 +42,10 @@ pub struct NessaConfig {
     pub feedback: bool,
     /// Subset biasing (§3.2.2): drop learned samples from the pool.
     pub subset_biasing: bool,
-    /// Loss-history window for biasing (paper: most recent 5 epochs).
-    pub biasing_window: usize,
     /// Drop marked samples every this many epochs (paper: 20).
     pub biasing_drop_every: usize,
     /// Fraction of the pool dropped at each biasing step.
     pub biasing_drop_fraction: f32,
-    /// Never shrink the pool below this fraction of the original set.
-    pub biasing_min_pool: f32,
     /// Dataset partitioning (§3.2.3): chunk classes so similarity tiles
     /// fit the FPGA's on-chip memory.
     pub partitioning: bool,
@@ -109,10 +105,8 @@ impl NessaConfig {
             select_every: 1,
             feedback: true,
             subset_biasing: true,
-            biasing_window: 5,
             biasing_drop_every: 20,
             biasing_drop_fraction: 0.1,
-            biasing_min_pool: 0.4,
             partitioning: true,
             dynamic_sizing: false,
             sizing_threshold: 0.01,
@@ -240,7 +234,6 @@ mod tests {
     fn defaults_match_paper() {
         let cfg = NessaConfig::new(0.3, 200);
         assert_eq!(cfg.batch_size, 128);
-        assert_eq!(cfg.biasing_window, 5);
         assert_eq!(cfg.biasing_drop_every, 20);
         assert!(cfg.feedback && cfg.subset_biasing && cfg.partitioning);
         assert!(!cfg.overlap, "sequential mode is the default");

@@ -498,12 +498,14 @@ impl NessaPipeline {
         };
         let mut opt = Sgd::new(SgdConfig::default());
         let schedule = MultiStepLr::paper_schedule(cfg.epochs).with_base_lr(cfg.base_lr);
+        // §3.2.2: a 5-epoch loss window, and the pool never shrinks below
+        // 40 % of the training set.
         let mut tracker = LossTracker::new(
             n,
-            cfg.biasing_window,
+            5,
             cfg.biasing_drop_every,
             cfg.biasing_drop_fraction,
-            ((n as f32) * cfg.biasing_min_pool) as usize,
+            ((n as f32) * 0.4) as usize,
         );
         let mut sizer = SubsetSizer::new(
             cfg.subset_fraction,
@@ -710,7 +712,11 @@ impl NessaPipeline {
                 epoch,
                 lr,
                 subset_size: selection.len(),
-                pool_size: pool_of(&tracker).len(),
+                pool_size: if cfg.subset_biasing {
+                    tracker.active_pool().len()
+                } else {
+                    n
+                },
                 train_loss: outcome.mean_loss,
                 test_acc,
                 select_secs,

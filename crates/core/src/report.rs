@@ -109,26 +109,9 @@ impl RunReport {
         (100.0 * mean / self.train_size as f64) as f32
     }
 
-    /// Final subset size as a percentage of the training set.
-    pub fn final_subset_pct(&self) -> f32 {
-        match (self.epochs.last(), self.train_size) {
-            (Some(e), n) if n > 0 => 100.0 * e.subset_size as f32 / n as f32,
-            _ => 0.0,
-        }
-    }
-
     /// Test-accuracy series over epochs (the Figure 5 curve).
     pub fn accuracy_curve(&self) -> Vec<f32> {
         self.epochs.iter().map(|e| e.test_acc).collect()
-    }
-
-    /// First epoch reaching `target` test accuracy, if any (convergence
-    /// speed, §4.3).
-    pub fn epochs_to_accuracy(&self, target: f32) -> Option<usize> {
-        self.epochs
-            .iter()
-            .find(|e| e.test_acc >= target)
-            .map(|e| e.epoch)
     }
 
     /// Total simulated selection + I/O seconds across the run.
@@ -187,26 +170,6 @@ impl RunReport {
         );
         out.push('\n');
         out
-    }
-
-    /// CSV rendering (`epoch,lr,subset,pool,loss,acc,select_s,io_s`).
-    pub fn to_csv(&self) -> String {
-        let mut s =
-            String::from("epoch,lr,subset_size,pool_size,train_loss,test_acc,select_s,io_s\n");
-        for e in &self.epochs {
-            s.push_str(&format!(
-                "{},{},{},{},{:.6},{:.4},{:.6},{:.6}\n",
-                e.epoch,
-                e.lr,
-                e.subset_size,
-                e.pool_size,
-                e.train_loss,
-                e.test_acc,
-                e.select_secs,
-                e.io_secs
-            ));
-        }
-        s
     }
 }
 
@@ -267,28 +230,18 @@ mod tests {
         assert_eq!(r.final_accuracy(), 0.7);
         assert_eq!(r.best_accuracy(), 0.7);
         assert_eq!(r.accuracy_curve(), vec![0.4, 0.7]);
-        assert_eq!(r.epochs_to_accuracy(0.5), Some(1));
-        assert_eq!(r.epochs_to_accuracy(0.9), None);
     }
 
     #[test]
     fn subset_percentages() {
         let r = sample_report();
         assert!((r.mean_subset_pct() - 25.0).abs() < 1e-4);
-        assert!((r.final_subset_pct() - 20.0).abs() < 1e-4);
     }
 
     #[test]
     fn device_seconds_sum() {
         let r = sample_report();
         assert!((r.device_secs() - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = sample_report().to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("epoch,"));
     }
 
     #[test]
@@ -371,7 +324,6 @@ mod tests {
         let r = RunReport::default();
         assert_eq!(r.final_accuracy(), 0.0);
         assert_eq!(r.mean_subset_pct(), 0.0);
-        assert_eq!(r.final_subset_pct(), 0.0);
     }
 
     #[test]

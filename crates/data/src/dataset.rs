@@ -4,9 +4,8 @@ use nessa_tensor::Tensor;
 
 /// A labelled dataset held in memory as a `n × d` feature matrix.
 ///
-/// For convolutional models the feature dimension factors as
-/// `channels × height × width` ([`Dataset::image_dims`]); MLPs consume the
-/// rows directly. `bytes_per_sample` records the *storage* footprint each
+/// Models consume the rows directly (a CNN reshapes each row into its
+/// image itself). `bytes_per_sample` records the *storage* footprint each
 /// example has on the simulated SSD (the paper's 0.5 KB–130 KB per image),
 /// which can be much larger than the in-memory feature vector — raw pixels
 /// versus the features the models train on.
@@ -17,7 +16,6 @@ pub struct Dataset {
     labels: Vec<usize>,
     classes: usize,
     bytes_per_sample: usize,
-    image_dims: Option<(usize, usize, usize)>,
 }
 
 impl Dataset {
@@ -47,23 +45,7 @@ impl Dataset {
             labels,
             classes,
             bytes_per_sample,
-            image_dims: None,
         }
-    }
-
-    /// Declares that each feature row is a `c × h × w` image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c * h * w` does not equal the feature dimension.
-    pub fn with_image_dims(mut self, c: usize, h: usize, w: usize) -> Self {
-        assert_eq!(
-            c * h * w,
-            self.features.dim(1),
-            "image dims do not factor the feature dimension"
-        );
-        self.image_dims = Some((c, h, w));
-        self
     }
 
     /// Dataset name.
@@ -94,16 +76,6 @@ impl Dataset {
     /// Storage bytes per sample on the simulated SSD.
     pub fn bytes_per_sample(&self) -> usize {
         self.bytes_per_sample
-    }
-
-    /// Total storage footprint in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_per_sample as u64 * self.len() as u64
-    }
-
-    /// Image dimensions, when declared.
-    pub fn image_dims(&self) -> Option<(usize, usize, usize)> {
-        self.image_dims
     }
 
     /// The full feature matrix.
@@ -154,36 +126,6 @@ impl Dataset {
         }
         by_class
     }
-
-    /// A new dataset containing only the given samples (indices are
-    /// re-numbered densely).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let (features, labels) = self.batch(indices);
-        Dataset {
-            name: format!("{}[{}]", self.name, indices.len()),
-            features,
-            labels,
-            classes: self.classes,
-            bytes_per_sample: self.bytes_per_sample,
-            image_dims: self.image_dims,
-        }
-    }
-
-    /// Splits into `(first, second)` where `first` keeps `n` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`.
-    pub fn split_at(&self, n: usize) -> (Dataset, Dataset) {
-        assert!(n <= self.len(), "split point beyond dataset");
-        let first: Vec<usize> = (0..n).collect();
-        let second: Vec<usize> = (n..self.len()).collect();
-        (self.subset(&first), self.subset(&second))
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +143,7 @@ mod tests {
         assert_eq!(d.len(), 4);
         assert_eq!(d.dim(), 3);
         assert_eq!(d.classes(), 2);
-        assert_eq!(d.total_bytes(), 400);
+        assert_eq!(d.bytes_per_sample(), 100);
         assert_eq!(d.sample(1), &[3.0, 4.0, 5.0]);
         assert_eq!(d.label(2), 0);
         assert!(!d.is_empty());
@@ -229,37 +171,5 @@ mod tests {
         let by = d.indices_by_class();
         assert_eq!(by[0], vec![0, 2]);
         assert_eq!(by[1], vec![1, 3]);
-    }
-
-    #[test]
-    fn subset_renumbers() {
-        let d = toy();
-        let s = d.subset(&[1, 3]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.labels(), &[1, 1]);
-        assert_eq!(s.bytes_per_sample(), 100);
-    }
-
-    #[test]
-    fn split_at_partitions() {
-        let d = toy();
-        let (a, b) = d.split_at(3);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.labels(), &[1]);
-    }
-
-    #[test]
-    fn image_dims_check() {
-        let x = Tensor::zeros(&[2, 12]);
-        let d = Dataset::new("img", x, vec![0, 1], 2, 50).with_image_dims(3, 2, 2);
-        assert_eq!(d.image_dims(), Some((3, 2, 2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "do not factor")]
-    fn image_dims_rejects_bad_factorization() {
-        let x = Tensor::zeros(&[2, 10]);
-        let _ = Dataset::new("img", x, vec![0, 1], 2, 50).with_image_dims(3, 2, 2);
     }
 }

@@ -4,15 +4,14 @@ use nessa_tensor::rng::Rng64;
 
 /// Produces the index batches of one training epoch.
 ///
-/// With `shuffle`, indices are permuted with the supplied RNG each time
+/// Indices are permuted with the supplied RNG each time
 /// [`BatchPlan::epoch`] is called, so successive epochs see different
-/// orders while the whole run stays deterministic under its seed.
+/// orders while the whole run stays deterministic under its seed. The last
+/// batch holds the remainder when `batch_size` does not divide `n`.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     n: usize,
     batch_size: usize,
-    shuffle: bool,
-    drop_last: bool,
 }
 
 impl BatchPlan {
@@ -23,63 +22,14 @@ impl BatchPlan {
     /// Panics if `batch_size == 0`.
     pub fn new(n: usize, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        Self {
-            n,
-            batch_size,
-            shuffle: true,
-            drop_last: false,
-        }
+        Self { n, batch_size }
     }
 
-    /// Disables shuffling (evaluation order).
-    pub fn sequential(mut self) -> Self {
-        self.shuffle = false;
-        self
-    }
-
-    /// Drops a trailing partial batch.
-    pub fn drop_last(mut self) -> Self {
-        self.drop_last = true;
-        self
-    }
-
-    /// Number of batches per epoch.
-    pub fn batches_per_epoch(&self) -> usize {
-        if self.drop_last {
-            self.n / self.batch_size
-        } else {
-            self.n.div_ceil(self.batch_size)
-        }
-    }
-
-    /// Materializes one epoch of index batches.
+    /// Materializes one epoch of shuffled index batches.
     pub fn epoch(&self, rng: &mut Rng64) -> Vec<Vec<usize>> {
-        self.epoch_excluding(&[], rng)
-    }
-
-    /// Like [`BatchPlan::epoch`], but skipping the `quarantined` indices —
-    /// records a lossy decode dropped (see
-    /// `record::decode_dataset_lossy`), so training iterates only over
-    /// intact samples. Out-of-range entries in `quarantined` are ignored.
-    pub fn epoch_excluding(&self, quarantined: &[usize], rng: &mut Rng64) -> Vec<Vec<usize>> {
-        let mut banned = vec![false; self.n];
-        for &q in quarantined {
-            if q < self.n {
-                banned[q] = true;
-            }
-        }
-        let mut idx: Vec<usize> = (0..self.n).filter(|&i| !banned[i]).collect();
-        if self.shuffle {
-            rng.shuffle(&mut idx);
-        }
-        let mut out = Vec::with_capacity(self.batches_per_epoch());
-        for chunk in idx.chunks(self.batch_size) {
-            if self.drop_last && chunk.len() < self.batch_size {
-                break;
-            }
-            out.push(chunk.to_vec());
-        }
-        out
+        let mut idx: Vec<usize> = (0..self.n).collect();
+        rng.shuffle(&mut idx);
+        idx.chunks(self.batch_size).map(<[usize]>::to_vec).collect()
     }
 }
 
@@ -96,25 +46,6 @@ mod tests {
         assert_eq!(batches.len(), 7);
         let all: HashSet<usize> = batches.iter().flatten().copied().collect();
         assert_eq!(all.len(), 103);
-    }
-
-    #[test]
-    fn drop_last_discards_partial() {
-        let plan = BatchPlan::new(103, 16).drop_last();
-        let mut rng = Rng64::new(0);
-        let batches = plan.epoch(&mut rng);
-        assert_eq!(batches.len(), 6);
-        assert!(batches.iter().all(|b| b.len() == 16));
-        assert_eq!(plan.batches_per_epoch(), 6);
-    }
-
-    #[test]
-    fn sequential_preserves_order() {
-        let plan = BatchPlan::new(10, 4).sequential();
-        let mut rng = Rng64::new(0);
-        let batches = plan.epoch(&mut rng);
-        assert_eq!(batches[0], vec![0, 1, 2, 3]);
-        assert_eq!(batches[2], vec![8, 9]);
     }
 
     #[test]
@@ -138,19 +69,5 @@ mod tests {
     #[should_panic(expected = "batch size must be positive")]
     fn rejects_zero_batch() {
         let _ = BatchPlan::new(10, 0);
-    }
-
-    #[test]
-    fn excluding_skips_quarantined_indices() {
-        let plan = BatchPlan::new(20, 4).sequential();
-        let mut rng = Rng64::new(0);
-        let batches = plan.epoch_excluding(&[3, 7, 99], &mut rng);
-        let all: Vec<usize> = batches.into_iter().flatten().collect();
-        assert_eq!(all.len(), 18, "two in-range indices are skipped");
-        assert!(!all.contains(&3) && !all.contains(&7));
-        // Empty exclusion matches the plain epoch exactly.
-        let a = plan.epoch_excluding(&[], &mut Rng64::new(5));
-        let b = plan.epoch(&mut Rng64::new(5));
-        assert_eq!(a, b);
     }
 }

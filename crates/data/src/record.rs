@@ -145,44 +145,6 @@ pub fn decode_dataset(name: &str, bytes: &[u8]) -> Result<Dataset, RecordError> 
             actual: bytes.len(),
         });
     }
-    let (header, mut bytes) = decode_header(bytes)?;
-    let need = header.count * header.rec_len;
-    if bytes.remaining() < need {
-        return Err(RecordError::Truncated {
-            expected: HEADER_LEN + need,
-            actual: HEADER_LEN + bytes.remaining(),
-        });
-    }
-    let mut features = Vec::with_capacity(header.count * header.dim);
-    let mut labels = Vec::with_capacity(header.count);
-    for _ in 0..header.count {
-        decode_record(&mut bytes, &header, &mut features, &mut labels)?;
-    }
-    let x = nessa_tensor::Tensor::from_vec(features, &[labels.len(), header.dim]);
-    Ok(Dataset::new(
-        name,
-        x,
-        labels,
-        header.classes,
-        header.rec_len,
-    ))
-}
-
-/// The validated header fields of a record stream.
-struct Header {
-    classes: usize,
-    dim: usize,
-    rec_len: usize,
-    count: usize,
-}
-
-fn decode_header(bytes: &[u8]) -> Result<(Header, Cursor<'_>), RecordError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(RecordError::Truncated {
-            expected: HEADER_LEN,
-            actual: bytes.len(),
-        });
-    }
     let mut bytes = Cursor { bytes };
     if bytes.take(4)? != MAGIC {
         return Err(RecordError::BadMagic);
@@ -201,105 +163,32 @@ fn decode_header(bytes: &[u8]) -> Result<(Header, Cursor<'_>), RecordError> {
     if rec_len < 4 + 4 * dim {
         return Err(RecordError::Corrupt("record length below payload size"));
     }
-    Ok((
-        Header {
-            classes,
-            dim,
-            rec_len,
-            count,
-        },
-        bytes,
-    ))
-}
-
-/// Decodes one record, appending to `features`/`labels` only on success.
-/// Always consumes exactly `rec_len` bytes when they are available (so a
-/// lossy caller stays record-aligned after a corrupt label), and nothing
-/// past the end of the stream when they are not.
-fn decode_record(
-    bytes: &mut Cursor<'_>,
-    header: &Header,
-    features: &mut Vec<f32>,
-    labels: &mut Vec<usize>,
-) -> Result<(), RecordError> {
-    let mut rec = Cursor {
-        bytes: bytes.take(header.rec_len)?,
-    };
-    // `rec_len ≥ 4 + 4·dim` was validated with the header, so these
-    // in-record reads cannot fail.
-    let label = rec.get_u32_le()? as usize;
-    if label >= header.classes {
-        return Err(RecordError::Corrupt("label out of range"));
+    let need = count * rec_len;
+    if bytes.remaining() < need {
+        return Err(RecordError::Truncated {
+            expected: HEADER_LEN + need,
+            actual: HEADER_LEN + bytes.remaining(),
+        });
     }
-    for _ in 0..header.dim {
-        features.push(rec.get_f32_le()?);
-    }
-    labels.push(label);
-    Ok(())
-}
-
-/// Best-effort [`decode_dataset`]: decodes every intact record and counts
-/// the damaged ones instead of failing the whole stream — the host-side
-/// analogue of the pipeline's quarantine-and-count policy (the count
-/// feeds the `data.quarantined` telemetry counter).
-///
-/// A record is quarantined when its label is out of range or the stream
-/// ends inside it; decoding stops at the first short record since
-/// everything after a truncation point is unrecoverable.
-///
-/// # Errors
-///
-/// Returns a [`RecordError`] only when the *header* is unusable (bad
-/// magic/version, inconsistent geometry, or too short to read).
-pub fn decode_dataset_lossy(name: &str, bytes: &[u8]) -> Result<(Dataset, u64), RecordError> {
-    let (header, mut bytes) = decode_header(bytes)?;
-    let mut features = Vec::new();
-    let mut labels = Vec::new();
-    let mut quarantined = 0u64;
-    for decoded in 0..header.count {
-        match decode_record(&mut bytes, &header, &mut features, &mut labels) {
-            Ok(()) => {}
-            Err(RecordError::Truncated { .. }) => {
-                // The rest of the stream is gone with this record.
-                quarantined += (header.count - decoded) as u64;
-                break;
-            }
-            Err(_) => quarantined += 1,
+    let mut features = Vec::with_capacity(count * dim);
+    let mut labels = Vec::with_capacity(count);
+    for _ in 0..count {
+        let mut rec = Cursor {
+            bytes: bytes.take(rec_len)?,
+        };
+        // `rec_len ≥ 4 + 4·dim` was validated with the header, so these
+        // in-record reads cannot fail.
+        let label = rec.get_u32_le()? as usize;
+        if label >= classes {
+            return Err(RecordError::Corrupt("label out of range"));
         }
+        for _ in 0..dim {
+            features.push(rec.get_f32_le()?);
+        }
+        labels.push(label);
     }
-    let x = nessa_tensor::Tensor::from_vec(features, &[labels.len(), header.dim]);
-    Ok((
-        Dataset::new(name, x, labels, header.classes, header.rec_len),
-        quarantined,
-    ))
-}
-
-/// Writes a dataset to a `.nssa` file at `path`.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn write_file(dataset: &Dataset, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-    std::fs::write(path, encode_dataset(dataset))
-}
-
-/// Reads a dataset from a `.nssa` file at `path`, naming it after the
-/// file stem.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error, or an
-/// [`InvalidData`](std::io::ErrorKind::InvalidData) error wrapping the
-/// [`RecordError`] when the file is malformed.
-pub fn read_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Dataset> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)?;
-    let name = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("dataset");
-    decode_dataset(name, &bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    let x = nessa_tensor::Tensor::from_vec(features, &[labels.len(), dim]);
+    Ok(Dataset::new(name, x, labels, classes, rec_len))
 }
 
 #[cfg(test)]
@@ -388,74 +277,6 @@ mod tests {
             decode_dataset("x", &enc),
             Err(RecordError::Corrupt("label out of range"))
         );
-    }
-
-    #[test]
-    fn lossy_decode_quarantines_bad_labels() {
-        let d = toy();
-        let mut enc = encode_dataset(&d).to_vec();
-        // First record's label field sits right after the header.
-        enc[HEADER_LEN] = 200;
-        let (back, quarantined) = decode_dataset_lossy("q", &enc).unwrap();
-        assert_eq!(quarantined, 1);
-        assert_eq!(back.len(), d.len() - 1);
-        assert_eq!(back.labels(), &d.labels()[1..]);
-    }
-
-    #[test]
-    fn lossy_decode_counts_truncated_tail() {
-        let d = toy();
-        let enc = encode_dataset(&d);
-        let rec = record_len(d.dim(), d.bytes_per_sample());
-        // Lose the last record plus part of the one before it.
-        let cut = &enc[..enc.len() - rec - 10];
-        let (back, quarantined) = decode_dataset_lossy("cut", cut).unwrap();
-        assert_eq!(quarantined, 2);
-        assert_eq!(back.len(), d.len() - 2);
-        assert_eq!(back.labels(), &d.labels()[..d.len() - 2]);
-    }
-
-    #[test]
-    fn lossy_decode_still_rejects_bad_headers() {
-        assert!(decode_dataset_lossy("x", b"nope").is_err());
-        let d = toy();
-        let mut enc = encode_dataset(&d).to_vec();
-        enc[0] = b'X';
-        assert_eq!(decode_dataset_lossy("x", &enc), Err(RecordError::BadMagic));
-    }
-
-    #[test]
-    fn lossy_decode_conserves_records_under_random_truncation() {
-        use crate::corrupt::truncate_random;
-        use nessa_tensor::rng::Rng64;
-        let d = toy();
-        let clean = encode_dataset(&d);
-        let mut rng = Rng64::new(7);
-        for _ in 0..100 {
-            let cut = truncate_random(&clean, &mut rng);
-            // Header intact → every record is either decoded or counted.
-            if let Ok((back, q)) = decode_dataset_lossy("cut", &cut) {
-                assert_eq!(back.len() as u64 + q, d.len() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let d = toy();
-        let dir = std::env::temp_dir().join("nessa-record-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toy.nssa");
-        write_file(&d, &path).unwrap();
-        let back = read_file(&path).unwrap();
-        assert_eq!(back.name(), "toy");
-        assert_eq!(back.features().as_slice(), d.features().as_slice());
-        assert_eq!(back.labels(), d.labels());
-        // A corrupted file surfaces as InvalidData, not a panic.
-        std::fs::write(&path, b"not a record stream").unwrap();
-        let err = read_file(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

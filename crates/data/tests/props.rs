@@ -22,15 +22,6 @@ proptest! {
     }
 
     #[test]
-    fn drop_last_only_full_batches(n in 1usize..300, batch in 1usize..64, seed in any::<u64>()) {
-        let plan = BatchPlan::new(n, batch).drop_last();
-        let mut rng = Rng64::new(seed);
-        let batches = plan.epoch(&mut rng);
-        prop_assert!(batches.iter().all(|b| b.len() == batch));
-        prop_assert_eq!(batches.len(), n / batch);
-    }
-
-    #[test]
     fn generated_class_counts_are_balanced(
         classes in 1usize..12, train in 1usize..200, seed in any::<u64>()
     ) {
@@ -68,17 +59,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn subset_of_subset_composes(seed in any::<u64>(), a in 1usize..30, b in 1usize..30) {
-        let cfg = SynthConfig { train: 60, test: 10, dim: 4, classes: 3, seed, ..SynthConfig::default() };
-        let (ds, _) = cfg.generate();
-        let first: Vec<usize> = (0..a.min(60)).collect();
-        let sub = ds.subset(&first);
-        let second: Vec<usize> = (0..b.min(sub.len())).collect();
-        let subsub = sub.subset(&second);
-        for (j, &i) in second.iter().enumerate() {
-            prop_assert_eq!(subsub.sample(j), ds.sample(first[i]));
-            prop_assert_eq!(subsub.label(j), ds.label(first[i]));
-        }
-    }
 }

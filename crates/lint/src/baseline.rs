@@ -9,7 +9,7 @@
 //! to ratchet the ceiling down.
 //!
 //! The format is a deliberately tiny TOML subset (array-of-tables with
-//! string/integer values) so the linter stays dependency-free.
+//! string/integer values) so the linter needs no parser crate.
 
 use std::collections::BTreeMap;
 

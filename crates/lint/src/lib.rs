@@ -5,8 +5,8 @@
 //! (the trace-diff regression gate depends on it), library code must
 //! fail with typed errors rather than panics, and telemetry phases must
 //! come from one registered vocabulary so run profiles stay diffable.
-//! This crate enforces those invariants statically, with zero
-//! dependencies:
+//! This crate enforces those invariants statically. Its one dependency,
+//! `nessa-telemetry` (which has none), supplies rule T1's vocabulary:
 //!
 //! | rule | invariant |
 //! |------|-----------|

@@ -3,7 +3,7 @@
 //! The human report groups violations by rule with `file:line:col`
 //! spans (clickable in most terminals/editors); the JSON report is a
 //! stable machine-readable document the CI gate uploads as an artifact.
-//! JSON is emitted by hand — the linter is dependency-free by design.
+//! JSON is emitted by hand — the linter pulls in no serializer.
 
 use crate::rules::registry;
 use crate::Outcome;

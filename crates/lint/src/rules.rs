@@ -10,37 +10,7 @@
 use crate::lexer::SourceFile;
 use crate::workspace::{FileKind, SourceEntry};
 use crate::Violation;
-
-/// Telemetry phase names that rule **T1** accepts. Kept in lockstep
-/// with `nessa_telemetry::phase::REGISTERED_PHASES` (a cross-crate test
-/// asserts the two lists are identical).
-pub const REGISTERED_PHASES: &[&str] = &[
-    "epoch",
-    "scan",
-    "select",
-    "ship",
-    "train",
-    "feedback",
-    "retry",
-    "fallback",
-    "overlap.select",
-    "overlap.wait",
-    "overlap.handoff",
-];
-
-/// Telemetry counter names that rule **T1** accepts. Kept in lockstep
-/// with `nessa_telemetry::phase::REGISTERED_COUNTERS` (the same
-/// cross-crate test asserts equality).
-pub const REGISTERED_COUNTERS: &[&str] = &[
-    "train.batches",
-    "train.samples",
-    "fault.injected",
-    "retry.attempts",
-    "fallback.host",
-    "fallback.random",
-    "drive.evicted",
-    "data.quarantined",
-];
+use nessa_telemetry::phase::{REGISTERED_COUNTERS, REGISTERED_PHASES};
 
 /// A lint rule: identifier, what it protects, and where it looks.
 pub struct Rule {

@@ -1,30 +1,10 @@
-//! Rule T1's phase and counter vocabularies are hardcoded copies (the
-//! linter depends on nothing), so this cross-crate test pins them to the
-//! authoritative registry in `nessa-telemetry`. If a name is added
-//! there, this test fails until the linter's copy is updated in the same
-//! change.
-
-#[test]
-fn lint_phase_list_matches_telemetry_registry() {
-    assert_eq!(
-        nessa_lint::rules::REGISTERED_PHASES,
-        nessa_telemetry::phase::REGISTERED_PHASES,
-        "update nessa_lint::rules::REGISTERED_PHASES alongside the telemetry registry"
-    );
-}
-
-#[test]
-fn lint_counter_list_matches_telemetry_registry() {
-    assert_eq!(
-        nessa_lint::rules::REGISTERED_COUNTERS,
-        nessa_telemetry::phase::REGISTERED_COUNTERS,
-        "update nessa_lint::rules::REGISTERED_COUNTERS alongside the telemetry registry"
-    );
-}
+//! Rule T1 reads its phase and counter vocabularies from
+//! `nessa_telemetry::phase`; these tests pin the names the linter and the
+//! chaos gate rely on.
 
 #[test]
 fn telemetry_registry_recognises_its_own_phases() {
-    for phase in nessa_lint::rules::REGISTERED_PHASES {
+    for phase in nessa_telemetry::phase::REGISTERED_PHASES {
         assert!(nessa_telemetry::phase::is_registered(phase));
     }
     assert!(!nessa_telemetry::phase::is_registered("warmup"));
@@ -32,7 +12,7 @@ fn telemetry_registry_recognises_its_own_phases() {
 
 #[test]
 fn telemetry_registry_recognises_its_own_counters() {
-    for counter in nessa_lint::rules::REGISTERED_COUNTERS {
+    for counter in nessa_telemetry::phase::REGISTERED_COUNTERS {
         assert!(nessa_telemetry::phase::is_registered_counter(counter));
     }
     assert!(!nessa_telemetry::phase::is_registered_counter(

@@ -4,8 +4,8 @@
 //! generations; Figure 2: share of time spent on data movement; Figure 4:
 //! per-epoch time by selection policy) are functions of FLOP counts, sample
 //! counts, per-sample byte sizes, and data-path characteristics. This module
-//! encodes that function together with the device presets the paper names
-//! (NVIDIA V100, A100, K1200 and the SmartSSD's Kintex KU15P FPGA).
+//! encodes that function together with the GPU presets the paper names
+//! (NVIDIA V100 and A100).
 //!
 //! The data path is modelled as a per-sample fixed overhead (file handling
 //! and decode) plus a streaming term. The default [`LoaderSpec`] is
@@ -47,28 +47,6 @@ impl DeviceSpec {
             peak_flops: 19.5e12,
             utilization: 0.4,
             power_watts: 250.0,
-        }
-    }
-
-    /// NVIDIA K1200 (the low-power GPU named in the paper's energy
-    /// comparison).
-    pub fn k1200() -> Self {
-        Self {
-            name: "K1200",
-            peak_flops: 1.1e12,
-            utilization: 0.3,
-            power_watts: 45.0,
-        }
-    }
-
-    /// The SmartSSD's Kintex KU15P FPGA running an int8 selection kernel
-    /// (paper: ~7.5 W). Peak reflects DSP-limited int8 MACs at 300 MHz.
-    pub fn smartssd_fpga() -> Self {
-        Self {
-            name: "SmartSSD-KU15P",
-            peak_flops: 1962.0 * 2.0 * 300.0e6, // DSP slices × 2 ops × clock
-            utilization: 0.6,
-            power_watts: 7.5,
         }
     }
 
@@ -225,18 +203,18 @@ mod tests {
     }
 
     #[test]
-    fn a100_outruns_k1200() {
+    fn a100_outruns_v100() {
         let l = LoaderSpec::default();
         let fast = epoch_time(&DeviceSpec::a100(), &l, 1_000_000, 1_000_000_000, 0);
-        let slow = epoch_time(&DeviceSpec::k1200(), &l, 1_000_000, 1_000_000_000, 0);
-        assert!(slow.compute_s > 10.0 * fast.compute_s);
+        let slow = epoch_time(&DeviceSpec::v100(), &l, 1_000_000, 1_000_000_000, 0);
+        assert!(slow.compute_s > fast.compute_s);
     }
 
     #[test]
-    fn fpga_is_low_power() {
-        let fpga = DeviceSpec::smartssd_fpga();
-        assert!(fpga.power_watts < 10.0);
-        assert!(energy_joules(&fpga, 10.0) < energy_joules(&DeviceSpec::a100(), 10.0));
+    fn energy_follows_board_power() {
+        let a100 = DeviceSpec::a100();
+        assert_eq!(energy_joules(&a100, 10.0), 2_500.0);
+        assert!(energy_joules(&a100, 10.0) < energy_joules(&DeviceSpec::v100(), 10.0));
     }
 
     #[test]

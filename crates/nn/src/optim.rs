@@ -87,11 +87,6 @@ impl Sgd {
             i += 1;
         });
     }
-
-    /// Clears the momentum buffers (used when the parameter set changes).
-    pub fn reset(&mut self) {
-        self.velocity.clear();
-    }
 }
 
 /// A multi-step learning-rate schedule: `base_lr` multiplied by `gamma`
@@ -135,75 +130,12 @@ impl MultiStepLr {
     }
 }
 
-/// Cosine-annealing learning-rate schedule: `base_lr` decayed to
-/// `min_lr` over `total_epochs` along a half cosine. Provided as the
-/// standard modern alternative to the paper's multi-step schedule for the
-/// ablation benches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CosineLr {
-    base_lr: f32,
-    min_lr: f32,
-    total_epochs: usize,
-}
-
-impl CosineLr {
-    /// Creates a schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_epochs == 0` or `min_lr > base_lr`.
-    pub fn new(base_lr: f32, min_lr: f32, total_epochs: usize) -> Self {
-        assert!(total_epochs > 0, "need at least one epoch");
-        assert!(min_lr <= base_lr, "min_lr must not exceed base_lr");
-        Self {
-            base_lr,
-            min_lr,
-            total_epochs,
-        }
-    }
-
-    /// Learning rate for a (0-based) epoch; clamps past the horizon.
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        let t = (epoch.min(self.total_epochs - 1)) as f32 / (self.total_epochs - 1).max(1) as f32;
-        let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
-        self.min_lr + (self.base_lr - self.min_lr) * cos
-    }
-}
-
-/// Clips every parameter gradient of `net` to `[-limit, limit]`
-/// elementwise; call between `backward` and [`Sgd::step`] when training
-/// with large medoid weights.
-///
-/// # Panics
-///
-/// Panics if `limit` is not positive.
-pub fn clip_gradients(net: &mut Network, limit: f32) {
-    assert!(limit > 0.0, "clip limit must be positive");
-    net.visit_params(&mut |p| {
-        nessa_tensor::ops::clip_inplace(&mut p.grad, limit);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::mlp;
     use nessa_tensor::rng::Rng64;
     use nessa_tensor::Tensor;
-
-    #[test]
-    fn cosine_schedule_endpoints_and_monotone() {
-        let s = CosineLr::new(0.1, 0.001, 100);
-        assert!((s.lr_at(0) - 0.1).abs() < 1e-6);
-        assert!((s.lr_at(99) - 0.001).abs() < 1e-6);
-        assert!((s.lr_at(500) - 0.001).abs() < 1e-6);
-        for e in 1..100 {
-            assert!(s.lr_at(e) <= s.lr_at(e - 1) + 1e-7);
-        }
-        // Halfway sits near the midpoint.
-        let mid = s.lr_at(50);
-        assert!((mid - 0.0505).abs() < 0.01, "mid {mid}");
-    }
 
     #[test]
     fn with_base_lr_rescales_but_keeps_decay_shape() {
@@ -215,19 +147,6 @@ mod tests {
             let ratio = scaled.lr_at(e) / paper.lr_at(e);
             assert!((ratio - 0.2).abs() < 1e-6, "epoch {e}: ratio {ratio}");
         }
-    }
-
-    #[test]
-    fn clip_gradients_bounds_all_entries() {
-        let mut rng = Rng64::new(0);
-        let mut net = mlp(&[4, 4, 2], &mut rng);
-        net.visit_params(&mut |p| {
-            p.grad = Tensor::full(p.value.shape().dims(), 100.0);
-        });
-        clip_gradients(&mut net, 0.5);
-        net.visit_params(&mut |p| {
-            assert!(p.grad.as_slice().iter().all(|&g| g.abs() <= 0.5));
-        });
     }
 
     /// One-parameter quadratic: loss = 0.5 * w²; gradient = w.

@@ -2,7 +2,7 @@
 
 use nessa_nn::loss::softmax_cross_entropy;
 use nessa_nn::models::mlp;
-use nessa_nn::optim::{CosineLr, MultiStepLr};
+use nessa_nn::optim::MultiStepLr;
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 use proptest::prelude::*;
@@ -48,16 +48,6 @@ proptest! {
             prop_assert!(lr > 0.0);
             prev = lr;
         }
-    }
-
-    #[test]
-    fn cosine_lr_stays_in_band(
-        base in 0.01f32..1.0, frac in 0.0f32..0.9, epochs in 2usize..300, e in 0usize..400
-    ) {
-        let min = base * frac;
-        let s = CosineLr::new(base, min, epochs);
-        let lr = s.lr_at(e);
-        prop_assert!(lr >= min - 1e-6 && lr <= base + 1e-6, "lr {} outside [{}, {}]", lr, min, base);
     }
 
     #[test]

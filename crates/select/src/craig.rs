@@ -45,16 +45,6 @@ impl Default for CraigOptions {
     }
 }
 
-// Metrics handles are identity-less instrumentation plumbing; equality of
-// options is about the algorithm they configure.
-impl PartialEq for CraigOptions {
-    fn eq(&self, other: &Self) -> bool {
-        self.variant == other.variant
-            && self.partition_chunk == other.partition_chunk
-            && self.threads == other.threads
-    }
-}
-
 /// Validates the per-class preconditions and groups candidate indices by
 /// class.
 fn group_by_class(
@@ -87,7 +77,8 @@ fn group_by_class(
 /// RNGs are pre-split per class so the result is deterministic regardless
 /// of thread interleaving.
 fn run_per_class(
-    sim_of: &(dyn Fn(&[usize]) -> SimilarityMatrix + Sync),
+    residuals: &Tensor,
+    features: &Tensor,
     by_class: &[Vec<usize>],
     fraction: f32,
     options: &CraigOptions,
@@ -99,8 +90,8 @@ fn run_per_class(
     let mut per_class: Vec<Selection> = Vec::with_capacity(classes);
     if threads == 1 {
         for (members, class_rng) in by_class.iter().zip(class_rngs.iter_mut()) {
-            per_class.push(select_one_class_with(
-                sim_of, members, fraction, options, class_rng,
+            per_class.push(select_one_class(
+                residuals, features, members, fraction, options, class_rng,
             )?);
         }
     } else {
@@ -118,8 +109,8 @@ fn run_per_class(
                         .zip(class_chunk.iter())
                         .zip(rng_chunk.iter_mut())
                     {
-                        *slot = Some(select_one_class_with(
-                            sim_of, members, fraction, options, class_rng,
+                        *slot = Some(select_one_class(
+                            residuals, features, members, fraction, options, class_rng,
                         ));
                     }
                 });
@@ -176,19 +167,14 @@ pub fn select_per_class_factored(
         });
     }
     let by_class = group_by_class(residuals.dim(0), labels, classes, fraction)?;
-    let sim_of = |members: &[usize]| {
-        SimilarityMatrix::from_factored(
-            &residuals.gather_rows(members),
-            &features.gather_rows(members),
-        )
-    };
-    run_per_class(&sim_of, &by_class, fraction, options, rng)
+    run_per_class(residuals, features, &by_class, fraction, options, rng)
 }
 
-/// Selects the medoids of one class; `sim_of` builds the similarity
-/// matrix of a member set.
-fn select_one_class_with(
-    sim_of: &dyn Fn(&[usize]) -> SimilarityMatrix,
+/// Selects the medoids of one class: over the whole class, or chunk by
+/// chunk under partitioning, with `⌈fraction · |chunk|⌉` picks per chunk.
+fn select_one_class(
+    residuals: &Tensor,
+    features: &Tensor,
     members: &[usize],
     fraction: f32,
     options: &CraigOptions,
@@ -207,7 +193,10 @@ fn select_one_class_with(
             if let Some(m) = metrics {
                 m.chunks.inc();
             }
-            let sim = sim_of(members);
+            let sim = SimilarityMatrix::from_factored(
+                &residuals.gather_rows(members),
+                &features.gather_rows(members),
+            );
             Ok(maximize_metered(&sim, k, options.variant, rng, metrics)?.into_global(members))
         }
         Some(chunk_size) => {
@@ -224,7 +213,10 @@ fn select_one_class_with(
                 }
                 let global: Vec<usize> = part.iter().map(|&i| members[i]).collect();
                 let k_part = fraction_count(part.len(), fraction);
-                let sim = sim_of(&global);
+                let sim = SimilarityMatrix::from_factored(
+                    &residuals.gather_rows(&global),
+                    &features.gather_rows(&global),
+                );
                 merged.extend(
                     maximize_metered(&sim, k_part, options.variant, rng, metrics)?
                         .into_global(&global),

@@ -108,10 +108,14 @@ impl TelemetrySettings {
     }
 
     /// Parses a `NESSA_TELEMETRY`-style value (see [`Self::from_env`]).
+    /// Mode names, the `jsonl:` prefix included, match in any case; the
+    /// path keeps its own.
     pub fn parse(value: &str) -> Self {
         let v = value.trim();
-        if let Some(path) = v.strip_prefix("jsonl:") {
-            return Self::jsonl(path.trim());
+        if let Some((prefix, path)) = v.split_at_checked("jsonl:".len()) {
+            if prefix.eq_ignore_ascii_case("jsonl:") {
+                return Self::jsonl(path.trim());
+            }
         }
         match v.to_ascii_lowercase().as_str() {
             "memory" => Self::memory(),
@@ -613,6 +617,9 @@ mod tests {
         );
         let with_path = TelemetrySettings::parse("jsonl:/tmp/run.jsonl");
         assert_eq!(with_path.jsonl_path, Some(PathBuf::from("/tmp/run.jsonl")));
+        let upper = TelemetrySettings::parse("JSONL:/tmp/Run.jsonl");
+        assert_eq!(upper.mode, TelemetryMode::Jsonl);
+        assert_eq!(upper.jsonl_path, Some(PathBuf::from("/tmp/Run.jsonl")));
     }
 
     #[test]

@@ -18,8 +18,7 @@
 
 /// Every span name library code is allowed to pass to `Telemetry::span`.
 ///
-/// Keep this list in sync with `nessa-lint`'s `REGISTERED_PHASES` (a
-/// cross-check test in `crates/lint/tests` asserts equality).
+/// `nessa-lint`'s rule T1 reads this list directly.
 pub const REGISTERED_PHASES: &[&str] = &[
     // One training epoch (parent of the pipeline steps), then the five
     // pipeline steps in order: flash → FPGA candidate streaming, the
@@ -50,8 +49,7 @@ pub const REGISTERED_PHASES: &[&str] = &[
 /// Every counter name library code is allowed to pass to
 /// `Telemetry::counter`.
 ///
-/// Keep this list in sync with `nessa-lint`'s `REGISTERED_COUNTERS` (the
-/// same cross-check test asserts equality).
+/// `nessa-lint`'s rule T1 reads this list directly.
 pub const REGISTERED_COUNTERS: &[&str] = &[
     // Training progress (batches / samples consumed).
     "train.batches",

@@ -58,20 +58,6 @@ pub fn relu(x: &Tensor) -> Tensor {
     x.map(|v| v.max(0.0))
 }
 
-/// One-hot encodes integer labels into an `n × classes` matrix.
-///
-/// # Panics
-///
-/// Panics if any label is `>= classes`.
-pub fn one_hot(labels: &[usize], classes: usize) -> Tensor {
-    let mut out = Tensor::zeros(&[labels.len(), classes]);
-    for (i, &y) in labels.iter().enumerate() {
-        assert!(y < classes, "label {y} out of range for {classes} classes");
-        out.row_mut(i)[y] = 1.0;
-    }
-    out
-}
-
 /// Column-wise sum of a 2-D tensor, producing a length-`cols` vector.
 ///
 /// # Panics
@@ -116,16 +102,6 @@ pub fn add_bias_rows(x: &mut Tensor, bias: &Tensor) {
             *v += bb;
         }
     }
-}
-
-/// Clips every element into `[-limit, limit]`; used for gradient clipping.
-///
-/// # Panics
-///
-/// Panics if `limit` is not positive.
-pub fn clip_inplace(x: &mut Tensor, limit: f32) {
-    assert!(limit > 0.0, "clip limit must be positive");
-    x.map_inplace(|v| v.clamp(-limit, limit));
 }
 
 /// Per-row L2 norms of a 2-D tensor.
@@ -187,19 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn one_hot_encodes() {
-        let oh = one_hot(&[2, 0], 3);
-        assert_eq!(oh.row(0), &[0.0, 0.0, 1.0]);
-        assert_eq!(oh.row(1), &[1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn one_hot_rejects_bad_label() {
-        one_hot(&[3], 3);
-    }
-
-    #[test]
     fn axis0_reductions() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         assert_eq!(sum_axis0(&x).as_slice(), &[4.0, 6.0]);
@@ -207,12 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn bias_and_clip() {
+    fn bias_is_added_to_every_row() {
         let mut x = Tensor::zeros(&[2, 3]);
         add_bias_rows(&mut x, &Tensor::from_slice(&[1.0, -2.0, 5.0]));
+        assert_eq!(x.row(0), &[1.0, -2.0, 5.0]);
         assert_eq!(x.row(1), &[1.0, -2.0, 5.0]);
-        clip_inplace(&mut x, 2.0);
-        assert_eq!(x.row(0), &[1.0, -2.0, 2.0]);
     }
 
     #[test]

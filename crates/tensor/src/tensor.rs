@@ -368,13 +368,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Element-wise binary operation with shape checking.
     ///
     /// # Errors
@@ -426,19 +419,6 @@ impl Tensor {
     /// Minimum element (`+inf` for an empty tensor).
     pub fn min(&self) -> f32 {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Index of the maximum element (first occurrence; `0` when empty).
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Squared L2 norm of all elements.
@@ -717,7 +697,6 @@ mod tests {
         assert_eq!(a.sum(), 2.0);
         assert_eq!(a.max(), 3.0);
         assert_eq!(a.min(), -2.0);
-        assert_eq!(a.argmax(), 2);
         assert!((a.norm() - (14.0f32).sqrt()).abs() < 1e-6);
     }
 

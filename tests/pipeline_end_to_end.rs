@@ -185,7 +185,7 @@ fn full_run_is_deterministic() {
     let b = run_policy(&Policy::Nessa(cfg), &train, &test, 5, BATCH, 9, &builder).unwrap();
     assert_eq!(a.accuracy_curve(), b.accuracy_curve());
     assert_eq!(a.traffic, b.traffic);
-    assert_eq!(a.to_csv(), b.to_csv());
+    assert_eq!(a.to_jsonl(), b.to_jsonl());
 }
 
 #[test]
