@@ -66,7 +66,7 @@ fn main() {
     let labels = vec![0usize; members.len()];
     // Flat features select through the factored path with an all-ones
     // residual factor, which reproduces their distances bit for bit.
-    let ones = Tensor::ones(&[members.len(), 1]);
+    let flat = |m: &[usize]| (Tensor::ones(&[m.len(), 1]), feats.gather_rows(m));
     let sim = SimilarityMatrix::from_features(&feats);
     for chunk in [16usize, 32, 64, 128, usize::MAX] {
         let mut rng = Rng64::new(SEED);
@@ -76,7 +76,7 @@ fn main() {
             threads: 1,
             metrics: None,
         };
-        let sel = select_per_class_factored(&ones, &feats, &labels, 1, fraction, &opts, &mut rng)
+        let sel = select_per_class_factored(flat, &labels, 1, fraction, &opts, &mut rng)
             .expect("selection failed");
         let cost = kmedoids::cost(&feats, &sel.indices);
         let obj = sim.objective(&sel.indices);

@@ -311,15 +311,19 @@ fn selection_round(
     // rung, which reads no proxies. Facility location runs over the
     // quantized forward's last-layer gradient proxies (outer-product
     // space, compared via the factored distance so nothing of size
-    // classes × features is materialized).
+    // classes × features is materialized), built class by class as the
+    // kernel selects each class, so no pool-wide proxy block exists.
     let pool_labels: Vec<usize> = pool.iter().map(|&i| ctx.train.label(i)).collect();
     let maybe = if rung == Rung::Random {
         None
     } else {
-        let proxies = gradient_proxies(selector, ctx.train, &pool, cfg.batch_size);
+        let class_proxies = |members: &[usize]| {
+            let rows: Vec<usize> = members.iter().map(|&i| pool[i]).collect();
+            let p = gradient_proxies(selector, ctx.train, &rows, cfg.batch_size);
+            (p.residuals, p.features)
+        };
         match select_per_class_factored(
-            &proxies.residuals,
-            &proxies.features,
+            class_proxies,
             &pool_labels,
             ctx.train.classes(),
             fraction,

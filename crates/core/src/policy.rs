@@ -123,10 +123,12 @@ fn run_cpu_policy(
         let selection = match policy {
             Policy::Goal => Selection::new(all.clone(), vec![1.0; n]),
             Policy::Craig { fraction } => {
-                let proxies = gradient_proxies(&net, train, &all, batch_size);
+                let class_proxies = |members: &[usize]| {
+                    let p = gradient_proxies(&net, train, members, batch_size);
+                    (p.residuals, p.features)
+                };
                 select_per_class_factored(
-                    &proxies.residuals,
-                    &proxies.features,
+                    class_proxies,
                     train.labels(),
                     train.classes(),
                     *fraction,

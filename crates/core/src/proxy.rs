@@ -12,10 +12,14 @@
 //! samples: `‖a_i b_iᵀ − a_j b_jᵀ‖² = ‖a_i‖²‖b_i‖² + ‖a_j‖²‖b_j‖² −
 //! 2 (a_i·a_j)(b_i·b_j)`, so the FPGA kernel's cost per pair is
 //! `O(classes + feature_dim)` — the low-operational-intensity property of
-//! paper §2.2. The pipeline works the same way: it hands the two factors to
-//! `nessa_select::craig::select_per_class_factored`, which builds the
-//! similarities from them directly; only this module's tests materialize
-//! the outer product, to check that identity.
+//! paper §2.2. The pipeline works the same way: it hands
+//! `nessa_select::craig::select_per_class_factored` a closure that runs
+//! [`gradient_proxies`] on one class's members, and CRAIG calls it as it
+//! selects each class (as the FPGA kernel does, paper §3.2.3) and builds the
+//! similarities from the two factors directly. So no pool-wide proxy block
+//! exists, and because rows are independent the per-class factors are the
+//! pool-wide rows bit for bit. Only this module's tests materialize the
+//! outer product, to check that identity.
 
 use nessa_data::Dataset;
 use nessa_nn::models::Network;

@@ -10,6 +10,8 @@
 use std::path::Path;
 
 use nessa_lint::baseline::Baseline;
+use nessa_lint::lexer::SourceFile;
+use nessa_lint::workspace::discover;
 use nessa_lint::{lint_with_baseline, lint_workspace};
 
 fn workspace_root() -> &'static Path {
@@ -135,4 +137,60 @@ fn seeded_violations_are_caught_with_correct_spans() {
     assert!(spans.contains(&("d2-unseeded-rng", "crates/demo/src/a.rs", 2)));
     assert!(spans.contains(&("p1-panic", "crates/demo/src/a.rs", 7)));
     assert_eq!(spans.len(), 3, "{spans:?}");
+}
+
+/// Every occurrence of the word `token` in the linted sources' code, as
+/// `file:line`, read from the lexer's masked view so comments and strings
+/// never count.
+fn code_tokens(token: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for entry in discover(workspace_root()) {
+        let text = std::fs::read_to_string(&entry.path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", entry.rel));
+        for (i, line) in SourceFile::parse(&text).masked.iter().enumerate() {
+            let words = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+            for _ in words.filter(|w| *w == token) {
+                found.push(format!("{}:{}", entry.rel, i + 1));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn unsafe_code_is_confined_to_the_one_audited_dispatch() {
+    // The unsafe policy: every library crate root forbids unsafe code,
+    // except nessa-tensor, which denies it and allows it on the one block
+    // that calls a kernel's AVX2 instance after detecting AVX2.
+    let mut roots = 0;
+    for entry in discover(workspace_root()) {
+        if !(entry.rel == "src/lib.rs" || entry.rel.ends_with("/src/lib.rs")) {
+            continue;
+        }
+        roots += 1;
+        let text = std::fs::read_to_string(&entry.path).expect("readable crate root");
+        let attrs: Vec<String> = SourceFile::parse(&text)
+            .masked
+            .iter()
+            .map(|l| l.split_whitespace().collect::<String>())
+            .filter(|l| l.starts_with("#![") && l.contains("unsafe_code"))
+            .collect();
+        let expected = if entry.rel == "crates/tensor/src/lib.rs" {
+            "#![deny(unsafe_code)]"
+        } else {
+            "#![forbid(unsafe_code)]"
+        };
+        assert_eq!(attrs, [expected], "{}", entry.rel);
+    }
+    assert!(roots >= 11, "only {roots} library crate roots found");
+    let blocks = code_tokens("unsafe");
+    assert!(
+        blocks.len() == 1 && blocks[0].starts_with("crates/tensor/src/dispatch.rs:"),
+        "the workspace must hold exactly one unsafe block, in the dispatch: {blocks:?}"
+    );
+    assert_eq!(
+        code_tokens("unsafe_code").len(),
+        roots + 1,
+        "one allow beyond the roots"
+    );
 }

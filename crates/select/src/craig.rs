@@ -8,8 +8,11 @@
 //! on-chip memory, and medoids are selected per chunk — turning the
 //! quadratic similarity computation into a sum of small quadratics.
 //!
-//! Per-class work is independent, so classes are processed on std scoped
-//! threads.
+//! The gradient proxies come per class too: the entry point takes a factor
+//! source that it calls on a class's members when it selects that class, so
+//! the caller runs the selector's forward pass one class at a time and no
+//! pool-wide proxy block is ever built. Per-class work is independent, so
+//! classes can be processed on std scoped threads.
 
 use crate::facility::{maximize_metered, GreedyVariant, SimilarityMatrix};
 use crate::fraction_count;
@@ -48,18 +51,10 @@ impl Default for CraigOptions {
 /// Validates the per-class preconditions and groups candidate indices by
 /// class.
 fn group_by_class(
-    rows: usize,
     labels: &[usize],
     classes: usize,
     fraction: f32,
 ) -> Result<Vec<Vec<usize>>, SelectError> {
-    if rows != labels.len() {
-        return Err(SelectError::LengthMismatch {
-            what: "labels",
-            expected: rows,
-            actual: labels.len(),
-        });
-    }
     if !(fraction > 0.0 && fraction <= 1.0) {
         return Err(SelectError::BadFraction(fraction));
     }
@@ -76,14 +71,16 @@ fn group_by_class(
 /// Runs the per-class selection bodies, optionally on std scoped threads.
 /// RNGs are pre-split per class so the result is deterministic regardless
 /// of thread interleaving.
-fn run_per_class(
-    residuals: &Tensor,
-    features: &Tensor,
+fn run_per_class<F>(
+    factors: &F,
     by_class: &[Vec<usize>],
     fraction: f32,
     options: &CraigOptions,
     rng: &mut Rng64,
-) -> Result<Selection, SelectError> {
+) -> Result<Selection, SelectError>
+where
+    F: Fn(&[usize]) -> (Tensor, Tensor) + Sync,
+{
     let classes = by_class.len();
     let mut class_rngs: Vec<Rng64> = (0..classes).map(|_| rng.split()).collect();
     let threads = options.threads.max(1);
@@ -91,7 +88,7 @@ fn run_per_class(
     if threads == 1 {
         for (members, class_rng) in by_class.iter().zip(class_rngs.iter_mut()) {
             per_class.push(select_one_class(
-                residuals, features, members, fraction, options, class_rng,
+                factors, members, fraction, options, class_rng,
             )?);
         }
     } else {
@@ -110,7 +107,7 @@ fn run_per_class(
                         .zip(rng_chunk.iter_mut())
                     {
                         *slot = Some(select_one_class(
-                            residuals, features, members, fraction, options, class_rng,
+                            factors, members, fraction, options, class_rng,
                         ));
                     }
                 });
@@ -132,54 +129,58 @@ fn run_per_class(
 /// pool and returns one merged, globally-indexed [`Selection`].
 ///
 /// Candidate `i` is the **factored** (outer-product) gradient proxy
-/// `residuals[i] ⊗ features[i]`, compared through the norm/inner-product
+/// `residual_i ⊗ feature_i`, compared through the norm/inner-product
 /// factorization so the outer products are never materialized (see
-/// [`SimilarityMatrix::from_factored`]). This is the memory- and
-/// FPGA-faithful path for last-layer gradients. Plain feature rows `x`
-/// select as `residuals = 1` (an `n × 1` all-ones factor), which
-/// reproduces [`SimilarityMatrix::from_features`] bit for bit.
+/// [`SimilarityMatrix::from_factored`]). The factors come per class, as
+/// the FPGA kernel selects (paper §3.2.3): when a class is selected,
+/// `factors(members)` returns its `(residuals, features)`, one row per
+/// member in the order given, so no pool-wide proxy block is ever held.
+/// The pipeline runs the selector's forward pass there; a caller holding
+/// pool-wide factors passes `|m| (residuals.gather_rows(m),
+/// features.gather_rows(m))`, with the same result bit for bit. Plain
+/// feature rows `x` select as `residuals = 1` (an all-ones `|m| × 1`
+/// factor), which reproduces [`SimilarityMatrix::from_features`] bit for
+/// bit. With `options.threads > 1`, `factors` runs on several classes at
+/// once.
 ///
-/// * `residuals`, `features` — the two factors, one row per candidate,
-/// * `labels` — class of each candidate (`labels.len() == n`),
+/// * `factors` — the two factors of a class's members,
+/// * `labels` — class of each candidate (one per candidate),
 /// * `classes` — number of classes,
 /// * `fraction` — subset fraction in `(0, 1]`.
 ///
 /// # Errors
 ///
-/// [`SelectError::LengthMismatch`] if the factors' row counts differ or
-/// the label count differs from them, [`SelectError::BadFraction`] if
-/// `fraction` is outside `(0, 1]`, [`SelectError::LabelOutOfRange`] if any
-/// label is `≥ classes`.
-pub fn select_per_class_factored(
-    residuals: &Tensor,
-    features: &Tensor,
+/// [`SelectError::LengthMismatch`] if a factor's row count differs from
+/// its class's member count, [`SelectError::BadFraction`] if `fraction`
+/// is outside `(0, 1]`, [`SelectError::LabelOutOfRange`] if any label is
+/// `≥ classes`.
+pub fn select_per_class_factored<F>(
+    factors: F,
     labels: &[usize],
     classes: usize,
     fraction: f32,
     options: &CraigOptions,
     rng: &mut Rng64,
-) -> Result<Selection, SelectError> {
-    if residuals.dim(0) != features.dim(0) {
-        return Err(SelectError::LengthMismatch {
-            what: "factor rows",
-            expected: residuals.dim(0),
-            actual: features.dim(0),
-        });
-    }
-    let by_class = group_by_class(residuals.dim(0), labels, classes, fraction)?;
-    run_per_class(residuals, features, &by_class, fraction, options, rng)
+) -> Result<Selection, SelectError>
+where
+    F: Fn(&[usize]) -> (Tensor, Tensor) + Sync,
+{
+    let by_class = group_by_class(labels, classes, fraction)?;
+    run_per_class(&factors, &by_class, fraction, options, rng)
 }
 
 /// Selects the medoids of one class: over the whole class, or chunk by
 /// chunk under partitioning, with `⌈fraction · |chunk|⌉` picks per chunk.
-fn select_one_class(
-    residuals: &Tensor,
-    features: &Tensor,
+fn select_one_class<F>(
+    factors: &F,
     members: &[usize],
     fraction: f32,
     options: &CraigOptions,
     rng: &mut Rng64,
-) -> Result<Selection, SelectError> {
+) -> Result<Selection, SelectError>
+where
+    F: Fn(&[usize]) -> (Tensor, Tensor),
+{
     if members.is_empty() {
         return Ok(Selection::default());
     }
@@ -187,16 +188,23 @@ fn select_one_class(
     if let Some(m) = metrics {
         m.classes.inc();
     }
+    let (residuals, features) = factors(members);
+    for rows in [residuals.dim(0), features.dim(0)] {
+        if rows != members.len() {
+            return Err(SelectError::LengthMismatch {
+                what: "factor rows",
+                expected: members.len(),
+                actual: rows,
+            });
+        }
+    }
     let k = fraction_count(members.len(), fraction);
     match options.partition_chunk {
         None => {
             if let Some(m) = metrics {
                 m.chunks.inc();
             }
-            let sim = SimilarityMatrix::from_factored(
-                &residuals.gather_rows(members),
-                &features.gather_rows(members),
-            );
+            let sim = SimilarityMatrix::from_factored(&residuals, &features);
             Ok(maximize_metered(&sim, k, options.variant, rng, metrics)?.into_global(members))
         }
         Some(chunk_size) => {
@@ -211,15 +219,15 @@ fn select_one_class(
                 if let Some(m) = metrics {
                     m.chunks.inc();
                 }
-                let global: Vec<usize> = part.iter().map(|&i| members[i]).collect();
                 let k_part = fraction_count(part.len(), fraction);
                 let sim = SimilarityMatrix::from_factored(
-                    &residuals.gather_rows(&global),
-                    &features.gather_rows(&global),
+                    &residuals.gather_rows(&part),
+                    &features.gather_rows(&part),
                 );
                 merged.extend(
                     maximize_metered(&sim, k_part, options.variant, rng, metrics)?
-                        .into_global(&global),
+                        .into_global(&part)
+                        .into_global(members),
                 );
             }
             Ok(merged)
@@ -241,8 +249,16 @@ mod tests {
         options: &CraigOptions,
         rng: &mut Rng64,
     ) -> Result<Selection, SelectError> {
-        let ones = Tensor::ones(&[x.dim(0), 1]);
-        select_per_class_factored(&ones, x, labels, classes, fraction, options, rng)
+        let flat = |m: &[usize]| (Tensor::ones(&[m.len(), 1]), x.gather_rows(m));
+        select_per_class_factored(flat, labels, classes, fraction, options, rng)
+    }
+
+    /// The source a caller holding pool-wide factors passes.
+    fn gathered<'a>(
+        a: &'a Tensor,
+        b: &'a Tensor,
+    ) -> impl Fn(&[usize]) -> (Tensor, Tensor) + Sync + 'a {
+        |m: &[usize]| (a.gather_rows(m), b.gather_rows(m))
     }
 
     /// Two classes, each with two tight clusters at distinct locations.
@@ -327,19 +343,67 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let (x, y) = toy();
-        let seq = select_flat(
-            &x,
-            &y,
-            2,
-            0.3,
-            &CraigOptions {
-                threads: 1,
+        // Per-class factors (each class's rows built when it is selected)
+        // and gathered pool-wide factors give the same bits, whole-class
+        // and partitioned, on one thread or several.
+        let mut rng = Rng64::new(12);
+        let n = 90;
+        let a = Tensor::rand_uniform(&[n, 4], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform(&[n, 9], -1.0, 1.0, &mut rng);
+        let labels: Vec<usize> = (0..n).map(|_| rng.index(3)).collect();
+        // Rows of class `c` computed from the class alone: the same values
+        // as the pool-wide rows, produced member by member.
+        let per_class = |m: &[usize]| {
+            let rows = |t: &Tensor| {
+                let data = m.iter().flat_map(|&i| t.row(i).to_vec()).collect();
+                Tensor::from_vec(data, &[m.len(), t.dim(1)])
+            };
+            (rows(&a), rows(&b))
+        };
+        let bits = |s: &Selection| {
+            let w: Vec<u32> = s.weights.iter().map(|w| w.to_bits()).collect();
+            (s.indices.clone(), w)
+        };
+        for partition_chunk in [None, Some(8)] {
+            let opts = |threads| CraigOptions {
+                threads,
+                partition_chunk,
                 ..CraigOptions::default()
-            },
-            &mut Rng64::new(7),
-        )
-        .unwrap();
+            };
+            let reference = select_per_class_factored(
+                gathered(&a, &b),
+                &labels,
+                3,
+                0.3,
+                &opts(1),
+                &mut Rng64::new(7),
+            )
+            .unwrap();
+            for threads in [1, 3, 4] {
+                for sel in [
+                    select_per_class_factored(
+                        gathered(&a, &b),
+                        &labels,
+                        3,
+                        0.3,
+                        &opts(threads),
+                        &mut Rng64::new(7),
+                    ),
+                    select_per_class_factored(
+                        per_class,
+                        &labels,
+                        3,
+                        0.3,
+                        &opts(threads),
+                        &mut Rng64::new(7),
+                    ),
+                ] {
+                    assert_eq!(bits(&sel.unwrap()), bits(&reference), "{partition_chunk:?}");
+                }
+            }
+        }
+        let (x, y) = toy();
+        let seq = select_flat(&x, &y, 2, 0.3, &CraigOptions::default(), &mut Rng64::new(7));
         let par = select_flat(
             &x,
             &y,
@@ -350,8 +414,7 @@ mod tests {
                 ..CraigOptions::default()
             },
             &mut Rng64::new(7),
-        )
-        .unwrap();
+        );
         assert_eq!(seq, par);
     }
 
@@ -387,16 +450,17 @@ mod tests {
     }
 
     #[test]
-    fn rejects_length_mismatch() {
-        let (x, _) = toy();
-        let mut rng = Rng64::new(5);
-        let err = select_flat(&x, &[0, 1], 2, 0.5, &CraigOptions::default(), &mut rng);
+    fn rejects_a_factor_source_with_the_wrong_row_count() {
+        let (x, y) = toy();
+        let short = |m: &[usize]| (Tensor::ones(&[m.len(), 1]), x.gather_rows(&m[1..]));
+        let opts = CraigOptions::default();
+        let err = select_per_class_factored(short, &y, 2, 0.5, &opts, &mut Rng64::new(5));
         assert_eq!(
             err,
             Err(SelectError::LengthMismatch {
-                what: "labels",
-                expected: 20,
-                actual: 2
+                what: "factor rows",
+                expected: 10,
+                actual: 9
             })
         );
     }
@@ -422,8 +486,15 @@ mod tests {
         }
         let opts = CraigOptions::default();
         let sel_flat = select_flat(&flat, &labels, 2, 0.25, &opts, &mut Rng64::new(3)).unwrap();
-        let sel_fact =
-            select_per_class_factored(&a, &b, &labels, 2, 0.25, &opts, &mut Rng64::new(3)).unwrap();
+        let sel_fact = select_per_class_factored(
+            gathered(&a, &b),
+            &labels,
+            2,
+            0.25,
+            &opts,
+            &mut Rng64::new(3),
+        )
+        .unwrap();
         assert_eq!(sel_flat.indices, sel_fact.indices);
         assert_eq!(sel_flat.weights, sel_fact.weights);
     }

@@ -10,6 +10,7 @@
 
 use crate::metrics::SelectMetrics;
 use crate::{SelectError, Selection};
+use nessa_tensor::dispatch::{self, Kernel};
 use nessa_tensor::linalg::{pairwise_sq_dists, pairwise_sq_dists_factored};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
@@ -273,28 +274,50 @@ fn gain_from(sim: &SimilarityMatrix, j: usize, coverage: &[f32]) -> f32 {
 const GAIN_LANES: usize = 8;
 
 /// `out[c] = gain_from(sim, candidates[c], coverage)` for every `c`, bit
-/// for bit. Groups of [`GAIN_LANES`] candidates run as interleaved chains,
-/// one accumulator per candidate: each starts where `Iterator::sum` starts
-/// and adds its terms in order, so no sum is reordered, but the chains
-/// overlap instead of waiting on one another's adds. A last partial group
-/// runs through [`gain_from`].
+/// for bit, at the widest dispatched width (see [`nessa_tensor::dispatch`]).
 fn gains_into(sim: &SimilarityMatrix, candidates: &[usize], coverage: &[f32], out: &mut [f32]) {
-    let start: f32 = std::iter::empty::<f32>().sum();
-    let n = coverage.len();
-    let mut groups = candidates.chunks_exact(GAIN_LANES);
-    let mut outs = out.chunks_exact_mut(GAIN_LANES);
-    for (group, out) in (&mut groups).zip(&mut outs) {
-        let rows: [&[f32]; GAIN_LANES] = std::array::from_fn(|l| &sim.row(group[l])[..n]);
-        let mut acc = [start; GAIN_LANES];
-        for (i, &c) in coverage.iter().enumerate() {
-            for (a, row) in acc.iter_mut().zip(&rows) {
-                *a += (row[i] - c).max(0.0);
+    dispatch::run(Gains {
+        sim,
+        candidates,
+        coverage,
+        out,
+    });
+}
+
+/// The body of [`gains_into`]. Groups of [`GAIN_LANES`] candidates run as
+/// interleaved chains, one accumulator per candidate: each starts where
+/// `Iterator::sum` starts and adds its terms in order, so no sum is
+/// reordered, but the chains overlap instead of waiting on one another's
+/// adds. A last partial group runs the [`gain_from`] chain.
+struct Gains<'a> {
+    sim: &'a SimilarityMatrix,
+    candidates: &'a [usize],
+    coverage: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl Kernel for Gains<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let start: f32 = std::iter::empty::<f32>().sum();
+        let n = self.coverage.len();
+        let mut groups = self.candidates.chunks_exact(GAIN_LANES);
+        let mut outs = self.out.chunks_exact_mut(GAIN_LANES);
+        for (group, out) in (&mut groups).zip(&mut outs) {
+            let rows: [&[f32]; GAIN_LANES] = std::array::from_fn(|l| &self.sim.row(group[l])[..n]);
+            let mut acc = [start; GAIN_LANES];
+            for (i, &c) in self.coverage.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    *a += (row[i] - c).max(0.0);
+                }
             }
+            out.copy_from_slice(&acc);
         }
-        out.copy_from_slice(&acc);
-    }
-    for (o, &j) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-        *o = gain_from(sim, j, coverage);
+        for (o, &j) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
+            *o = gain_from(self.sim, j, self.coverage);
+        }
     }
 }
 
@@ -601,12 +624,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gains_into_is_bit_identical_to_gain_from() {
+    /// Runs `check` on the gain tiles: sizes around the 8-lane group,
+    /// candidates descending and shuffled, coverage after 0 to 3 picks.
+    fn for_each_gains_case(mut check: impl FnMut(&SimilarityMatrix, &[usize], &[f32])) {
         for n in [0, 1, 7, 8, 9, 600] {
             let sim = factored_sim(n, n as u64);
             let mut rng = Rng64::new(n as u64 + 1);
-            // Unsorted lists: descending, and a shuffle.
             let descending: Vec<usize> = (0..n).rev().collect();
             let mut shuffled: Vec<usize> = (0..n).collect();
             for i in (1..n).rev() {
@@ -617,9 +640,41 @@ mod tests {
                 if let Some(j) = pick.filter(|_| n > 0) {
                     absorb_from(&sim, j, &mut coverage);
                 }
-                assert_gains_match(&sim, &descending, &coverage);
-                assert_gains_match(&sim, &shuffled, &coverage);
+                check(&sim, &descending, &coverage);
+                check(&sim, &shuffled, &coverage);
             }
+        }
+    }
+
+    #[test]
+    fn gains_into_is_bit_identical_to_gain_from() {
+        for_each_gains_case(assert_gains_match);
+    }
+
+    #[test]
+    fn dispatch_gains_instances_are_bit_identical() {
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let mut skipped = false;
+        for_each_gains_case(|sim, candidates, coverage| {
+            let gains = |out| Gains {
+                sim,
+                candidates,
+                coverage,
+                out,
+            };
+            let mut base = vec![f32::NAN; candidates.len()];
+            let mut wide = base.clone();
+            gains(&mut base).run();
+            skipped |= dispatch::run_avx2(gains(&mut wide)).is_err();
+            if !skipped {
+                assert_eq!(bits(&wide), bits(&base), "{} candidates", candidates.len());
+            }
+        });
+        if skipped {
+            println!(
+                "dispatch_gains_instances_are_bit_identical: skipped, this CPU lacks AVX2 \
+                 and runs the baseline instance only"
+            );
         }
     }
 

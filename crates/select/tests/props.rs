@@ -22,8 +22,38 @@ fn select_flat(
     options: &CraigOptions,
     rng: &mut Rng64,
 ) -> Result<Selection, SelectError> {
-    let ones = Tensor::ones(&[x.dim(0), 1]);
-    select_per_class_factored(&ones, x, labels, classes, fraction, options, rng)
+    let flat = |m: &[usize]| (Tensor::ones(&[m.len(), 1]), x.gather_rows(m));
+    select_per_class_factored(flat, labels, classes, fraction, options, rng)
+}
+
+/// Candidate `i`'s factor rows, a pure function of `i` (as a proxy is of
+/// its sample): `c` residual and `d` feature entries.
+fn proxy_rows(i: usize, c: usize, d: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
+    let mut rng = Rng64::new(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let a = (0..c).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    let b = (0..d).map(|_| rng.uniform(-2.0, 2.0)).collect();
+    (a, b)
+}
+
+/// The factors of `rows`, built row by row.
+fn proxies_of(rows: &[usize], c: usize, d: usize, seed: u64) -> (Tensor, Tensor) {
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for &i in rows {
+        let (ra, rb) = proxy_rows(i, c, d, seed);
+        a.extend(ra);
+        b.extend(rb);
+    }
+    (
+        Tensor::from_vec(a, &[rows.len(), c]),
+        Tensor::from_vec(b, &[rows.len(), d]),
+    )
+}
+
+fn selection_bits(s: &Selection) -> (Vec<usize>, Vec<u32>) {
+    (
+        s.indices.clone(),
+        s.weights.iter().map(|w| w.to_bits()).collect(),
+    )
 }
 
 fn labels(n: usize, classes: usize, seed: u64) -> Vec<usize> {
@@ -83,9 +113,49 @@ proptest! {
         let ys = labels(n, 2, seed ^ 4);
         let opts = CraigOptions::default();
         let flat = select_flat(&a, &ys, 2, 0.5, &opts, &mut Rng64::new(9)).unwrap();
+        let gathered = |m: &[usize]| (a.gather_rows(m), ones.gather_rows(m));
         let fact =
-            select_per_class_factored(&a, &ones, &ys, 2, 0.5, &opts, &mut Rng64::new(9)).unwrap();
+            select_per_class_factored(gathered, &ys, 2, 0.5, &opts, &mut Rng64::new(9)).unwrap();
         prop_assert_eq!(flat.indices, fact.indices);
+    }
+
+    #[test]
+    fn per_class_factors_match_gathered_pool_factors(
+        n in 2usize..80,
+        classes in 1usize..5,
+        chunk in 0usize..12,
+        f in 0.1f32..0.9,
+        seed in any::<u64>(),
+    ) {
+        // Building each class's factors when it is selected gives the same
+        // bits as gathering them from one pool-wide block, whole-class and
+        // partitioned, on 1 and 3 threads.
+        let chunk = (chunk >= 2).then_some(chunk);
+        let ys = labels(n, classes, seed ^ 7);
+        let pool: Vec<usize> = (0..n).collect();
+        let (a, b) = proxies_of(&pool, 3, 11, seed);
+        let gathered = |m: &[usize]| (a.gather_rows(m), b.gather_rows(m));
+        let per_class = |m: &[usize]| proxies_of(m, 3, 11, seed);
+        let opts = |threads| CraigOptions {
+            partition_chunk: chunk,
+            threads,
+            ..CraigOptions::default()
+        };
+        let reference =
+            select_per_class_factored(gathered, &ys, classes, f, &opts(1), &mut Rng64::new(seed))
+                .unwrap();
+        for threads in [1, 3] {
+            let sel = select_per_class_factored(
+                per_class, &ys, classes, f, &opts(threads), &mut Rng64::new(seed),
+            )
+            .unwrap();
+            prop_assert_eq!(selection_bits(&sel), selection_bits(&reference));
+            let sel = select_per_class_factored(
+                gathered, &ys, classes, f, &opts(threads), &mut Rng64::new(seed),
+            )
+            .unwrap();
+            prop_assert_eq!(selection_bits(&sel), selection_bits(&reference));
+        }
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! A disabled handle ([`Telemetry::disabled`]) makes every call a no-op
 //! so instrumented code needs no `if` guards.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod json;
 pub mod metrics;

@@ -1,5 +1,6 @@
 //! The dense row-major `f32` tensor.
 
+use crate::dispatch::{self, Kernel};
 use crate::rng::Rng64;
 use crate::shape::{Shape, ShapeError};
 use std::fmt;
@@ -219,9 +220,9 @@ impl Tensor {
     /// Uses an i-k-j loop order: each row of `self` scales rows of `other`
     /// into the output row (an axpy), so the inner loop streams both
     /// operands and vectorizes across outputs. Every output still sums its
-    /// `k` products in order from `+0.0`. Skipping `a == 0.0` leaves that
-    /// sum bit-identical for finite `other`: the skipped product is `±0.0`,
-    /// and an accumulator that starts at `+0.0` never becomes `-0.0`.
+    /// `k` products in order from `+0.0`, at any dispatched width (see
+    /// [`crate::dispatch`]). Zero entries of `self` are skipped, which
+    /// leaves that sum bit-identical for finite `other`.
     ///
     /// # Panics
     ///
@@ -233,17 +234,9 @@ impl Tensor {
         let (k2, n) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
+        if k > 0 && n > 0 {
+            for (a_row, o_row) in self.data.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                axpy_rows(o_row, a_row.iter().copied(), &other.data);
             }
         }
         Tensor::from_vec(out, &[m, n])
@@ -314,6 +307,11 @@ impl Tensor {
 
     /// `selfᵀ (k×m) · other (k×n)` producing `m×n`.
     ///
+    /// The same zero-skipping axpy as [`Tensor::matmul`], one output row at
+    /// a time: row `i` reads column `i` of `self` as its coefficients, so
+    /// the row stays in cache while the `k` rows of `other` stream past,
+    /// and each output sums its products in order of `k`.
+    ///
     /// # Panics
     ///
     /// Panics on rank or leading-dimension mismatch.
@@ -327,17 +325,13 @@ impl Tensor {
             "matmul_transa leading dimensions differ: {k} vs {k2}"
         );
         let mut out = vec![0.0f32; m * n];
-        for p in 0..k {
-            let a_row = &self.data[p * m..(p + 1) * m];
-            let b_row = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let o_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
+        if k > 0 && n > 0 {
+            for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+                axpy_rows(
+                    o_row,
+                    self.data[i..].iter().step_by(m).copied(),
+                    &other.data,
+                );
             }
         }
         Tensor::from_vec(out, &[m, n])
@@ -512,24 +506,75 @@ pub(crate) fn pack_lanes(data: &[f32], rows: usize, k: usize) -> Vec<[f32; TILE_
 ///
 /// Kept out of line: inlined into the caller, whose stores interleave the
 /// two results, LLVM vectorizes across `acc0[l], acc1[l]` pairs instead of
-/// across lanes, spills, and runs about 3× slower.
+/// across lanes, spills, and runs about 3× slower. It is also the
+/// dispatched unit, since a callee that is not inlined into the AVX2
+/// instance runs at the baseline width.
 #[inline(never)]
 pub(crate) fn dot_tile(
     lanes: &[[f32; TILE_LANES]],
     w0: &[f32],
     w1: &[f32],
 ) -> ([f32; TILE_LANES], [f32; TILE_LANES]) {
-    let mut acc0 = [0.0f32; TILE_LANES];
-    let mut acc1 = [0.0f32; TILE_LANES];
-    for ((x, &a), &b) in lanes.iter().zip(w0).zip(w1) {
-        for (acc, &v) in acc0.iter_mut().zip(x) {
-            *acc += v * a;
+    dispatch::run(DotTile { lanes, w0, w1 })
+}
+
+/// The body of [`dot_tile`].
+pub(crate) struct DotTile<'a> {
+    pub(crate) lanes: &'a [[f32; TILE_LANES]],
+    pub(crate) w0: &'a [f32],
+    pub(crate) w1: &'a [f32],
+}
+
+impl Kernel for DotTile<'_> {
+    type Output = ([f32; TILE_LANES], [f32; TILE_LANES]);
+
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        let mut acc0 = [0.0f32; TILE_LANES];
+        let mut acc1 = [0.0f32; TILE_LANES];
+        for ((x, &a), &b) in self.lanes.iter().zip(self.w0).zip(self.w1) {
+            for (acc, &v) in acc0.iter_mut().zip(x) {
+                *acc += v * a;
+            }
+            for (acc, &v) in acc1.iter_mut().zip(x) {
+                *acc += v * b;
+            }
         }
-        for (acc, &v) in acc1.iter_mut().zip(x) {
-            *acc += v * b;
+        (acc0, acc1)
+    }
+}
+
+/// `o_row[j] += c_p · b[p·n + j]` for each coefficient `c_p` in order,
+/// `n = o_row.len()`: one output row of the backward products, every entry
+/// its own in-order sum. A zero coefficient is skipped, which leaves that
+/// sum bit-identical for finite `b`: the skipped product is `±0.0`, and an
+/// accumulator that starts at `+0.0` never becomes `-0.0`.
+fn axpy_rows(o_row: &mut [f32], coeffs: impl Iterator<Item = f32>, b: &[f32]) {
+    dispatch::run(AxpyRows { o_row, coeffs, b });
+}
+
+/// The body of [`axpy_rows`].
+pub(crate) struct AxpyRows<'a, C> {
+    pub(crate) o_row: &'a mut [f32],
+    pub(crate) coeffs: C,
+    pub(crate) b: &'a [f32],
+}
+
+impl<C: Iterator<Item = f32>> Kernel for AxpyRows<'_, C> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let n = self.o_row.len();
+        for (a, b_row) in self.coeffs.zip(self.b.chunks_exact(n)) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in self.o_row.iter_mut().zip(b_row) {
+                *o += a * b;
+            }
         }
     }
-    (acc0, acc1)
 }
 
 /// `Σ a[p]·b[p]` summed in order from `+0.0`.

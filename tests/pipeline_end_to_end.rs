@@ -169,6 +169,26 @@ fn parallel_selection_matches_sequential() {
 }
 
 #[test]
+fn report_bytes_do_not_depend_on_the_thread_count() {
+    // Each class's gradient proxies are built when that class is selected,
+    // on whichever worker selects it; rows are independent and RNGs are
+    // pre-split per class, so the report is the same bytes on 1 and 3
+    // threads, in the sequential and the overlapped schedule.
+    let (train, test) = dataset();
+    for overlap in [false, true] {
+        let run = |threads| {
+            let cfg = NessaConfig::new(0.3, 4)
+                .with_overlap(overlap)
+                .with_threads(threads);
+            run_policy(&Policy::Nessa(cfg), &train, &test, 4, BATCH, 11, &builder)
+                .unwrap()
+                .to_jsonl()
+        };
+        assert_eq!(run(1), run(3), "overlap {overlap}");
+    }
+}
+
+#[test]
 fn full_run_is_deterministic() {
     let (train, test) = dataset();
     let cfg = NessaConfig::new(0.3, 5);
