@@ -62,7 +62,7 @@ pub struct NessaConfig {
     /// (`w ← w^γ`). `1.0` uses raw cluster sizes as in CRAIG; smaller
     /// values temper the extreme weight concentration that destabilizes
     /// SGD on small subsets of highly-redundant data. NeSSA defaults to
-    /// `0.5`; the ablation bench sweeps this.
+    /// `0.5`; `tests/robustness.rs` trains at 0, 0.5 and 1.
     pub weight_temper: f32,
     /// Greedy maximizer used on the (simulated) FPGA.
     pub greedy: GreedyVariant,

@@ -1,19 +1,8 @@
-//! Live pipeline health: progress gauges and fault counters.
+//! Pipeline health: the fault counters and the live-drive gauge.
 //!
-//! The telemetry stream already records *what happened*; this module
-//! publishes *how the run is going* while it happens. [`HealthMonitor`]
-//! reports per-epoch throughput and an ETA through the ordinary metrics
-//! registry, so every sink (timeline, JSONL, in-memory snapshot) sees
-//! them with no extra plumbing:
-//!
-//! * `health.epoch_secs` — wall seconds of the most recent epoch,
-//! * `health.samples_per_sec` — training throughput of that epoch,
-//! * `health.epochs_done` — completed epochs,
-//! * `health.eta_secs` — mean epoch time × remaining epochs.
-//!
-//! The monitor also owns the fault-tolerance counters the degradation
-//! ladder reports into (all registered at construction, so a fault-free
-//! run publishes them as explicit zeros):
+//! [`HealthMonitor`] owns the fault-tolerance counters the degradation
+//! ladder reports into, all registered at construction so a fault-free
+//! run publishes them as explicit zeros:
 //!
 //! * `fault.injected` — faults the armed `FaultPlan`s fired,
 //! * `retry.attempts` — device retries after a transient error,
@@ -22,24 +11,17 @@
 //! * `drive.evicted` — drives evicted after a dropout,
 //! * `data.quarantined` — corrupt records dropped from the pool,
 //!
-//! plus a `health.drives_alive` gauge.
+//! plus a `health.drives_alive` gauge. Progress (epoch wall time,
+//! throughput) is already in the `epoch` and `train` spans, so the
+//! monitor keeps no copy of it and reads no clock.
 //!
 //! On a disabled telemetry handle everything degrades to a no-op (the
-//! gauges and counters feed unregistered metrics).
+//! gauge and counters feed unregistered metrics).
 
-use nessa_telemetry::clock::{self, Instant};
 use nessa_telemetry::{Counter, Gauge, Telemetry};
 
-/// Epoch-granular progress gauges and fault counters for one run.
+/// Fault counters and the live-drive gauge for one run.
 pub struct HealthMonitor {
-    total_epochs: usize,
-    epochs_done: usize,
-    started: Instant,
-    last_epoch_end: Instant,
-    epoch_secs: Gauge,
-    samples_per_sec: Gauge,
-    epochs_done_gauge: Gauge,
-    eta_secs: Gauge,
     drives_alive: Gauge,
     faults_injected: Counter,
     retry_attempts: Counter,
@@ -50,18 +32,9 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Creates a monitor for a run of `total_epochs` epochs.
-    pub fn new(telemetry: &Telemetry, total_epochs: usize) -> Self {
-        let now = clock::now();
+    /// Registers the monitor's metrics on `telemetry`.
+    pub fn new(telemetry: &Telemetry) -> Self {
         HealthMonitor {
-            total_epochs,
-            epochs_done: 0,
-            started: now,
-            last_epoch_end: now,
-            epoch_secs: telemetry.gauge("health.epoch_secs"),
-            samples_per_sec: telemetry.gauge("health.samples_per_sec"),
-            epochs_done_gauge: telemetry.gauge("health.epochs_done"),
-            eta_secs: telemetry.gauge("health.eta_secs"),
             drives_alive: telemetry.gauge("health.drives_alive"),
             faults_injected: telemetry.counter("fault.injected"),
             retry_attempts: telemetry.counter("retry.attempts"),
@@ -111,41 +84,6 @@ impl HealthMonitor {
             self.faults_injected.add(faults);
         }
     }
-
-    /// Records one completed epoch that trained on `samples` samples and
-    /// refreshes every gauge. Returns the epoch's wall seconds.
-    pub fn epoch_completed(&mut self, samples: usize) -> f64 {
-        let now = clock::now();
-        let epoch_secs = now.duration_since(self.last_epoch_end).as_secs_f64();
-        self.last_epoch_end = now;
-        self.epochs_done += 1;
-        self.epoch_secs.set(epoch_secs);
-        if epoch_secs > 0.0 {
-            self.samples_per_sec.set(samples as f64 / epoch_secs);
-        }
-        self.epochs_done_gauge.set(self.epochs_done as f64);
-        self.eta_secs.set(self.eta_secs_now());
-        epoch_secs
-    }
-
-    /// Number of epochs recorded so far.
-    pub fn epochs_done(&self) -> usize {
-        self.epochs_done
-    }
-
-    /// Remaining-time estimate: mean epoch wall time so far times the
-    /// epochs still to run. `None` before the first epoch completes.
-    pub fn eta_secs(&self) -> Option<f64> {
-        (self.epochs_done > 0).then(|| self.eta_secs_now())
-    }
-
-    fn eta_secs_now(&self) -> f64 {
-        if self.epochs_done == 0 {
-            return 0.0;
-        }
-        let mean = self.started.elapsed().as_secs_f64() / self.epochs_done as f64;
-        mean * self.total_epochs.saturating_sub(self.epochs_done) as f64
-    }
 }
 
 #[cfg(test)]
@@ -154,28 +92,9 @@ mod tests {
     use nessa_telemetry::TelemetrySettings;
 
     #[test]
-    fn gauges_track_epoch_progress() {
-        let t = Telemetry::new(&TelemetrySettings::memory());
-        let mut m = HealthMonitor::new(&t, 4);
-        assert_eq!(m.epochs_done(), 0);
-        assert!(m.eta_secs().is_none());
-        let secs = m.epoch_completed(300);
-        assert!(secs >= 0.0);
-        m.epoch_completed(300);
-        assert_eq!(m.epochs_done(), 2);
-        assert!(m.eta_secs().unwrap() >= 0.0);
-        let snap = t.metrics_snapshot();
-        let gauges: std::collections::BTreeMap<_, _> = snap.gauges.into_iter().collect();
-        assert_eq!(gauges["health.epochs_done"], 2.0);
-        assert!(gauges.contains_key("health.epoch_secs"));
-        assert!(gauges.contains_key("health.samples_per_sec"));
-        assert!(gauges.contains_key("health.eta_secs"));
-    }
-
-    #[test]
     fn fault_counters_register_at_zero_and_accumulate() {
         let t = Telemetry::new(&TelemetrySettings::memory());
-        let m = HealthMonitor::new(&t, 2);
+        let m = HealthMonitor::new(&t);
         let zeros: std::collections::BTreeMap<_, _> =
             t.metrics_snapshot().counters.into_iter().collect();
         for name in [
@@ -206,13 +125,5 @@ mod tests {
         assert_eq!(counters["fault.injected"], 7);
         let gauges: std::collections::BTreeMap<_, _> = snap.gauges.into_iter().collect();
         assert_eq!(gauges["health.drives_alive"], 3.0);
-    }
-
-    #[test]
-    fn disabled_telemetry_still_counts_epochs() {
-        let t = Telemetry::disabled();
-        let mut m = HealthMonitor::new(&t, 2);
-        m.epoch_completed(10);
-        assert_eq!(m.epochs_done(), 1);
     }
 }

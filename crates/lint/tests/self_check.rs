@@ -91,6 +91,12 @@ fn burned_down_paths_have_no_frozen_debt() {
             !file.starts_with("crates/core/"),
             "crates/core must stay lint-clean, found {rule} x{count} in {file}"
         );
+        // Telemetry locks recover from poisoning instead of unwrapping;
+        // its parser keeps an f1 entry, so only p1 is pinned here.
+        assert!(
+            !(file.starts_with("crates/telemetry/") && rule == "p1-panic"),
+            "crates/telemetry must stay panic-free, found {rule} x{count} in {file}"
+        );
     }
 }
 

@@ -12,8 +12,8 @@
 //!   dataset-partitioning option (§3.2.3),
 //! * [`kcenters`] — the K-Centers baseline of Sener & Savarese
 //!   (farthest-first traversal, a 2-approximation),
-//! * [`kmedoids`] — an alternating k-medoids refiner used for
-//!   cross-checking the facility-location solutions,
+//! * [`kmedoids`] — the k-medoid cost that measures how well a selection
+//!   represents the pool,
 //! * [`random`] — the uniform random baseline.
 //!
 //! All algorithms consume a row-per-sample feature matrix (in NeSSA those

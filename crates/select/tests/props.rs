@@ -2,7 +2,7 @@
 
 use nessa_select::craig::{select_per_class_factored, CraigOptions};
 use nessa_select::facility::{maximize, GreedyVariant, SimilarityMatrix};
-use nessa_select::{fraction_count, kcenters, kmedoids, random, SelectError, Selection};
+use nessa_select::{fraction_count, kcenters, random, SelectError, Selection};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 use proptest::prelude::*;
@@ -166,17 +166,6 @@ proptest! {
         let total: f32 = sel.weights.iter().sum();
         prop_assert!((total - n as f32).abs() < 1e-3);
         prop_assert!(sel.weights.iter().all(|&w| w >= 1.0));
-    }
-
-    #[test]
-    fn kmedoids_refine_never_worsens(n in 4usize..24, k in 1usize..5, seed in any::<u64>()) {
-        let feats = features(n, 3, seed);
-        let mut rng = Rng64::new(seed ^ 6);
-        let start = rng.sample_indices(n, k.min(n));
-        let before = kmedoids::cost(&feats, &start);
-        let refined = kmedoids::refine(&feats, &start, 10);
-        let after = kmedoids::cost(&feats, &refined.indices);
-        prop_assert!(after <= before + 1e-3);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! timestamp in the workspace is taken here (or by the SmartSSD
 //! simulator's own `SimClock`, which is virtual and deterministic), and
 //! `nessa-lint` rule **D1** rejects `Instant::now` / `SystemTime::now`
-//! anywhere else. Wall time may *decorate* telemetry (span durations,
-//! health gauges) but must never *decide* anything on the selection
-//! path.
+//! anywhere else. Wall time may *decorate* telemetry (span starts and
+//! durations) but must never *decide* anything on the selection path.
 
 pub use std::time::Instant;
 

@@ -43,7 +43,8 @@ use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 
 /// Where telemetry goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,17 +156,33 @@ pub struct DeviceEvent {
 struct Inner {
     mode: TelemetryMode,
     created: Instant,
-    spans: Mutex<Vec<SpanRecord>>,
-    device_events: Mutex<Vec<DeviceEvent>>,
     metrics: MetricsRegistry,
     next_id: AtomicU64,
+    log: Mutex<Log>,
+    jsonl_path: Option<PathBuf>,
+}
+
+/// Everything a stream records, behind one lock: a span's JSONL line and
+/// its in-memory record are written in the same critical section, so the
+/// file lists spans and device events in exactly the in-memory order.
+#[derive(Default)]
+struct Log {
     // Open spans as (owning thread, span id). Parenting is *per thread*:
     // a new span nests under the innermost open span of its own thread,
     // so concurrent spans on different threads (the overlapped pipeline's
     // selection worker vs. the training thread) never cross-parent.
-    open_stack: Mutex<Vec<(std::thread::ThreadId, u64)>>,
-    jsonl: Mutex<Option<BufWriter<fs::File>>>,
-    jsonl_path: Option<PathBuf>,
+    open: Vec<(ThreadId, u64)>,
+    spans: Vec<SpanRecord>,
+    device_events: Vec<DeviceEvent>,
+    jsonl: Option<BufWriter<fs::File>>,
+}
+
+impl Inner {
+    /// The log, even if a thread panicked while holding it: every update
+    /// leaves it consistent, and one panic must not become two.
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A cloneable handle to one run's telemetry stream.
@@ -226,12 +243,12 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 mode,
                 created: clock::now(),
-                spans: Mutex::new(Vec::new()),
-                device_events: Mutex::new(Vec::new()),
                 metrics: MetricsRegistry::default(),
                 next_id: AtomicU64::new(1),
-                open_stack: Mutex::new(Vec::new()),
-                jsonl: Mutex::new(jsonl),
+                log: Mutex::new(Log {
+                    jsonl,
+                    ..Log::default()
+                }),
                 jsonl_path,
             })),
         }
@@ -281,37 +298,35 @@ impl Telemetry {
 
     fn open_span(&self, name: &str, forced_parent: Option<Option<u64>>) -> SpanGuard {
         let Some(inner) = self.inner.as_ref() else {
-            return SpanGuard {
-                inner: None,
-                record: None,
-                start: clock::now(),
-            };
+            return SpanGuard(None);
         };
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let thread = std::thread::current().id();
         let parent = {
-            let mut stack = inner.open_stack.lock().unwrap();
-            let natural = stack
+            let mut log = inner.log();
+            let natural = log
+                .open
                 .iter()
                 .rev()
                 .find(|(t, _)| *t == thread)
                 .map(|&(_, id)| id);
-            stack.push((thread, id));
+            log.open.push((thread, id));
             forced_parent.unwrap_or(natural)
         };
-        SpanGuard {
-            inner: Some(Arc::clone(inner)),
-            record: Some(SpanRecord {
+        let start = clock::now();
+        SpanGuard(Some(OpenSpan {
+            inner: Arc::clone(inner),
+            record: SpanRecord {
                 id,
                 parent,
                 name: name.to_string(),
                 attrs: Vec::new(),
-                start_secs: inner.created.elapsed().as_secs_f64(),
+                start_secs: start.duration_since(inner.created).as_secs_f64(),
                 wall_secs: 0.0,
                 sim_secs: 0.0,
-            }),
-            start: clock::now(),
-        }
+            },
+            start,
+        }))
     }
 
     /// Counter handle. On a disabled stream the handle works but feeds
@@ -344,13 +359,11 @@ impl Telemetry {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
-        if inner.mode == TelemetryMode::Jsonl {
-            let line = sink::device_event_line(&event);
-            if let Some(w) = inner.jsonl.lock().unwrap().as_mut() {
-                let _ = writeln!(w, "{line}");
-            }
+        let mut log = inner.log();
+        if let Some(w) = log.jsonl.as_mut() {
+            let _ = writeln!(w, "{}", sink::device_event_line(&event));
         }
-        inner.device_events.lock().unwrap().push(event);
+        log.device_events.push(event);
     }
 
     /// Seconds since the stream was created (host wall clock); `None` on
@@ -366,7 +379,7 @@ impl Telemetry {
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.inner
             .as_ref()
-            .map(|i| i.spans.lock().unwrap().clone())
+            .map(|i| i.log().spans.clone())
             .unwrap_or_default()
     }
 
@@ -374,7 +387,7 @@ impl Telemetry {
     pub fn device_events(&self) -> Vec<DeviceEvent> {
         self.inner
             .as_ref()
-            .map(|i| i.device_events.lock().unwrap().clone())
+            .map(|i| i.log().device_events.clone())
             .unwrap_or_default()
     }
 
@@ -403,7 +416,7 @@ impl Telemetry {
             TelemetryMode::Timeline => print!("{}", self.render_timeline()),
             TelemetryMode::Jsonl => {
                 let snapshot = inner.metrics.snapshot();
-                if let Some(w) = inner.jsonl.lock().unwrap().as_mut() {
+                if let Some(w) = inner.log().jsonl.as_mut() {
                     for line in sink::metrics_lines(&snapshot) {
                         let _ = writeln!(w, "{line}");
                     }
@@ -415,10 +428,13 @@ impl Telemetry {
     }
 }
 
-/// RAII timer for one span; created by [`Telemetry::span`].
-pub struct SpanGuard {
-    inner: Option<Arc<Inner>>,
-    record: Option<SpanRecord>,
+/// RAII timer for one span; created by [`Telemetry::span`]. On a
+/// disabled stream it holds nothing and reads no clock.
+pub struct SpanGuard(Option<OpenSpan>);
+
+struct OpenSpan {
+    inner: Arc<Inner>,
+    record: SpanRecord,
     start: Instant,
 }
 
@@ -427,7 +443,7 @@ impl SpanGuard {
     /// [`Telemetry::span_child_of`] to parent a span from another thread
     /// under this one.
     pub fn id(&self) -> Option<u64> {
-        self.record.as_ref().map(|r| r.id)
+        self.0.as_ref().map(|o| o.record.id)
     }
 
     /// Attaches an attribute (builder style).
@@ -438,21 +454,21 @@ impl SpanGuard {
 
     /// Attaches an attribute in place.
     pub fn set_attr(&mut self, key: &str, value: impl Into<AttrValue>) {
-        if let Some(rec) = self.record.as_mut() {
-            rec.attrs.push((key.to_string(), value.into()));
+        if let Some(o) = self.0.as_mut() {
+            o.record.attrs.push((key.to_string(), value.into()));
         }
     }
 
     /// Adds simulated-device seconds to this span.
     pub fn add_sim_secs(&mut self, secs: f64) {
-        if let Some(rec) = self.record.as_mut() {
-            rec.sim_secs += secs;
+        if let Some(o) = self.0.as_mut() {
+            o.record.sim_secs += secs;
         }
     }
 
     /// Simulated seconds accumulated so far.
     pub fn sim_secs(&self) -> f64 {
-        self.record.as_ref().map(|r| r.sim_secs).unwrap_or(0.0)
+        self.0.as_ref().map(|o| o.record.sim_secs).unwrap_or(0.0)
     }
 
     /// Completes the span now (equivalent to dropping it).
@@ -461,23 +477,23 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let (Some(inner), Some(mut rec)) = (self.inner.take(), self.record.take()) else {
+        let Some(OpenSpan {
+            inner,
+            mut record,
+            start,
+        }) = self.0.take()
+        else {
             return;
         };
-        rec.wall_secs = self.start.elapsed().as_secs_f64();
-        {
-            let mut stack = inner.open_stack.lock().unwrap();
-            if let Some(pos) = stack.iter().rposition(|&(_, id)| id == rec.id) {
-                stack.remove(pos);
-            }
+        record.wall_secs = start.elapsed().as_secs_f64();
+        let mut log = inner.log();
+        if let Some(pos) = log.open.iter().rposition(|&(_, id)| id == record.id) {
+            log.open.remove(pos);
         }
-        if inner.mode == TelemetryMode::Jsonl {
-            let line = sink::span_line(&rec);
-            if let Some(w) = inner.jsonl.lock().unwrap().as_mut() {
-                let _ = writeln!(w, "{line}");
-            }
+        if let Some(w) = log.jsonl.as_mut() {
+            let _ = writeln!(w, "{}", sink::span_line(&record));
         }
-        inner.spans.lock().unwrap().push(rec);
+        log.spans.push(record);
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Histogram resolution: buckets per power of ten.
 pub const BUCKETS_PER_DECADE: usize = 8;
@@ -251,17 +251,27 @@ pub struct HistogramSummary {
 /// is snapshot; re-requesting a name returns a clone of the same metric.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    maps: Mutex<Maps>,
+}
+
+#[derive(Debug, Default)]
+struct Maps {
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, Gauge>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
+    /// The name maps, even after a panic elsewhere: an insert either
+    /// happened or did not, so a poisoned map is still consistent.
+    fn maps(&self) -> MutexGuard<'_, Maps> {
+        self.maps.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns (creating if needed) the counter called `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        self.counters
-            .lock()
-            .unwrap()
+        self.maps()
+            .counters
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -269,9 +279,8 @@ impl MetricsRegistry {
 
     /// Returns (creating if needed) the gauge called `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauges
-            .lock()
-            .unwrap()
+        self.maps()
+            .gauges
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -279,9 +288,8 @@ impl MetricsRegistry {
 
     /// Returns (creating if needed) the histogram called `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histograms
-            .lock()
-            .unwrap()
+        self.maps()
+            .histograms
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -289,25 +297,20 @@ impl MetricsRegistry {
 
     /// Captures every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let maps = self.maps();
         MetricsSnapshot {
-            counters: self
+            counters: maps
                 .counters
-                .lock()
-                .unwrap()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
+            gauges: maps
                 .gauges
-                .lock()
-                .unwrap()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
+            histograms: maps
                 .histograms
-                .lock()
-                .unwrap()
                 .iter()
                 .map(|(k, h)| {
                     (

@@ -120,3 +120,44 @@ fn flushing_twice_still_yields_final_metric_values() {
     // Metric lines are appended per flush; the last generation wins.
     assert_eq!(parsed.counters["c"], 10);
 }
+
+#[test]
+fn concurrent_spans_stream_in_memory_order() {
+    // One JSONL stream, four threads closing spans as fast as they can:
+    // the file must list spans and device events in exactly the order
+    // the live handle holds them, or the parsed tree differs.
+    const THREADS: u64 = 4;
+    const PAIRS: u64 = 100; // 200 spans per thread
+    for round in 0..50 {
+        let path = temp_path(&format!("concurrent-{round}"));
+        let telemetry = Telemetry::new(&TelemetrySettings::jsonl(&path));
+        std::thread::scope(|s| {
+            for thread in 0..THREADS {
+                let telemetry = &telemetry;
+                s.spawn(move || {
+                    for i in 0..PAIRS {
+                        let outer = telemetry
+                            .span("outer")
+                            .with_attr("thread", thread)
+                            .with_attr("i", i);
+                        telemetry.span("inner").with_attr("thread", thread).finish();
+                        telemetry.record_device_event(DeviceEvent {
+                            phase: "scan".into(),
+                            start_s: i as f64,
+                            duration_s: 0.5,
+                            bytes: thread,
+                        });
+                        outer.finish();
+                    }
+                });
+            }
+        });
+        telemetry.flush();
+        let live = RunTrace::from_telemetry(&telemetry);
+        let parsed = RunTrace::from_path(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(live.tree.len(), (2 * THREADS * PAIRS) as usize);
+        assert_eq!(parsed.tree.spans(), live.tree.spans(), "round {round}");
+        assert_eq!(parsed.device_events, live.device_events, "round {round}");
+    }
+}

@@ -1,5 +1,5 @@
 //! Coreset selection in isolation: compare facility location (CRAIG),
-//! K-Centers, k-medoids refinement, and random selection on a redundant
+//! K-Centers, and random selection by k-medoid cost on a redundant
 //! clustered dataset — no training involved.
 //!
 //! Run with `cargo run --release --example coreset_selection`.
@@ -39,7 +39,6 @@ fn main() {
     .unwrap();
     let kc = kcenters::select(&feats, k, &mut rng);
     let rnd = random::select(400, k, &mut rng);
-    let refined = kmedoids::refine(&feats, &fl.indices, 20);
 
     println!("selecting {k} of 400 (8 clusters + 8 outliers)");
     println!(
@@ -49,7 +48,6 @@ fn main() {
     for (name, indices) in [
         ("facility (lazy)", &fl.indices),
         ("facility (stochastic)", &st.indices),
-        ("facility + k-medoids", &refined.indices),
         ("k-centers", &kc.indices),
         ("random", &rnd.indices),
     ] {
@@ -59,9 +57,9 @@ fn main() {
         println!("{name:<24} {cost:>16.1} {obj:>14.1} {outliers:>10}");
     }
     println!();
-    println!("facility location (and its k-medoids refinement) reaches the lowest");
-    println!("k-medoid cost: it covers every cluster AND the outlier region, while");
-    println!("random selection — blind to structure — pays ~20x the representation");
-    println!("cost. Stochastic greedy trades a little coverage for far fewer");
-    println!("similarity evaluations (the FPGA-friendly variant).");
+    println!("lazy facility location reaches the lowest k-medoid cost: it covers");
+    println!("every cluster AND the outlier region, while random selection — blind");
+    println!("to structure — pays ~20x the representation cost. Stochastic greedy");
+    println!("trades a little coverage for far fewer similarity evaluations (the");
+    println!("FPGA-friendly variant).");
 }
