@@ -196,20 +196,19 @@ fn main() {
         rule(60);
     }
     {
-        use nessa_smartssd::ftl::Ftl;
         use nessa_smartssd::nand::NandConfig;
-        use nessa_tensor::rng::Rng64 as FtlRng;
+        use nessa_tensor::rng::Rng64 as FlashRng;
         // One epoch of CIFAR-10 at full scale: 50 000 records × 3 KB
-        // ≈ 9 375 16-KB pages. NeSSA scans them sequentially on-board; a
+        // ≈ 9 375 16-KB pages. NeSSA scans them sequentially on-board
+        // (priced by the same read the drive's scan phase uses); a
         // host-side random sampler (the access pattern of per-sample
         // importance sampling) touches a 28 % subset at random.
+        let nand = NandConfig::default();
         let pages = 9_375usize;
-        let seq = Ftl::format(NandConfig::default(), pages);
-        let t_seq = seq.read_pages(0, pages);
-        let mut rng = FtlRng::new(SEED);
+        let t_seq = nand.read_secs(pages as u64 * nand.page_bytes as u64);
+        let mut rng = FlashRng::new(SEED);
         let sample: Vec<usize> = rng.sample_indices(pages, pages * 28 / 100);
-        let rand = Ftl::format(NandConfig::default(), pages);
-        let t_rand = rand.read_scattered(&sample);
+        let t_rand = nand.scattered_read_secs(&sample);
         if json {
             println!(
                 "{}",

@@ -56,16 +56,6 @@ impl SimClock {
         );
         self.advance_ns((secs * 1e9).round() as u64);
     }
-
-    /// Seconds elapsed since an earlier reading of this clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is in the future.
-    pub fn since_secs(&self, earlier_ns: u64) -> f64 {
-        assert!(earlier_ns <= self.now_ns, "reference time is in the future");
-        (self.now_ns - earlier_ns) as f64 * 1e-9
-    }
 }
 
 impl fmt::Display for SimClock {
@@ -89,25 +79,9 @@ mod tests {
     }
 
     #[test]
-    fn since_measures_deltas() {
-        let mut c = SimClock::new();
-        c.advance_ns(500);
-        let mark = c.now_ns();
-        c.advance_secs(2e-9);
-        assert!((c.since_secs(mark) - 2e-9).abs() < 1e-15);
-    }
-
-    #[test]
     #[should_panic(expected = "finite duration")]
     fn rejects_negative_advance() {
         SimClock::new().advance_secs(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "future")]
-    fn rejects_future_reference() {
-        let c = SimClock::new();
-        c.since_secs(10);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! [`SsdCluster::evict_drive`] — the shard layout rebalances over the
 //! survivors and the retired drive's traffic/energy history is kept.
 
-use crate::device::{SmartSsd, SmartSsdConfig, TrafficStats};
+use crate::device::{SmartSsd, SmartSsdConfig};
 use crate::fault::{DeviceError, FaultPlan};
 use crate::fpga::KernelProfile;
+use crate::trace::TrafficStats;
 
 /// A device error attributed to one drive of a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,12 +165,6 @@ impl SsdCluster {
         self.hidden_s
     }
 
-    /// Device seconds exposed on the end-to-end critical path: elapsed
-    /// minus hidden (never negative).
-    pub fn exposed_secs(&self) -> f64 {
-        (self.elapsed_s - self.hidden_s).max(0.0)
-    }
-
     /// Aggregated traffic over all drives, retired ones included.
     pub fn traffic(&self) -> TrafficStats {
         let mut total = TrafficStats::default();
@@ -238,6 +233,25 @@ impl SsdCluster {
         Ok(t)
     }
 
+    /// Runs one sharded phase: splits `records` over the live drives,
+    /// runs `op` on each drive with its share, then settles the phase
+    /// with [`finish_phase`](Self::finish_phase).
+    fn sharded(
+        &mut self,
+        records: u64,
+        combine: impl Fn(f64, f64) -> f64,
+        mut op: impl FnMut(&mut SmartSsd, u64) -> Result<f64, DeviceError>,
+    ) -> Result<f64, ClusterError> {
+        let shards = self.shard_counts(records);
+        let results = self
+            .drives
+            .iter_mut()
+            .zip(shards)
+            .map(|(d, share)| op(d, share))
+            .collect();
+        self.finish_phase(results, combine)
+    }
+
     /// Phase: every drive scans its shard flash → FPGA in parallel.
     /// Returns the phase's wall-clock seconds (slowest drive).
     ///
@@ -247,14 +261,9 @@ impl SsdCluster {
     /// precedence so the caller can evict). No wall-clock is charged on
     /// failure; a retry re-runs the whole phase.
     pub fn parallel_scan(&mut self, records: u64, record_bytes: u64) -> Result<f64, ClusterError> {
-        let shards = self.shard_counts(records);
-        let results = self
-            .drives
-            .iter_mut()
-            .zip(&shards)
-            .map(|(d, &r)| d.read_records_to_fpga(r, record_bytes))
-            .collect();
-        self.finish_phase(results, f64::max)
+        self.sharded(records, f64::max, |d, r| {
+            d.read_records_to_fpga(r, record_bytes)
+        })
     }
 
     /// Phase: every drive runs the selection kernel on its shard
@@ -268,20 +277,12 @@ impl SsdCluster {
     /// armed kernel abort fired, [`DeviceError::Offline`] (with
     /// precedence) after a dropout.
     pub fn parallel_select(&mut self, profile: &KernelProfile) -> Result<f64, ClusterError> {
-        let shards = self.shard_counts(profile.samples);
-        let results = self
-            .drives
-            .iter_mut()
-            .zip(&shards)
-            .map(|(d, &samples)| {
-                let local = KernelProfile {
-                    samples,
-                    ..*profile
-                };
-                d.run_selection(&local)
+        self.sharded(profile.samples, f64::max, |d, samples| {
+            d.run_selection(&KernelProfile {
+                samples,
+                ..*profile
             })
-            .collect();
-        self.finish_phase(results, f64::max)
+        })
     }
 
     /// Phase: every drive ships its share of the `records` selected
@@ -297,14 +298,11 @@ impl SsdCluster {
         records: u64,
         record_bytes: u64,
     ) -> Result<f64, ClusterError> {
-        let shards = self.shard_counts(records);
-        let results = self
-            .drives
-            .iter_mut()
-            .zip(&shards)
-            .map(|(d, &r)| d.send_subset_to_host(r, record_bytes))
-            .collect();
-        self.finish_phase(results, |a, b| a + b)
+        self.sharded(
+            records,
+            |a, b| a + b,
+            |d, r| d.send_subset_to_host(r, record_bytes),
+        )
     }
 
     /// Phase: every drive streams its share of `records` through the
@@ -321,14 +319,11 @@ impl SsdCluster {
         records: u64,
         record_bytes: u64,
     ) -> Result<f64, ClusterError> {
-        let shards = self.shard_counts(records);
-        let results = self
-            .drives
-            .iter_mut()
-            .zip(&shards)
-            .map(|(d, &r)| d.conventional_read_to_host(r, record_bytes))
-            .collect();
-        self.finish_phase(results, |a, b| a + b)
+        self.sharded(
+            records,
+            |a, b| a + b,
+            |d, r| d.conventional_read_to_host(r, record_bytes),
+        )
     }
 
     /// Phase: broadcast the quantized-weight feedback to every drive
@@ -424,13 +419,11 @@ mod tests {
     fn hidden_seconds_clamp_to_elapsed() {
         let mut c = SsdCluster::new(2, SmartSsdConfig::default());
         assert_eq!(c.hidden_secs(), 0.0);
-        assert_eq!(c.exposed_secs(), 0.0);
         let t = c.parallel_scan(10_000, 3000).unwrap();
         // Hiding more time than elapsed clamps: the device cannot hide
         // work it never did.
         c.note_overlap_hidden(t * 10.0);
         assert!((c.hidden_secs() - c.elapsed_secs()).abs() < 1e-12);
-        assert_eq!(c.exposed_secs(), 0.0);
         // Negative / zero notes are ignored.
         c.note_overlap_hidden(-1.0);
         c.note_overlap_hidden(0.0);
@@ -438,13 +431,12 @@ mod tests {
     }
 
     #[test]
-    fn hidden_seconds_accumulate_and_expose_remainder() {
+    fn hidden_seconds_accumulate() {
         let mut c = SsdCluster::new(1, SmartSsdConfig::default());
         let t = c.parallel_scan(50_000, 3000).unwrap();
         c.note_overlap_hidden(t / 4.0);
         c.note_overlap_hidden(t / 4.0);
         assert!((c.hidden_secs() - t / 2.0).abs() < 1e-12);
-        assert!((c.exposed_secs() - t / 2.0).abs() < 1e-12);
     }
 
     #[test]

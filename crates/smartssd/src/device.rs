@@ -1,22 +1,17 @@
 //! The assembled SmartSSD device.
 //!
-//! [`SmartSsd`] wires the flash array, the P2P and host links, and the FPGA
-//! kernel model to a single simulated clock, and keeps the byte counters
-//! from which the paper's data-movement reductions (§4.4: 3.47× average)
-//! are computed.
+//! [`SmartSsd`] wires the flash timing model, the P2P and host links, and
+//! the FPGA kernel model to a single simulated clock. Each phase is
+//! written once, to the drive's [`Trace`]; the byte counters behind the
+//! paper's data-movement reductions (§4.4: 3.47× average) and the energy
+//! split are read back from that log.
 
 use crate::clock::SimClock;
-use crate::energy::EnergyMeter;
 use crate::fault::{DeviceError, FaultPlan, FaultState};
 use crate::fpga::{FpgaSpec, KernelProfile};
-use crate::nand::{NandArray, NandConfig};
+use crate::nand::NandConfig;
 use crate::pcie::LinkModel;
-use crate::trace::{Phase, Trace, TraceEvent};
-
-/// Power draw of the flash/controller complex while streaming (W).
-const SSD_ACTIVE_WATTS: f64 = 9.0;
-/// Power draw of the FPGA while the kernel runs (paper §2.2: ~7.5 W).
-const FPGA_ACTIVE_WATTS: f64 = 7.5;
+use crate::trace::{Energy, Phase, Trace, TraceEvent, TrafficStats};
 
 /// Device configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,53 +40,30 @@ impl Default for SmartSsdConfig {
     }
 }
 
-/// Byte counters over every data path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TrafficStats {
-    /// Bytes moved SSD → FPGA over the P2P link.
-    pub ssd_to_fpga: u64,
-    /// Bytes moved FPGA → host (selected subsets).
-    pub fpga_to_host: u64,
-    /// Bytes moved host → FPGA (quantized-weight feedback).
-    pub host_to_fpga: u64,
-    /// Bytes moved storage → host over the conventional path (baselines).
-    pub staged_to_host: u64,
-}
-
-impl TrafficStats {
-    /// Bytes that crossed the drive-host interconnect (everything except
-    /// the on-board P2P traffic).
-    pub fn interconnect_bytes(&self) -> u64 {
-        self.fpga_to_host + self.host_to_fpga + self.staged_to_host
-    }
-
-    /// Total bytes moved anywhere.
-    pub fn total_bytes(&self) -> u64 {
-        self.ssd_to_fpga + self.interconnect_bytes()
-    }
-}
-
 /// The simulated drive.
 #[derive(Debug, Clone)]
 pub struct SmartSsd {
     config: SmartSsdConfig,
     clock: SimClock,
-    nand: NandArray,
-    traffic: TrafficStats,
-    energy: EnergyMeter,
     trace: Trace,
     faults: FaultState,
 }
 
 impl SmartSsd {
     /// Creates a device from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any flash geometry field is zero or non-positive.
     pub fn new(config: SmartSsdConfig) -> Self {
+        let nand = &config.nand;
+        assert!(nand.channels > 0, "need at least one channel");
+        assert!(nand.dies_per_channel > 0, "need at least one die");
+        assert!(nand.page_bytes > 0, "page size must be positive");
+        assert!(nand.t_r_secs > 0.0 && nand.channel_bytes_per_s > 0.0);
         Self {
             config,
             clock: SimClock::new(),
-            nand: NandArray::new(config.nand),
-            traffic: TrafficStats::default(),
-            energy: EnergyMeter::new(),
             trace: Trace::new(),
             faults: FaultState::default(),
         }
@@ -109,11 +81,6 @@ impl SmartSsd {
         self.faults.injected()
     }
 
-    /// Whether the drive has dropped off the bus.
-    pub fn is_offline(&self) -> bool {
-        self.faults.is_offline()
-    }
-
     /// Drains the count of corrupt records delivered since the last call,
     /// so the caller can quarantine them.
     pub fn take_quarantined(&mut self) -> u64 {
@@ -128,7 +95,6 @@ impl SmartSsd {
             return;
         }
         self.log(Phase::Stall, secs, 0);
-        self.clock.advance_secs(secs);
     }
 
     /// The device configuration.
@@ -141,14 +107,14 @@ impl SmartSsd {
         self.clock.now_secs()
     }
 
-    /// The traffic counters.
+    /// Bytes moved over each data path, read from the phase log.
     pub fn traffic(&self) -> TrafficStats {
-        self.traffic
+        self.trace.traffic()
     }
 
-    /// The energy meter.
-    pub fn energy(&self) -> &EnergyMeter {
-        &self.energy
+    /// Energy per component, read from the phase log.
+    pub fn energy(&self) -> Energy {
+        self.trace.energy()
     }
 
     /// The phase-level event timeline.
@@ -156,13 +122,34 @@ impl SmartSsd {
         &self.trace
     }
 
-    fn log(&mut self, phase: Phase, duration_s: f64, bytes: u64) {
+    /// Writes one phase to the log and advances the clock past it.
+    /// Returns the phase's seconds.
+    fn log(&mut self, phase: Phase, duration_s: f64, bytes: u64) -> f64 {
         self.trace.record(TraceEvent {
             phase,
             start_s: self.clock.now_secs(),
             duration_s,
             bytes,
         });
+        self.clock.advance_secs(duration_s);
+        duration_s
+    }
+
+    /// Reads `records × record_bytes` from flash through `link` (flash
+    /// read and link transfer are pipelined: the phase costs the slower
+    /// of the two).
+    fn stream_from_flash(
+        &mut self,
+        phase: Phase,
+        link: LinkModel,
+        records: u64,
+        record_bytes: u64,
+    ) -> Result<f64, DeviceError> {
+        self.faults.scan_op()?;
+        let bytes = records * record_bytes;
+        let flash = self.config.nand.read_secs(bytes);
+        let t = flash.max(link.batch_time_s(records, record_bytes));
+        Ok(self.log(phase, t, bytes))
     }
 
     /// Streams `records × record_bytes` from flash to the FPGA over the
@@ -179,16 +166,7 @@ impl SmartSsd {
         records: u64,
         record_bytes: u64,
     ) -> Result<f64, DeviceError> {
-        self.faults.scan_op()?;
-        let bytes = records * record_bytes;
-        let flash = self.nand.read(bytes);
-        let link = self.config.p2p.batch_time_s(records, record_bytes);
-        let t = flash.max(link);
-        self.traffic.ssd_to_fpga += bytes;
-        self.energy.record("ssd", SSD_ACTIVE_WATTS, t);
-        self.log(Phase::Scan, t, bytes);
-        self.clock.advance_secs(t);
-        Ok(t)
+        self.stream_from_flash(Phase::Scan, self.config.p2p, records, record_bytes)
     }
 
     /// Runs the selection kernel on the FPGA. Returns the phase's seconds.
@@ -205,10 +183,7 @@ impl SmartSsd {
     pub fn run_selection(&mut self, profile: &KernelProfile) -> Result<f64, DeviceError> {
         self.faults.kernel_op()?;
         let t = profile.execute_time_s(&self.config.fpga)?;
-        self.energy.record("fpga", FPGA_ACTIVE_WATTS, t);
-        self.log(Phase::Select, t, 0);
-        self.clock.advance_secs(t);
-        Ok(t)
+        Ok(self.log(Phase::Select, t, 0))
     }
 
     /// Ships the selected subset to the host/GPU. Returns the phase's
@@ -223,13 +198,8 @@ impl SmartSsd {
         record_bytes: u64,
     ) -> Result<f64, DeviceError> {
         let extra = self.faults.transfer_op()?;
-        let bytes = records * record_bytes;
         let t = self.config.host.batch_time_s(records, record_bytes) + extra;
-        self.traffic.fpga_to_host += bytes;
-        self.energy.record("link", 2.0, t);
-        self.log(Phase::Ship, t, bytes);
-        self.clock.advance_secs(t);
-        Ok(t)
+        Ok(self.log(Phase::Ship, t, records * record_bytes))
     }
 
     /// Receives the quantized-weight feedback from the host (paper
@@ -242,11 +212,7 @@ impl SmartSsd {
     pub fn receive_feedback(&mut self, bytes: u64) -> Result<f64, DeviceError> {
         let extra = self.faults.transfer_op()?;
         let t = self.config.host.transfer_time_s(bytes) + extra;
-        self.traffic.host_to_fpga += bytes;
-        self.energy.record("link", 2.0, t);
-        self.log(Phase::Feedback, t, bytes);
-        self.clock.advance_secs(t);
-        Ok(t)
+        Ok(self.log(Phase::Feedback, t, bytes))
     }
 
     /// Installs a dataset onto the drive: the records stream in over the
@@ -261,13 +227,8 @@ impl SmartSsd {
         let extra = self.faults.transfer_op()?;
         let bytes = records * record_bytes;
         let link = self.config.host.batch_time_s(records, record_bytes);
-        let flash = self.nand.program(bytes);
-        let t = flash.max(link) + extra;
-        self.traffic.host_to_fpga += bytes;
-        self.energy.record("ssd", SSD_ACTIVE_WATTS, t);
-        self.log(Phase::Install, t, bytes);
-        self.clock.advance_secs(t);
-        Ok(t)
+        let t = self.config.nand.program_secs(bytes).max(link) + extra;
+        Ok(self.log(Phase::Install, t, bytes))
     }
 
     /// Baseline path: reads records from flash and stages them through the
@@ -284,16 +245,12 @@ impl SmartSsd {
         records: u64,
         record_bytes: u64,
     ) -> Result<f64, DeviceError> {
-        self.faults.scan_op()?;
-        let bytes = records * record_bytes;
-        let flash = self.nand.read(bytes);
-        let link = self.config.host_staged.batch_time_s(records, record_bytes);
-        let t = flash.max(link);
-        self.traffic.staged_to_host += bytes;
-        self.energy.record("ssd", SSD_ACTIVE_WATTS, t);
-        self.log(Phase::StagedRead, t, bytes);
-        self.clock.advance_secs(t);
-        Ok(t)
+        self.stream_from_flash(
+            Phase::StagedRead,
+            self.config.host_staged,
+            records,
+            record_bytes,
+        )
     }
 }
 
@@ -406,12 +363,21 @@ mod tests {
         let t3 = dev.send_subset_to_host(280, 3000).unwrap();
         let t4 = dev.receive_feedback(280_000).unwrap();
         let trace = dev.trace();
-        assert_eq!(trace.len(), 4);
-        assert!((trace.total_for(Phase::Scan) - t1).abs() < 1e-12);
-        assert!((trace.total_for(Phase::Select) - t2).abs() < 1e-12);
-        assert!((trace.total_for(Phase::Ship) - t3).abs() < 1e-12);
-        assert!((trace.total_for(Phase::Feedback) - t4).abs() < 1e-12);
-        assert_eq!(trace.bytes_for(Phase::Scan), 3_000_000);
+        let logged: Vec<(Phase, f64)> = trace
+            .events()
+            .iter()
+            .map(|e| (e.phase, e.duration_s))
+            .collect();
+        assert_eq!(
+            logged,
+            [
+                (Phase::Scan, t1),
+                (Phase::Select, t2),
+                (Phase::Ship, t3),
+                (Phase::Feedback, t4)
+            ]
+        );
+        assert_eq!(trace.events()[0].bytes, 3_000_000);
         // Events tile the timeline: span equals the clock.
         assert!((trace.span_s() - dev.elapsed_secs()).abs() < 1e-9);
     }
@@ -422,5 +388,6 @@ mod tests {
         let t = dev.run_selection(&cifar_profile()).unwrap();
         let j = dev.energy().joules_for("fpga");
         assert!((j - 7.5 * t).abs() < 1e-9);
+        assert_eq!(dev.energy().joules_for("ssd"), 0.0);
     }
 }

@@ -285,10 +285,6 @@ impl FaultState {
         self.injected
     }
 
-    pub(crate) fn is_offline(&self) -> bool {
-        self.offline
-    }
-
     pub(crate) fn take_quarantined(&mut self) -> u64 {
         std::mem::take(&mut self.quarantined)
     }
@@ -376,7 +372,6 @@ mod tests {
             assert_eq!(st.transfer_op(), Ok(0.0));
         }
         assert_eq!(st.injected(), 0);
-        assert!(!st.is_offline());
     }
 
     #[test]
@@ -429,7 +424,7 @@ mod tests {
         assert_eq!(st.transfer_op(), Ok(0.0));
         assert_eq!(st.kernel_op(), Err(DeviceError::Offline));
         assert_eq!(st.scan_op(), Err(DeviceError::Offline));
-        assert!(st.is_offline());
+        assert_eq!(st.injected(), 1, "the dropout transition counts once");
         assert!(!DeviceError::Offline.is_transient());
     }
 

@@ -1,7 +1,6 @@
 //! Property tests for the device simulator.
 
 use nessa_smartssd::fpga::{FpgaSpec, KernelProfile};
-use nessa_smartssd::ftl::Ftl;
 use nessa_smartssd::nand::NandConfig;
 use nessa_smartssd::{LinkModel, SmartSsd, SmartSsdConfig};
 use proptest::prelude::*;
@@ -90,13 +89,13 @@ proptest! {
     }
 
     #[test]
-    fn ftl_sequential_time_monotone_in_pages(
+    fn sequential_read_time_monotone_in_pages(
         p1 in 1usize..2_000, p2 in 1usize..2_000
     ) {
         let (lo, hi) = (p1.min(p2), p1.max(p2));
-        let a = Ftl::format(NandConfig::default(), 4_096);
-        let b = Ftl::format(NandConfig::default(), 4_096);
-        prop_assert!(a.read_pages(0, lo) <= b.read_pages(0, hi) + 1e-12);
+        let nand = NandConfig::default();
+        let page = nand.page_bytes as u64;
+        prop_assert!(nand.read_secs(lo as u64 * page) <= nand.read_secs(hi as u64 * page) + 1e-12);
     }
 
 }
