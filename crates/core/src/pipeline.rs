@@ -488,6 +488,8 @@ impl NessaPipeline {
     pub fn run(&mut self) -> Result<RunReport, PipelineError> {
         self.history.clear();
         let cfg = self.config.clone();
+        // `select_every` is a public field; 0 means "every epoch", like 1.
+        let select_every = cfg.select_every.max(1);
         let n = self.train.len();
         let mut master = Rng64::new(cfg.seed);
         // Overlapped rounds draw from one stream per epoch, pre-split
@@ -563,7 +565,7 @@ impl NessaPipeline {
             let mut select_secs = 0.0;
             let mut io_secs = 0.0;
             let mut orec = OverlapRecord::default();
-            if epoch % cfg.select_every == 0 || selection.is_empty() {
+            if epoch % select_every == 0 || selection.is_empty() {
                 if let Some(out) = pending.take() {
                     // Double-buffered hand-off: the subset was selected
                     // during the previous epoch (its cost is on that
@@ -612,7 +614,7 @@ impl NessaPipeline {
             // biasing prunes and sizing updates one epoch stale, exactly
             // like the weights it selects with.
             let next = epoch + 1;
-            let ahead = cfg.overlap && next < cfg.epochs && next % cfg.select_every == 0;
+            let ahead = cfg.overlap && next < cfg.epochs && next % select_every == 0;
             let (outcome, joined) = std::thread::scope(|s| {
                 let worker = ahead.then(|| {
                     let pool = pool_of(&tracker);
@@ -937,6 +939,21 @@ mod tests {
         let b = small_setup(&cfg).run().unwrap();
         assert_eq!(a.accuracy_curve(), b.accuracy_curve());
         assert_eq!(a.traffic, b.traffic);
+    }
+
+    #[test]
+    fn select_every_zero_runs_like_every_epoch() {
+        for overlap in [false, true] {
+            let every_epoch = NessaConfig::new(0.3, 3)
+                .with_batch_size(32)
+                .with_seed(5)
+                .with_overlap(overlap);
+            let mut zero = every_epoch.clone();
+            zero.select_every = 0;
+            let a = small_setup(&zero).run().unwrap();
+            let b = small_setup(&every_epoch).run().unwrap();
+            assert_eq!(a.to_jsonl(), b.to_jsonl(), "overlap {overlap}");
+        }
     }
 
     #[test]
