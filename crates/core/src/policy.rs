@@ -145,16 +145,15 @@ fn run_cpu_policy(
                 // Sener & Savarese select in the penultimate embedding
                 // space, not the gradient space.
                 let embeds = embeddings(&net, train, &all, batch_size);
-                let mut sel = kcenters::select_per_class(
+                // Unit weights: Sener & Savarese train the subset
+                // unweighted.
+                kcenters::select_per_class(
                     &embeds,
                     train.labels(),
                     train.classes(),
                     *fraction,
                     &mut rng,
-                );
-                // Sener & Savarese train the subset unweighted.
-                sel.weights = vec![1.0; sel.len()];
-                sel
+                )
             }
             Policy::Random { fraction } => {
                 random::select_per_class(train.labels(), train.classes(), *fraction, &mut rng)

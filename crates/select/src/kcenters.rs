@@ -13,8 +13,8 @@ use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 
 /// Selects `k` centres by farthest-first traversal, seeding from a random
-/// candidate. Weights are cluster sizes (nearest-centre assignment), like
-/// CRAIG's, so the same weighted-training loop applies.
+/// candidate. Every weight is 1.0: Sener & Savarese train the subset
+/// unweighted.
 ///
 /// `k ≥ n` returns all candidates.
 pub fn select(features: &Tensor, k: usize, rng: &mut Rng64) -> Selection {
@@ -56,8 +56,7 @@ pub fn select(features: &Tensor, k: usize, rng: &mut Rng64) -> Selection {
             }
         }
     }
-    let weights = assignment_weights(features, &centres);
-    Selection::new(centres, weights)
+    Selection::new(centres, vec![1.0; k])
 }
 
 /// Selects `⌈fraction · |class|⌉` centres within each class, mirroring the
@@ -114,38 +113,6 @@ pub fn max_min_dist(features: &Tensor, centres: &[usize]) -> f32 {
                 .fold(f32::INFINITY, f32::min)
         })
         .fold(f32::NEG_INFINITY, f32::max)
-}
-
-fn assignment_weights(features: &Tensor, centres: &[usize]) -> Vec<f32> {
-    let n = features.dim(0);
-    let mut w = vec![0.0f32; centres.len()];
-    // Dense position lookup (first occurrence wins): deterministic and
-    // hash-free, unlike a HashMap (nessa-lint rule D3).
-    let mut position_of = vec![usize::MAX; n];
-    for (ci, &c) in centres.iter().enumerate() {
-        if position_of[c] == usize::MAX {
-            position_of[c] = ci;
-        }
-    }
-    for i in 0..n {
-        // Centres assign to themselves so every weight stays ≥ 1 even
-        // under exact-duplicate ties.
-        if position_of[i] != usize::MAX {
-            w[position_of[i]] += 1.0;
-            continue;
-        }
-        let mut best = 0;
-        let mut best_d = f32::INFINITY;
-        for (ci, &c) in centres.iter().enumerate() {
-            let d = sq_dist(features.row(i), features.row(c));
-            if d < best_d {
-                best_d = d;
-                best = ci;
-            }
-        }
-        w[best] += 1.0;
-    }
-    w
 }
 
 #[cfg(test)]
@@ -230,8 +197,7 @@ mod tests {
         let labels: Vec<usize> = (0..20).map(|i| i / 10).collect();
         let sel = select_per_class(&x, &labels, 2, 0.2, &mut Rng64::new(4));
         assert_eq!(sel.len(), 4);
-        let total: f32 = sel.weights.iter().sum();
-        assert_eq!(total, 20.0);
+        assert_eq!(sel.weights, [1.0; 4]);
     }
 
     #[test]

@@ -159,13 +159,12 @@ proptest! {
     }
 
     #[test]
-    fn kcenters_weights_cover_pool(n in 2usize..40, k in 1usize..10, seed in any::<u64>()) {
+    fn kcenters_weights_are_unit(n in 2usize..40, k in 1usize..10, seed in any::<u64>()) {
         let feats = features(n, 3, seed);
         let mut rng = Rng64::new(seed ^ 5);
         let sel = kcenters::select(&feats, k, &mut rng);
-        let total: f32 = sel.weights.iter().sum();
-        prop_assert!((total - n as f32).abs() < 1e-3);
-        prop_assert!(sel.weights.iter().all(|&w| w >= 1.0));
+        prop_assert_eq!(sel.len(), k.min(n));
+        prop_assert!(sel.weights.iter().all(|&w| w == 1.0));
     }
 
     #[test]
