@@ -13,9 +13,10 @@
 //!    the candidate pool (subset biasing) and subset size (dynamic sizing),
 //! 5. repeat for all epochs.
 //!
-//! The same runner also executes the paper's comparison policies — full-
-//! data training, CPU CRAIG, CPU K-Centers, and random selection — so the
-//! accuracy tables and convergence figures come from one code path.
+//! The same epoch loop also runs the paper's comparison policies — full-
+//! data training, CPU CRAIG, CPU K-Centers, and random selection — on the
+//! host data path, so the accuracy tables, convergence figures and their
+//! simulated I/O costs come from one code path.
 //!
 //! Entry points:
 //!

@@ -11,8 +11,9 @@
 //!
 //! # One epoch loop, two schedules
 //!
-//! [`NessaPipeline::run`] is the only epoch loop. By default it runs the
-//! paper's baseline schedule: select, train, feed back, every epoch on
+//! [`NessaPipeline::run`] is the only epoch loop, for NeSSA and for every
+//! comparison policy [`crate::run_policy`] runs. By default it runs the
+//! sequential schedule: select, train, feed back, every epoch on
 //! one thread, with every draw taken from the master RNG stream. With
 //! [`NessaConfig::overlap`] the same loop runs the double-buffered
 //! schedule: while the GPU trains epoch *e* on subset S\_e, a scoped
@@ -24,6 +25,12 @@
 //! Epoch 0 selects S\_0 synchronously (the prologue round). The schedule
 //! decides only which RNG stream a round draws from and whether the next
 //! round runs on the worker; everything else is shared.
+//!
+//! A comparison policy takes the host data path: each round stages its
+//! data to the host over the conventional read, priced on the drive's
+//! ledger like any other phase, and selects there with the live target.
+//! It has no quantized selector, so it gets no feedback and runs only the
+//! sequential schedule; subset biasing and partitioning are off.
 //!
 //! Overlapped determinism holds by construction: one RNG stream per
 //! epoch's round is split off the master seed before anything else
@@ -38,7 +45,7 @@ use crate::biasing::LossTracker;
 use crate::config::NessaConfig;
 use crate::error::PipelineError;
 use crate::health::HealthMonitor;
-use crate::proxy::gradient_proxies;
+use crate::proxy::{embeddings, gradient_proxies};
 use crate::report::{EpochRecord, OverlapRecord, RunReport};
 use crate::retry::RetryPolicy;
 use crate::sizing::SubsetSizer;
@@ -49,7 +56,7 @@ use nessa_nn::models::Network;
 use nessa_nn::optim::{MultiStepLr, Sgd, SgdConfig};
 use nessa_quant::QuantizedModel;
 use nessa_select::craig::{select_per_class_factored, CraigOptions};
-use nessa_select::{random, SelectError, SelectMetrics, Selection};
+use nessa_select::{kcenters, random, SelectError, SelectMetrics, Selection};
 use nessa_smartssd::fpga::KernelProfile;
 use nessa_smartssd::{ClusterError, DeviceError, SmartSsdConfig, SsdCluster};
 use nessa_telemetry::{DeviceEvent, Telemetry};
@@ -111,13 +118,35 @@ fn drive_err(device: &SsdCluster, e: ClusterError) -> PipelineError {
     }
 }
 
+/// How a pipeline selects: NeSSA's near-storage round or one of the
+/// comparison policies (see [`crate::Policy`]). It decides two things in
+/// `selection_round`: the data path (NeSSA scans the pool to the FPGA and
+/// ships the subset; a baseline stages its data to the host and selects
+/// there) and the selection math.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Method {
+    /// Facility location on the quantized selector's gradient proxies,
+    /// on the FPGA.
+    Nessa,
+    /// CPU CRAIG: facility location on the live target's f32 gradient
+    /// proxies.
+    Craig,
+    /// CPU K-Centers on the live target's penultimate embeddings.
+    KCenters,
+    /// Uniform random picks per class; reads no features.
+    Random,
+    /// The whole pool at unit weights ("Goal").
+    All,
+}
+
 /// Shared, read-only context one selection round needs besides the
-/// device and the selector network. Everything here is thread-shareable
+/// device and the network it selects with. Everything here is thread-shareable
 /// so the overlapped schedule can run a round on a worker thread while
 /// the main thread trains.
 #[derive(Clone, Copy)]
 struct RoundCtx<'a> {
     cfg: &'a NessaConfig,
+    method: Method,
     health: &'a HealthMonitor,
     telemetry: &'a Telemetry,
     select_metrics: &'a SelectMetrics,
@@ -134,7 +163,8 @@ enum Rung {
     /// the subset ships to the GPU.
     Device,
     /// The P2P or kernel path is out and the pool was staged to the host
-    /// instead: selection runs host-side and the ship phase is free.
+    /// instead (a baseline's round starts here): selection runs
+    /// host-side and the ship phase is free.
     Host,
     /// Even the staged read is out. The pool is still resident on the
     /// FPGA from the scan, so the round takes seeded random picks and
@@ -173,10 +203,14 @@ struct RoundOutcome {
     io_secs: f64,
 }
 
-/// One full selection round for the subset first used at `epoch`:
-/// scan the candidate pool flash → FPGA, quarantine corrupt records,
-/// run the quantized forward + facility-location kernel (with the full
-/// degradation ladder), and ship the subset to the GPU.
+/// One full selection round for the subset first used at `epoch`.
+///
+/// NeSSA's round scans the candidate pool flash → FPGA, quarantines
+/// corrupt records, runs the quantized forward + facility-location kernel
+/// (with the full degradation ladder), and ships the subset to the GPU.
+/// A baseline's round starts on the host rung: it stages the pool to the
+/// host over the conventional read (Random, which reads no features,
+/// stages only its subset) and selects there with `net`, the live target.
 ///
 /// The round draws only from `rng`; the caller decides whether that is
 /// the run's master stream (sequential mode) or the epoch's pre-split
@@ -184,7 +218,7 @@ struct RoundOutcome {
 fn selection_round(
     ctx: &RoundCtx<'_>,
     device: &mut SsdCluster,
-    selector: &Network,
+    net: &Network,
     epoch: usize,
     mut pool: Vec<usize>,
     fraction: f32,
@@ -194,36 +228,45 @@ fn selection_round(
     let mut select_secs = 0.0;
     let mut io_secs = 0.0;
     let record_bytes = ctx.train.bytes_per_sample() as u64;
-    // (1) Stream the candidate pool from flash to the FPGA.
-    let scanned = {
-        let mut scan = ctx
-            .telemetry
-            .span("scan")
-            .with_attr("epoch", epoch)
-            .with_attr("records", pool.len());
-        let r = recover(device, ctx.health, ctx.telemetry, epoch, |c| {
-            c.parallel_scan(pool.len() as u64, record_bytes)
-        });
-        if let Ok(secs) = &r {
-            scan.add_sim_secs(*secs);
-        }
-        r
+    // (1) Bring the candidate pool to where selection runs: flash → FPGA
+    // over P2P for NeSSA. For a baseline the conventional staged read is
+    // its normal data path, not a fallback rung, so nothing is counted.
+    let mut rung = match ctx.method {
+        Method::Nessa => Rung::Device,
+        _ => Rung::Host,
     };
-    let mut rung = match scanned {
-        Ok(secs) => {
-            io_secs += secs;
-            Rung::Device
+    if ctx.method != Method::Random {
+        let scanned = {
+            let mut scan = ctx
+                .telemetry
+                .span("scan")
+                .with_attr("epoch", epoch)
+                .with_attr("records", pool.len());
+            let records = pool.len() as u64;
+            let r = recover(device, ctx.health, ctx.telemetry, epoch, |c| match rung {
+                Rung::Host => c.conventional_read_to_host(records, record_bytes),
+                _ => c.parallel_scan(records, record_bytes),
+            });
+            if let Ok(secs) = &r {
+                scan.add_sim_secs(*secs);
+            }
+            r
+        };
+        match scanned {
+            Ok(secs) => io_secs += secs,
+            Err(e) if rung == Rung::Host || device.is_empty() => {
+                return Err(drive_err(device, e));
+            }
+            Err(_) => {
+                // P2P path out beyond recovery: degrade to the conventional
+                // staged read through the host. If that fails too, no path
+                // to the data is left.
+                io_secs += stage_to_host(ctx, device, epoch, pool.len() as u64, record_bytes)
+                    .map_err(|e| drive_err(device, e))?;
+                rung = Rung::Host;
+            }
         }
-        Err(e) if device.is_empty() => return Err(drive_err(device, e)),
-        Err(_) => {
-            // P2P path out beyond recovery: degrade to the conventional
-            // staged read through the host. If that fails too, no path
-            // to the data is left.
-            io_secs += stage_to_host(ctx, device, epoch, pool.len() as u64, record_bytes)
-                .map_err(|e| drive_err(device, e))?;
-            Rung::Host
-        }
-    };
+    }
     // Corrupt records detected during the scan cannot join the candidate
     // pool: count them and drop that many (chosen from the round's RNG
     // stream; the simulation does not track which physical records a
@@ -250,37 +293,31 @@ fn selection_round(
         .with_attr("epoch", epoch)
         .with_attr("pool", pool.len());
     let chunk = cfg.partitioning.then(|| cfg.partition_chunk(fraction));
-    let opts = CraigOptions {
-        variant: cfg.greedy,
-        partition_chunk: chunk,
-        threads: cfg.threads,
-        metrics: Some(ctx.select_metrics.clone()),
-    };
-    // Charge the kernel's simulated time.
-    // The kernel compares outer-product gradients through the
-    // ‖a‖²‖b‖² − 2(a·a')(b·b') factorization, so its per-pair cost
-    // scales with classes + feature_dim, not the product.
-    let profile = KernelProfile {
-        samples: pool.len() as u64,
-        forward_macs_per_sample: ctx.flops_per_sample / 2,
-        proxy_dim: ctx.train.classes() + selector.feature_dim(),
-        chunk: chunk.unwrap_or_else(|| {
-            // Without partitioning the kernel tiles at the largest class
-            // size.
-            pool.iter()
-                .map(|&i| ctx.train.label(i))
-                .fold(vec![0usize; ctx.train.classes()], |mut acc, y| {
-                    acc[y] += 1;
-                    acc
-                })
-                .into_iter()
-                .max()
-                .unwrap_or(1)
-        }),
-        k_per_chunk: cfg.batch_size,
-    };
     let mut kernel_secs = 0.0;
     if rung == Rung::Device {
+        // Charge the kernel's simulated time.
+        // The kernel compares outer-product gradients through the
+        // ‖a‖²‖b‖² − 2(a·a')(b·b') factorization, so its per-pair cost
+        // scales with classes + feature_dim, not the product.
+        let profile = KernelProfile {
+            samples: pool.len() as u64,
+            forward_macs_per_sample: ctx.flops_per_sample / 2,
+            proxy_dim: ctx.train.classes() + net.feature_dim(),
+            chunk: chunk.unwrap_or_else(|| {
+                // Without partitioning the kernel tiles at the largest class
+                // size.
+                pool.iter()
+                    .map(|&i| ctx.train.label(i))
+                    .fold(vec![0usize; ctx.train.classes()], |mut acc, y| {
+                        acc[y] += 1;
+                        acc
+                    })
+                    .into_iter()
+                    .max()
+                    .unwrap_or(1)
+            }),
+            k_per_chunk: cfg.batch_size,
+        };
         match recover(device, ctx.health, ctx.telemetry, epoch, |c| {
             c.parallel_select(&profile)
         }) {
@@ -305,75 +342,88 @@ fn selection_round(
             }
         }
     }
-    // (2) The selection math: facility location when any compute path is
-    // available (device and host produce the same picks — the simulation
-    // models time, not arithmetic), seeded random picks as the last
-    // rung, which reads no proxies. Facility location runs over the
-    // quantized forward's last-layer gradient proxies (outer-product
-    // space, compared via the factored distance so nothing of size
-    // classes × features is materialized), built class by class as the
-    // kernel selects each class, so no pool-wide proxy block exists.
+    // (2) The selection math. Device and host produce the same picks (the
+    // simulation models time, not arithmetic); the last rung takes seeded
+    // random picks, which read no features.
     let pool_labels: Vec<usize> = pool.iter().map(|&i| ctx.train.label(i)).collect();
-    let maybe = if rung == Rung::Random {
-        None
-    } else {
-        let class_proxies = |members: &[usize]| {
-            let rows: Vec<usize> = members.iter().map(|&i| pool[i]).collect();
-            let p = gradient_proxies(selector, ctx.train, &rows, cfg.batch_size);
-            (p.residuals, p.features)
-        };
-        match select_per_class_factored(
-            class_proxies,
-            &pool_labels,
-            ctx.train.classes(),
-            fraction,
-            &opts,
-            rng,
-        ) {
-            Ok(local) => Some(local),
-            // An internal invariant breach is a selector bug; degrade
-            // the round rather than lose the run.
-            Err(SelectError::Internal(_)) => None,
-            Err(e) => return Err(e.into()),
+    let classes = ctx.train.classes();
+    let picked = (rung != Rung::Random).then(|| match ctx.method {
+        Method::All => Ok(Selection::new(
+            (0..pool.len()).collect(),
+            vec![1.0; pool.len()],
+        )),
+        Method::Random => random::select_per_class(&pool_labels, classes, fraction, rng),
+        // Sener & Savarese select in the penultimate embedding space, not
+        // the gradient space, and train the subset unweighted.
+        Method::KCenters => {
+            let embeds = embeddings(net, ctx.train, &pool, cfg.batch_size);
+            kcenters::select_per_class(&embeds, &pool_labels, classes, fraction, rng)
         }
-    };
-    let local = match maybe {
-        Some(mut local) => {
-            // Temper the medoid weights (see NessaConfig::weight_temper).
-            for w in &mut local.weights {
-                *w = w.powf(cfg.weight_temper);
+        // Facility location over `net`'s last-layer gradient proxies
+        // (outer-product space, compared via the factored distance so
+        // nothing of size classes × features is materialized), built
+        // class by class as each class is selected, so no pool-wide proxy
+        // block exists.
+        Method::Nessa | Method::Craig => {
+            let class_proxies = |members: &[usize]| {
+                let rows: Vec<usize> = members.iter().map(|&i| pool[i]).collect();
+                let p = gradient_proxies(net, ctx.train, &rows, cfg.batch_size);
+                (p.residuals, p.features)
+            };
+            let opts = CraigOptions {
+                variant: cfg.greedy,
+                partition_chunk: chunk,
+                threads: cfg.threads,
+                metrics: Some(ctx.select_metrics.clone()),
+            };
+            select_per_class_factored(class_proxies, &pool_labels, classes, fraction, &opts, rng)
+        }
+    });
+    let local = match picked {
+        Some(Ok(mut local)) => {
+            // Only NeSSA tempers the medoid weights (see
+            // NessaConfig::weight_temper).
+            if ctx.method == Method::Nessa {
+                for w in &mut local.weights {
+                    *w = w.powf(cfg.weight_temper);
+                }
             }
             local
         }
-        None => {
+        // An internal invariant breach is a selector bug; degrade the
+        // round rather than lose the run.
+        None | Some(Err(SelectError::Internal(_))) => {
             ctx.health.note_fallback_random();
             let mut fb = ctx
                 .telemetry
                 .span("fallback")
                 .with_attr("epoch", epoch)
                 .with_attr("rung", "random");
-            let sel =
-                random::select_per_class_checked(&pool_labels, ctx.train.classes(), fraction, rng)?;
+            let sel = random::select_per_class(&pool_labels, classes, fraction, rng)?;
             fb.set_attr("subset", sel.len());
             sel
         }
+        Some(Err(e)) => return Err(e.into()),
     };
     let selection = local.into_global(&pool);
     select_span.add_sim_secs(kernel_secs);
     select_span.set_attr("subset", selection.len());
     select_span.finish();
     select_secs += kernel_secs;
-    // (3) Ship the subset to the GPU. When the round already staged the
-    // pool to the host, the subset is there — no further transfer.
+    // (3) Ship the subset to the GPU.
     {
         let mut ship = ctx
             .telemetry
             .span("ship")
             .with_attr("epoch", epoch)
             .with_attr("records", selection.len());
-        if rung != Rung::Host {
-            let secs = recover(device, ctx.health, ctx.telemetry, epoch, |c| {
-                c.gather_selections(selection.len() as u64, record_bytes)
+        // A round on the host rung has the pool there already, except
+        // Random's, which reads no features and stages only its subset.
+        if rung != Rung::Host || ctx.method == Method::Random {
+            let records = selection.len() as u64;
+            let secs = recover(device, ctx.health, ctx.telemetry, epoch, |c| match rung {
+                Rung::Host => c.conventional_read_to_host(records, record_bytes),
+                _ => c.gather_selections(records, record_bytes),
             })
             .map_err(|e| drive_err(device, e))?;
             ship.add_sim_secs(secs);
@@ -393,7 +443,9 @@ fn selection_round(
 /// **selector model** (the structurally-identical network whose weights
 /// live on the FPGA as int8), the simulated [`SsdCluster`]
 /// ([`NessaConfig::drives`] drives; one by default), and the train / test
-/// datasets.
+/// datasets. [`crate::run_policy`] runs the comparison policies through
+/// the same loop, with no selector: they select on the host with the
+/// target itself.
 ///
 /// Each epoch follows the paper's five steps: P2P-read the candidate pool
 /// to the FPGA, run the selection kernel (quantized forward → gradient
@@ -405,8 +457,11 @@ fn selection_round(
 /// *next* epoch runs concurrently with training (see the module docs).
 pub struct NessaPipeline {
     config: NessaConfig,
+    method: Method,
     target: Network,
-    selector: Network,
+    /// The quantized FPGA-side copy; `None` for a baseline, which selects
+    /// with the live target.
+    selector: Option<Network>,
     train: Dataset,
     test: Dataset,
     device: SsdCluster,
@@ -450,6 +505,20 @@ impl NessaPipeline {
             t_shapes, s_shapes,
             "target and selector must share structure"
         );
+        Self::with_method(config, Method::Nessa, target, Some(selector), train, test)
+    }
+
+    /// A pipeline that selects with `method`. Only NeSSA has a `selector`
+    /// (a mismatched one panics at the run's first quantized snapshot); a
+    /// baseline selects with the target itself.
+    pub(crate) fn with_method(
+        config: NessaConfig,
+        method: Method,
+        target: Network,
+        selector: Option<Network>,
+        train: Dataset,
+        test: Dataset,
+    ) -> Self {
         assert_eq!(train.dim(), test.dim(), "train/test feature dims differ");
         assert_eq!(train.classes(), test.classes(), "train/test classes differ");
         let telemetry = Telemetry::new(&config.telemetry);
@@ -460,6 +529,7 @@ impl NessaPipeline {
         let flops_per_sample = target.flops_per_sample(&[train.dim()]);
         Self {
             config,
+            method,
             target,
             selector,
             train,
@@ -529,7 +599,9 @@ impl NessaPipeline {
         };
         // Initialize the FPGA's selector with a quantized snapshot of the
         // (randomly initialized) target, as the system would at deployment.
-        QuantizedModel::from_network(&mut self.target).apply_to(&mut self.selector);
+        if let Some(selector) = &mut self.selector {
+            QuantizedModel::from_network(&mut self.target).apply_to(selector);
+        }
         let mut selection = Selection::default();
         let mut report = RunReport {
             name: "nessa".into(),
@@ -556,6 +628,7 @@ impl NessaPipeline {
             let mut epoch_span = self.telemetry.span("epoch").with_attr("epoch", epoch);
             let ctx = RoundCtx {
                 cfg: &cfg,
+                method: self.method,
                 health: &health,
                 telemetry: &self.telemetry,
                 select_metrics: &select_metrics,
@@ -583,7 +656,7 @@ impl NessaPipeline {
                     let out = selection_round(
                         &ctx,
                         &mut self.device,
-                        &self.selector,
+                        self.selector.as_ref().unwrap_or(&self.target),
                         epoch,
                         pool_of(&tracker),
                         fraction,
@@ -616,12 +689,13 @@ impl NessaPipeline {
             let next = epoch + 1;
             let ahead = cfg.overlap && next < cfg.epochs && next % select_every == 0;
             let (outcome, joined) = std::thread::scope(|s| {
-                let worker = ahead.then(|| {
+                // Only a quantized selector can select while the target
+                // trains; a baseline selects with the target itself.
+                let worker = self.selector.as_ref().filter(|_| ahead).map(|selector| {
                     let pool = pool_of(&tracker);
                     let parent = epoch_span.id();
                     let stream = &mut streams[next];
                     let device = &mut self.device;
-                    let selector = &self.selector;
                     s.spawn(move || {
                         // Parent the wrapper to the epoch span explicitly:
                         // the worker thread has no open spans of its own,
@@ -686,7 +760,7 @@ impl NessaPipeline {
             // Feedback: quantize this epoch's weights, broadcast to every
             // live drive (when overlapped, the worker joined above so the
             // device is idle again), refresh the selector.
-            if cfg.feedback {
+            if let (true, Some(selector)) = (cfg.feedback, &mut self.selector) {
                 let mut feedback = if cfg.overlap {
                     self.telemetry.span("overlap.handoff")
                 } else {
@@ -703,7 +777,7 @@ impl NessaPipeline {
                 feedback.add_sim_secs(secs);
                 io_secs += secs;
                 orec.handoff_secs = secs;
-                snap.apply_to(&mut self.selector);
+                snap.apply_to(selector);
             }
             // Subset biasing: record subset losses; prune on schedule. The
             // next selection round re-selects from the surviving pool.

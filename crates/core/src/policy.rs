@@ -1,18 +1,14 @@
 //! Unified policy runner: NeSSA and every baseline the paper compares
-//! against, through one code path so accuracy comparisons are fair.
+//! against, through one code path — the epoch loop of
+//! [`NessaPipeline::run`] — so accuracy and timing comparisons are fair.
 
 use crate::config::NessaConfig;
 use crate::error::PipelineError;
-use crate::pipeline::NessaPipeline;
-use crate::proxy::{embeddings, gradient_proxies};
-use crate::report::{EpochRecord, RunReport};
-use crate::trainer::{evaluate, train_epoch_metered};
+use crate::pipeline::{Method, NessaPipeline};
+use crate::report::RunReport;
 use nessa_data::Dataset;
 use nessa_nn::models::Network;
-use nessa_nn::optim::{MultiStepLr, Sgd, SgdConfig};
-use nessa_select::craig::{select_per_class_factored, CraigOptions};
-use nessa_select::facility::GreedyVariant;
-use nessa_select::{kcenters, random, Selection};
+use nessa_select::SelectError;
 use nessa_tensor::rng::Rng64;
 
 /// A training policy from the paper's evaluation.
@@ -36,7 +32,7 @@ pub enum Policy {
         fraction: f32,
     },
     /// CPU K-Centers (Sener & Savarese '17): farthest-first traversal on
-    /// gradient proxies, unit weights.
+    /// penultimate embeddings, unit weights.
     KCenters {
         /// Subset fraction.
         fraction: f32,
@@ -63,14 +59,20 @@ impl Policy {
 
 /// Runs `policy` for `epochs` epochs with the paper's optimizer settings.
 ///
+/// Every policy runs through [`NessaPipeline::run`]. NeSSA takes the
+/// near-storage data path with its configuration; each baseline stages
+/// its data to the host over the conventional read and selects there with
+/// the live target, with feedback, subset biasing and partitioning off.
+///
 /// `make_model` builds a fresh network (called once for the trainee and,
 /// for NeSSA, once more for the selector); it receives a seeded RNG so
 /// runs are reproducible.
 ///
 /// # Errors
 ///
-/// Propagates [`PipelineError`] when selection rejects its inputs or a
-/// kernel profile does not fit the simulated FPGA.
+/// Propagates [`PipelineError`] when selection rejects its inputs (a
+/// subset fraction outside `(0, 1]` among them) or a kernel profile does
+/// not fit the simulated FPGA.
 pub fn run_policy(
     policy: &Policy,
     train: &Dataset,
@@ -80,110 +82,43 @@ pub fn run_policy(
     seed: u64,
     make_model: &dyn Fn(&mut Rng64) -> Network,
 ) -> Result<RunReport, PipelineError> {
-    match policy {
-        Policy::Nessa(cfg) => {
-            let mut cfg = cfg.clone();
-            cfg.epochs = epochs;
-            cfg.batch_size = batch_size;
-            cfg.seed = seed;
-            let mut init_rng = Rng64::new(seed);
-            let target = make_model(&mut init_rng);
-            let selector = make_model(&mut init_rng);
-            let mut pipeline =
-                NessaPipeline::new(cfg, target, selector, train.clone(), test.clone());
-            pipeline.run()
-        }
-        _ => run_cpu_policy(policy, train, test, epochs, batch_size, seed, make_model),
-    }
-}
-
-fn run_cpu_policy(
-    policy: &Policy,
-    train: &Dataset,
-    test: &Dataset,
-    epochs: usize,
-    batch_size: usize,
-    seed: u64,
-    make_model: &dyn Fn(&mut Rng64) -> Network,
-) -> Result<RunReport, PipelineError> {
-    let n = train.len();
     let mut init_rng = Rng64::new(seed);
-    let mut net = make_model(&mut init_rng);
-    let mut rng = Rng64::new(seed ^ 0x9e3779b97f4a7c15);
-    let mut opt = Sgd::new(SgdConfig::default());
-    let schedule = MultiStepLr::paper_schedule(epochs);
-    let all: Vec<usize> = (0..n).collect();
-    let mut report = RunReport {
-        name: policy.label().into(),
-        train_size: n,
-        ..RunReport::default()
+    let target = make_model(&mut init_rng);
+    let baseline = |subset_fraction| NessaConfig {
+        subset_fraction,
+        epochs,
+        batch_size,
+        feedback: false,
+        subset_biasing: false,
+        partitioning: false,
+        // The baselines' master stream, apart from model initialization.
+        seed: seed ^ 0x9e3779b97f4a7c15,
+        ..NessaConfig::new(1.0, 1)
     };
-    for epoch in 0..epochs {
-        let lr = schedule.lr_at(epoch);
-        let selection = match policy {
-            Policy::Goal => Selection::new(all.clone(), vec![1.0; n]),
-            Policy::Craig { fraction } => {
-                let class_proxies = |members: &[usize]| {
-                    let p = gradient_proxies(&net, train, members, batch_size);
-                    (p.residuals, p.features)
-                };
-                select_per_class_factored(
-                    class_proxies,
-                    train.labels(),
-                    train.classes(),
-                    *fraction,
-                    &CraigOptions {
-                        variant: GreedyVariant::Lazy,
-                        partition_chunk: None,
-                        threads: 1,
-                        metrics: None,
-                    },
-                    &mut rng,
-                )?
-            }
-            Policy::KCenters { fraction } => {
-                // Sener & Savarese select in the penultimate embedding
-                // space, not the gradient space.
-                let embeds = embeddings(&net, train, &all, batch_size);
-                // Unit weights: Sener & Savarese train the subset
-                // unweighted.
-                kcenters::select_per_class(
-                    &embeds,
-                    train.labels(),
-                    train.classes(),
-                    *fraction,
-                    &mut rng,
-                )
-            }
-            Policy::Random { fraction } => {
-                random::select_per_class(train.labels(), train.classes(), *fraction, &mut rng)
-            }
-            Policy::Nessa(_) => unreachable!("handled by run_policy"),
-        };
-        let outcome = train_epoch_metered(
-            &mut net,
-            &mut opt,
-            train,
-            &selection.indices,
-            &selection.weights,
-            batch_size,
-            lr,
-            &mut rng,
-            None,
-        );
-        let test_acc = evaluate(&net, test, batch_size);
-        report.epochs.push(EpochRecord {
-            epoch,
-            lr,
-            subset_size: selection.len(),
-            pool_size: n,
-            train_loss: outcome.mean_loss,
-            test_acc,
-            select_secs: 0.0,
-            io_secs: 0.0,
-            overlap: None,
-        });
+    let (cfg, method, selector) = match *policy {
+        Policy::Nessa(ref cfg) => (
+            NessaConfig {
+                epochs,
+                batch_size,
+                seed,
+                ..cfg.clone()
+            },
+            Method::Nessa,
+            Some(make_model(&mut init_rng)),
+        ),
+        Policy::Goal => (baseline(1.0), Method::All, None),
+        Policy::Craig { fraction } => (baseline(fraction), Method::Craig, None),
+        Policy::KCenters { fraction } => (baseline(fraction), Method::KCenters, None),
+        Policy::Random { fraction } => (baseline(fraction), Method::Random, None),
+    };
+    let fraction = cfg.subset_fraction;
+    if !(fraction > 0.0 && fraction <= 1.0) {
+        return Err(SelectError::BadFraction(fraction).into());
     }
+    let mut report =
+        NessaPipeline::with_method(cfg, method, target, selector, train.clone(), test.clone())
+            .run()?;
+    report.name = policy.label().into();
     Ok(report)
 }
 
@@ -255,6 +190,59 @@ mod tests {
             assert_eq!(r.epochs.len(), 3, "{}", policy.label());
             assert_eq!(r.name, policy.label());
             assert!(r.final_accuracy() > 0.25, "{} too weak", policy.label());
+        }
+    }
+
+    #[test]
+    fn baselines_pay_their_host_reads_on_the_drive_ledger() {
+        let (train, test) = data();
+        let epochs = 3;
+        let (n, bytes) = (train.len() as u64, train.bytes_per_sample() as u64);
+        for policy in [
+            Policy::Goal,
+            Policy::Craig { fraction: 0.3 },
+            Policy::KCenters { fraction: 0.3 },
+            Policy::Random { fraction: 0.3 },
+        ] {
+            let r = run_policy(&policy, &train, &test, epochs, 32, 1, &model).unwrap();
+            // Random reads no features, so it stages only its subsets;
+            // the others stage the whole pool every epoch.
+            let staged = match policy {
+                Policy::Random { .. } => r.epochs.iter().map(|e| e.subset_size as u64).sum(),
+                _ => epochs as u64 * n,
+            } * bytes;
+            let t = r.traffic;
+            assert_eq!(t.staged_to_host, staged, "{}", policy.label());
+            assert_eq!(
+                (t.ssd_to_fpga, t.fpga_to_host, t.host_to_fpga),
+                (0, 0, 0),
+                "{}",
+                policy.label()
+            );
+            for e in &r.epochs {
+                assert!(e.io_secs > 0.0, "{} epoch {}", policy.label(), e.epoch);
+                assert_eq!(e.select_secs, 0.0, "host selection is not priced");
+            }
+        }
+    }
+
+    #[test]
+    fn bad_baseline_fraction_is_an_error() {
+        let (train, test) = data();
+        for fraction in [0.0, 1.5] {
+            let r = run_policy(
+                &Policy::Random { fraction },
+                &train,
+                &test,
+                1,
+                32,
+                0,
+                &model,
+            );
+            assert!(
+                matches!(r, Err(PipelineError::Select(SelectError::BadFraction(_)))),
+                "{fraction}"
+            );
         }
     }
 

@@ -47,7 +47,10 @@ pub struct EpochRecord {
     pub train_loss: f32,
     /// Test accuracy (fraction in `[0, 1]`).
     pub test_acc: f32,
-    /// Simulated seconds the selection kernel ran this epoch.
+    /// Simulated seconds the FPGA selection kernel ran this epoch. The
+    /// drive's ledger does not price host CPU work, so a round that
+    /// selects on the host (a baseline's, or NeSSA's after a fallback)
+    /// adds nothing here; its staged read lands in `io_secs`.
     pub select_secs: f64,
     /// Simulated seconds of data movement this epoch (flash reads, subset
     /// transfer, feedback).
@@ -76,9 +79,10 @@ pub struct RunReport {
     pub name: String,
     /// Per-epoch records, in order.
     pub epochs: Vec<EpochRecord>,
-    /// Device traffic at the end of the run (zero for CPU-only policies).
+    /// Device traffic at the end of the run (a baseline's is all staged
+    /// host reads).
     pub traffic: TrafficStats,
-    /// Simulated device energy in joules (zero for CPU-only policies).
+    /// Simulated device energy in joules.
     pub device_energy_j: f64,
     /// Training-set size the run started from.
     pub train_size: usize,

@@ -118,6 +118,12 @@ pub fn goal_epoch(w: &Workload, gpu: &DeviceSpec) -> PolicyTiming {
 /// Uses the full [`SmartSsd`] simulator for the near-storage phases and
 /// the GPU cost model for subset training.
 pub fn nessa_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> PolicyTiming {
+    nessa_epoch_with_handoff(w, gpu, fraction).0
+}
+
+/// [`nessa_epoch`] plus the seconds its drive charged for the feedback
+/// hand-off (step 5, folded into `data_move_s`).
+fn nessa_epoch_with_handoff(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> (PolicyTiming, f64) {
     let mut dev = SmartSsd::new(SmartSsdConfig::default());
     let subset = w.subset(fraction);
     // (1) Pool scan over P2P. No fault plan is armed on this throwaway
@@ -163,11 +169,12 @@ pub fn nessa_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> PolicyTimin
         .receive_feedback(params_bytes)
         // nessa-lint: allow(p1-panic) — fault-free device; see step 1.
         .expect("fault-free device");
-    PolicyTiming {
+    let timing = PolicyTiming {
         data_move_s: read_s + subset_s + feedback_s,
         select_s,
         train_s: train.compute_s,
-    }
+    };
+    (timing, feedback_s)
 }
 
 /// A per-epoch time breakdown for NeSSA's overlapped schedule (§3,
@@ -207,16 +214,7 @@ impl OverlappedTiming {
 /// prologue round (which cannot overlap with anything) is excluded —
 /// this is the per-epoch cost once the pipeline is primed.
 pub fn nessa_overlapped_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> OverlappedTiming {
-    let seq = nessa_epoch(w, gpu, fraction);
-    // nessa_epoch folds the feedback broadcast into data movement;
-    // recompute it alone so the hand-off can be split out.
-    let mut dev = SmartSsd::new(SmartSsdConfig::default());
-    let params_bytes = (estimate_params(w) / 4).max(1);
-    let handoff_s = dev
-        .receive_feedback(params_bytes)
-        // nessa-lint: allow(p1-panic) — fault-free device, as in
-        // `nessa_epoch`.
-        .expect("fault-free device");
+    let (seq, handoff_s) = nessa_epoch_with_handoff(w, gpu, fraction);
     OverlappedTiming {
         select_side_s: (seq.data_move_s - handoff_s).max(0.0) + seq.select_s,
         train_s: seq.train_s,

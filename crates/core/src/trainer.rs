@@ -57,7 +57,7 @@ pub struct EpochOutcome {
 ///
 /// Panics if `indices` and `weights` lengths differ, `indices` is empty,
 /// or `batch_size == 0`.
-#[allow(clippy::too_many_arguments)] // one call site per policy; a struct would obscure the paper's step list
+#[allow(clippy::too_many_arguments)] // one library call site, the pipeline's epoch loop; a struct would obscure the paper's step list
 pub fn train_epoch_metered(
     net: &mut Network,
     opt: &mut Sgd,

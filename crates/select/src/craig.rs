@@ -15,9 +15,8 @@
 //! classes can be processed on std scoped threads.
 
 use crate::facility::{maximize_metered, GreedyVariant, SimilarityMatrix};
-use crate::fraction_count;
 use crate::metrics::SelectMetrics;
-use crate::{SelectError, Selection};
+use crate::{fraction_count, group_by_class, SelectError, Selection};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 
@@ -46,26 +45,6 @@ impl Default for CraigOptions {
             metrics: None,
         }
     }
-}
-
-/// Validates the per-class preconditions and groups candidate indices by
-/// class.
-fn group_by_class(
-    labels: &[usize],
-    classes: usize,
-    fraction: f32,
-) -> Result<Vec<Vec<usize>>, SelectError> {
-    if !(fraction > 0.0 && fraction <= 1.0) {
-        return Err(SelectError::BadFraction(fraction));
-    }
-    if let Some(&label) = labels.iter().find(|&&y| y >= classes) {
-        return Err(SelectError::LabelOutOfRange { label, classes });
-    }
-    let mut by_class = vec![Vec::new(); classes];
-    for (i, &y) in labels.iter().enumerate() {
-        by_class[y].push(i);
-    }
-    Ok(by_class)
 }
 
 /// Runs the per-class selection bodies, optionally on std scoped threads.

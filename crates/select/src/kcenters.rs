@@ -7,7 +7,7 @@
 //! small subset sizes — it chases outliers instead of covering mass — is
 //! exactly what those comparisons show.
 
-use crate::{fraction_count, Selection};
+use crate::{fraction_count, group_by_class, SelectError, Selection};
 use nessa_tensor::linalg::sq_dist;
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
@@ -62,37 +62,33 @@ pub fn select(features: &Tensor, k: usize, rng: &mut Rng64) -> Selection {
 /// Selects `⌈fraction · |class|⌉` centres within each class, mirroring the
 /// per-class protocol used for CRAIG so the baselines are comparable.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the label count differs from the rows, `fraction` is outside
-/// `(0, 1]`, or any label is `≥ classes`.
+/// Returns [`SelectError::LengthMismatch`] when the label count differs
+/// from the rows, [`SelectError::BadFraction`] when `fraction` is outside
+/// `(0, 1]` and [`SelectError::LabelOutOfRange`] when any label is
+/// `≥ classes`.
 pub fn select_per_class(
     features: &Tensor,
     labels: &[usize],
     classes: usize,
     fraction: f32,
     rng: &mut Rng64,
-) -> Selection {
-    assert_eq!(features.dim(0), labels.len(), "label count mismatch");
-    assert!(
-        fraction > 0.0 && fraction <= 1.0,
-        "fraction must be in (0, 1], got {fraction}"
-    );
-    assert!(labels.iter().all(|&y| y < classes), "label out of range");
-    let mut by_class = vec![Vec::new(); classes];
-    for (i, &y) in labels.iter().enumerate() {
-        by_class[y].push(i);
+) -> Result<Selection, SelectError> {
+    if features.dim(0) != labels.len() {
+        return Err(SelectError::LengthMismatch {
+            what: "labels",
+            expected: features.dim(0),
+            actual: labels.len(),
+        });
     }
     let mut merged = Selection::default();
-    for members in &by_class {
-        if members.is_empty() {
-            continue;
-        }
+    for members in &group_by_class(labels, classes, fraction)? {
         let k = fraction_count(members.len(), fraction);
         let sub = features.gather_rows(members);
         merged.extend(select(&sub, k, rng).into_global(members));
     }
-    merged
+    Ok(merged)
 }
 
 /// The k-center objective: maximum distance² from any candidate to its
@@ -195,9 +191,45 @@ mod tests {
     fn per_class_respects_fraction() {
         let x = clusters();
         let labels: Vec<usize> = (0..20).map(|i| i / 10).collect();
-        let sel = select_per_class(&x, &labels, 2, 0.2, &mut Rng64::new(4));
+        let sel = select_per_class(&x, &labels, 2, 0.2, &mut Rng64::new(4)).unwrap();
         assert_eq!(sel.len(), 4);
         assert_eq!(sel.weights, [1.0; 4]);
+    }
+
+    #[test]
+    fn per_class_rejects_a_label_count_mismatch() {
+        let labels = vec![0usize; 19];
+        assert_eq!(
+            select_per_class(&clusters(), &labels, 1, 0.5, &mut Rng64::new(7)),
+            Err(SelectError::LengthMismatch {
+                what: "labels",
+                expected: 20,
+                actual: 19
+            })
+        );
+    }
+
+    #[test]
+    fn per_class_rejects_a_bad_fraction() {
+        let labels = vec![0usize; 20];
+        for fraction in [0.0, -0.5, 1.5, f32::NAN] {
+            assert!(matches!(
+                select_per_class(&clusters(), &labels, 1, fraction, &mut Rng64::new(8)),
+                Err(SelectError::BadFraction(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn per_class_rejects_an_out_of_range_label() {
+        let labels: Vec<usize> = (0..20).map(|i| i / 5).collect();
+        assert_eq!(
+            select_per_class(&clusters(), &labels, 3, 0.5, &mut Rng64::new(9)),
+            Err(SelectError::LabelOutOfRange {
+                label: 3,
+                classes: 3
+            })
+        );
     }
 
     #[test]

@@ -107,6 +107,26 @@ pub fn fraction_count(n: usize, fraction: f32) -> usize {
     ((exact * (1.0 - 1e-6)).ceil() as usize).clamp(1, n)
 }
 
+/// Validates the per-class preconditions and groups candidate indices by
+/// class.
+pub(crate) fn group_by_class(
+    labels: &[usize],
+    classes: usize,
+    fraction: f32,
+) -> Result<Vec<Vec<usize>>, SelectError> {
+    if !(fraction > 0.0 && fraction <= 1.0) {
+        return Err(SelectError::BadFraction(fraction));
+    }
+    if let Some(&label) = labels.iter().find(|&&y| y >= classes) {
+        return Err(SelectError::LabelOutOfRange { label, classes });
+    }
+    let mut by_class = vec![Vec::new(); classes];
+    for (i, &y) in labels.iter().enumerate() {
+        by_class[y].push(i);
+    }
+    Ok(by_class)
+}
+
 /// A selected subset: sample indices plus per-sample weights.
 ///
 /// Weights follow CRAIG: each selected medoid is weighted by the number of

@@ -1,11 +1,10 @@
 //! Uniform random selection baseline.
 //!
-//! Doubles as the last rung of the pipeline's degradation ladder:
-//! [`select_per_class_checked`] is the panic-free entry point the host
-//! falls back to when both the device kernel and the host-side
-//! facility-location path are out.
+//! Also the last rung of the pipeline's degradation ladder: the host
+//! falls back to [`select_per_class`] when both the device kernel and the
+//! host-side facility-location path are out.
 
-use crate::{fraction_count, SelectError, Selection};
+use crate::{fraction_count, group_by_class, SelectError, Selection};
 use nessa_tensor::rng::Rng64;
 
 /// Selects `k` candidates uniformly at random from a pool of `n`, with all
@@ -26,56 +25,23 @@ pub fn select(n: usize, k: usize, rng: &mut Rng64) -> Selection {
 
 /// Selects `⌈fraction · |class|⌉` candidates uniformly within each class.
 ///
-/// # Panics
-///
-/// Panics if `fraction` is outside `(0, 1]` or any label is `≥ classes`.
-pub fn select_per_class(
-    labels: &[usize],
-    classes: usize,
-    fraction: f32,
-    rng: &mut Rng64,
-) -> Selection {
-    assert!(
-        fraction > 0.0 && fraction <= 1.0,
-        "fraction must be in (0, 1], got {fraction}"
-    );
-    assert!(labels.iter().all(|&y| y < classes), "label out of range");
-    let mut by_class = vec![Vec::new(); classes];
-    for (i, &y) in labels.iter().enumerate() {
-        by_class[y].push(i);
-    }
-    let mut merged = Selection::default();
-    for members in &by_class {
-        if members.is_empty() {
-            continue;
-        }
-        let k = fraction_count(members.len(), fraction);
-        merged.extend(select(members.len(), k, rng).into_global(members));
-    }
-    merged
-}
-
-/// Panic-free [`select_per_class`]: the degradation-ladder entry point
-/// used by the pipeline when facility-location selection is unavailable.
-///
 /// # Errors
 ///
 /// Returns [`SelectError::BadFraction`] when `fraction` is outside
 /// `(0, 1]` and [`SelectError::LabelOutOfRange`] when any label is
 /// `≥ classes`.
-pub fn select_per_class_checked(
+pub fn select_per_class(
     labels: &[usize],
     classes: usize,
     fraction: f32,
     rng: &mut Rng64,
 ) -> Result<Selection, SelectError> {
-    if !(fraction > 0.0 && fraction <= 1.0) {
-        return Err(SelectError::BadFraction(fraction));
+    let mut merged = Selection::default();
+    for members in &group_by_class(labels, classes, fraction)? {
+        let k = fraction_count(members.len(), fraction);
+        merged.extend(select(members.len(), k, rng).into_global(members));
     }
-    if let Some(&label) = labels.iter().find(|&&y| y >= classes) {
-        return Err(SelectError::LabelOutOfRange { label, classes });
-    }
-    Ok(select_per_class(labels, classes, fraction, rng))
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -113,7 +79,7 @@ mod tests {
     fn per_class_is_stratified() {
         let labels: Vec<usize> = (0..40).map(|i| i % 4).collect();
         let mut rng = Rng64::new(3);
-        let sel = select_per_class(&labels, 4, 0.3, &mut rng);
+        let sel = select_per_class(&labels, 4, 0.3, &mut rng).unwrap();
         for c in 0..4 {
             let picks = sel.indices.iter().filter(|&&i| labels[i] == c).count();
             assert_eq!(picks, 3, "class {c}");
@@ -121,30 +87,22 @@ mod tests {
     }
 
     #[test]
-    fn checked_variant_rejects_bad_inputs_without_panicking() {
+    fn rejects_bad_inputs_without_panicking() {
         let mut rng = Rng64::new(5);
         let labels = vec![0usize, 1, 2];
         assert!(matches!(
-            select_per_class_checked(&labels, 3, 0.0, &mut rng),
+            select_per_class(&labels, 3, 0.0, &mut rng),
             Err(SelectError::BadFraction(_))
         ));
         assert!(matches!(
-            select_per_class_checked(&labels, 2, 0.5, &mut rng),
+            select_per_class(&labels, 2, 0.5, &mut rng),
             Err(SelectError::LabelOutOfRange {
                 label: 2,
                 classes: 2
             })
         ));
-        let sel = select_per_class_checked(&labels, 3, 1.0, &mut rng).unwrap();
+        let sel = select_per_class(&labels, 3, 1.0, &mut rng).unwrap();
         assert_eq!(sel.len(), 3);
-    }
-
-    #[test]
-    fn checked_variant_matches_panicking_variant() {
-        let labels: Vec<usize> = (0..40).map(|i| i % 4).collect();
-        let a = select_per_class(&labels, 4, 0.3, &mut Rng64::new(9));
-        let b = select_per_class_checked(&labels, 4, 0.3, &mut Rng64::new(9)).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
