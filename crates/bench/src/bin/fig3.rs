@@ -4,7 +4,8 @@
 //!
 //! Regenerate with `cargo run --release -p nessa-bench --bin fig3`.
 
-use nessa_smartssd::fpga::KernelProfile;
+use nessa_core::timing::Workload;
+use nessa_data::DatasetSpec;
 use nessa_smartssd::{SmartSsd, SmartSsdConfig};
 
 fn main() {
@@ -45,23 +46,21 @@ fn main() {
     println!("  |  losses -> subset biasing; weights -> int8 -> FPGA            |");
     println!("  +----------------------------------------------------------------+");
     println!();
-    // A live one-epoch timeline at CIFAR-10 scale.
+    // A live one-epoch timeline at CIFAR-10 scale and its Table-2 subset,
+    // sized as the Figure-4 epoch model sizes it.
+    let spec = DatasetSpec::by_name("CIFAR-10").expect("catalog entry");
+    let fraction = spec.paper.expect("table 2 row").subset_pct as f64 / 100.0;
+    let w = Workload::from_spec(&spec);
     let mut dev = SmartSsd::new(config);
-    dev.install_dataset(50_000, 3_000)
+    dev.install_dataset(w.samples, w.bytes_per_sample)
         .expect("fault-free device");
-    dev.read_records_to_fpga(50_000, 3_000)
+    dev.read_records_to_fpga(w.samples, w.bytes_per_sample)
         .expect("fault-free device");
-    let profile = KernelProfile {
-        samples: 50_000,
-        forward_macs_per_sample: 640,
-        proxy_dim: 10,
-        chunk: 457,
-        k_per_chunk: 128,
-    };
-    dev.run_selection(&profile).expect("chunk fits");
-    dev.send_subset_to_host(14_000, 3_000)
+    dev.run_selection(&w.kernel_profile(fraction))
+        .expect("chunk fits");
+    dev.send_subset_to_host(w.subset(fraction), w.bytes_per_sample)
         .expect("fault-free device");
-    dev.receive_feedback(272_000 / 4)
+    dev.receive_feedback(w.feedback_bytes())
         .expect("fault-free device");
     println!("One install + one epoch at CIFAR-10 scale:");
     print!("{}", dev.trace());

@@ -40,10 +40,10 @@ fn main() {
         ),
         (
             "NeSSA (ovl)",
-            ovl.handoff_s,
-            ovl.select_side_s,
-            ovl.train_s,
-            ovl.total_s(),
+            ovl.handoff_secs,
+            ovl.select_side_secs,
+            ovl.train_secs,
+            ovl.critical_path_secs(),
         ),
         (
             "CRAIG",
@@ -80,7 +80,7 @@ fn main() {
                 .f64_field("total_s", *total_s)
                 .f64_field("speedup_vs_nessa", *total_s / base);
             if *name == "NeSSA (ovl)" {
-                obj = obj.f64_field("hidden_s", ovl.hidden_s());
+                obj = obj.f64_field("hidden_s", ovl.hidden_secs());
             }
             println!("{}", obj.finish());
         }
@@ -109,7 +109,7 @@ fn main() {
     println!(
         "NeSSA (ovl): selection hides under training; total = max(select, \
          train) + hand-off ({:.2} s hidden per epoch)",
-        ovl.hidden_s()
+        ovl.hidden_secs()
     );
     let base = nessa.total_s();
     println!(

@@ -27,18 +27,14 @@ fn main() {
         let tp = p2p.effective_bytes_per_s(128, b) / 1e9;
         let th = host.effective_bytes_per_s(128, b) / 1e9;
         ratio_sum += tp / th;
-        let w = Workload::from_spec(spec);
-        let paper = spec.paper.expect("table 2 row");
-        let full_bytes = w.samples as f64 * w.bytes_per_sample as f64;
-        let subset_bytes =
-            (w.samples as f64 * paper.subset_pct as f64 / 100.0).ceil() * w.bytes_per_sample as f64;
+        let fraction = spec.paper.expect("table 2 row").subset_pct as f64 / 100.0;
         println!(
             "{:<14} {:>12.2} {:>12.2} {:>9.2}x | {:>13.2}x",
             spec.name,
             tp,
             th,
             tp / th,
-            full_bytes / subset_bytes
+            Workload::from_spec(spec).movement_reduction(fraction)
         );
     }
     rule(70);

@@ -235,7 +235,7 @@ fn profile_overlap(settings: TelemetrySettings) {
         pipelined <= serialized + 1e-12,
         "pipelined sim total {pipelined} exceeds the serialized schedule {serialized}"
     );
-    let hidden = pipeline.device().hidden_secs();
+    let hidden = report.hidden_secs();
     println!(
         "simulated schedule: serialized {serialized:.6}s, pipelined {pipelined:.6}s \
          ({:.1}% shorter; {hidden:.6}s of device time hidden under training)",

@@ -2,7 +2,9 @@
 //! GPUs"): how NeSSA's near-storage phases scale when the dataset is
 //! sharded across a fleet of drives: each drive of an `SsdCluster` selects
 //! over its shard and the local picks are gathered to the host (GreeDi's
-//! two rounds, modelled as simulated time).
+//! two rounds, modelled as simulated time), then the int8 feedback is
+//! broadcast back. Each drive count runs the same near-storage epoch as
+//! Figure 4 (`Workload::run_near_storage`).
 //!
 //! Regenerate with `cargo run --release -p nessa-bench --bin scaling`.
 //! Pass `--json` to emit one JSON object per drive count instead of the
@@ -12,7 +14,6 @@ use nessa_bench::rule;
 use nessa_core::timing::Workload;
 use nessa_data::DatasetSpec;
 use nessa_smartssd::cluster::SsdCluster;
-use nessa_smartssd::fpga::KernelProfile;
 use nessa_smartssd::SmartSsdConfig;
 use nessa_telemetry::json::JsonObject;
 
@@ -21,7 +22,6 @@ fn main() {
     let spec = DatasetSpec::by_name("ImageNet-100").expect("catalog entry");
     let w = Workload::from_spec(&spec);
     let fraction = 0.28f64;
-    let subset = (w.samples as f64 * fraction).ceil() as u64;
     if !json {
         println!(
             "Scaling study: {} ({} records × {} KB) at a {:.0} % subset",
@@ -40,28 +40,12 @@ fn main() {
     let mut baseline = None;
     for drives in [1usize, 2, 4, 8] {
         let mut cluster = SsdCluster::new(drives, SmartSsdConfig::default());
-        let scan = cluster
-            .parallel_scan(w.samples, w.bytes_per_sample)
-            .expect("fault-free cluster");
-        let chunk =
-            KernelProfile::max_chunk_for(&SmartSsdConfig::default().fpga, w.classes).min(457);
-        let profile = KernelProfile {
-            samples: w.samples,
-            forward_macs_per_sample: (w.feature_dim * w.classes) as u64,
-            proxy_dim: w.classes,
-            chunk,
-            k_per_chunk: 128,
-        };
-        let select = cluster.parallel_select(&profile).expect("chunk fits");
         // GreeDi round 1→2: each drive ships its local picks (its share of
         // the subset), the merged set then goes to the GPU.
-        let gather = cluster
-            .gather_selections(subset, w.bytes_per_sample)
+        let phases = w
+            .run_near_storage(&mut cluster, fraction)
             .expect("fault-free cluster");
-        let feedback = cluster
-            .broadcast_feedback(25_600_000 / 4)
-            .expect("fault-free cluster");
-        let total = scan + select + gather + feedback;
+        let total = phases.total_s();
         let speedup = *baseline.get_or_insert(total) / total;
         if json {
             println!(
@@ -69,10 +53,10 @@ fn main() {
                 JsonObject::new()
                     .str_field("dataset", spec.name)
                     .u64_field("drives", drives as u64)
-                    .f64_field("scan_s", scan)
-                    .f64_field("select_s", select)
-                    .f64_field("gather_s", gather)
-                    .f64_field("feedback_s", feedback)
+                    .f64_field("scan_s", phases.scan_s)
+                    .f64_field("select_s", phases.select_s)
+                    .f64_field("gather_s", phases.ship_s)
+                    .f64_field("feedback_s", phases.feedback_s)
                     .f64_field("total_s", total)
                     .f64_field("speedup", speedup)
                     .f64_field("energy_j", cluster.energy_joules())
@@ -82,9 +66,9 @@ fn main() {
             println!(
                 "{:<8} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>11.2}x {:>10.1}",
                 drives,
-                scan,
-                select,
-                gather,
+                phases.scan_s,
+                phases.select_s,
+                phases.ship_s,
                 total,
                 speedup,
                 cluster.energy_joules()

@@ -51,7 +51,7 @@ use crate::retry::RetryPolicy;
 use crate::sizing::SubsetSizer;
 use crate::trainer::{evaluate, train_epoch_metered, TrainMetrics};
 use nessa_data::Dataset;
-use nessa_nn::cost::{epoch_time, DeviceSpec, LoaderSpec};
+use nessa_nn::cost::DeviceSpec;
 use nessa_nn::models::Network;
 use nessa_nn::optim::{MultiStepLr, Sgd, SgdConfig};
 use nessa_quant::QuantizedModel;
@@ -617,7 +617,6 @@ impl NessaPipeline {
         // deterministic GPU-side cost model for the overlap ledger.
         let train_flops = 3 * self.flops_per_sample;
         let gpu = DeviceSpec::v100();
-        let loader = LoaderSpec::smartssd_p2p();
         // The round selected on the worker during the previous epoch,
         // waiting to be consumed, and the feedback staleness (in epochs)
         // behind the subset currently in `selection`.
@@ -671,16 +670,9 @@ impl NessaPipeline {
                 }
             }
             orec.staleness = staleness;
-            orec.train_secs = epoch_time(
-                &gpu,
-                &loader,
-                selection.len() as u64,
-                train_flops,
-                // The subset is already GPU-resident (the ship phase
-                // carried it); the training loader streams no bytes.
-                0,
-            )
-            .compute_s;
+            // Compute only: the ship phase already carried the subset to
+            // the GPU.
+            orec.train_secs = gpu.train_secs(selection.len() as u64, train_flops);
             // Overlapped: the round first used at the next epoch runs on a
             // worker while this epoch trains. It snapshots the pool and
             // fraction *now* — the state left by epoch e−1 — so it sees
@@ -751,10 +743,6 @@ impl NessaPipeline {
                 select_secs += round.select_secs;
                 io_secs += round.io_secs;
                 self.history.push((next, round.selection.indices.clone()));
-                // Device time hidden under concurrent training, on the
-                // simulated clock.
-                self.device
-                    .note_overlap_hidden(orec.select_side_secs.min(orec.train_secs));
                 pending = Some(round);
             }
             // Feedback: quantize this epoch's weights, broadcast to every
@@ -850,15 +838,17 @@ impl NessaPipeline {
                 .gauge("device.host_to_fpga_bytes")
                 .set(traffic.host_to_fpga as f64);
             self.telemetry
+                .gauge("device.staged_to_host_bytes")
+                .set(traffic.staged_to_host as f64);
+            self.telemetry
                 .gauge("device.energy_j")
                 .set(report.device_energy_j);
             self.telemetry
                 .gauge("device.sim_secs")
                 .set(report.device_secs());
-            if self.device.hidden_secs() > 0.0 {
-                self.telemetry
-                    .gauge("device.hidden_secs")
-                    .set(self.device.hidden_secs());
+            let hidden = report.hidden_secs();
+            if hidden > 0.0 {
+                self.telemetry.gauge("device.hidden_secs").set(hidden);
             }
             self.telemetry.flush();
         }
@@ -1075,7 +1065,7 @@ mod tests {
             .with_overlap(true);
         let mut p = small_setup(&cfg);
         let report = p.run().unwrap();
-        let hidden = p.device().hidden_secs();
+        let hidden = report.hidden_secs();
         assert!(hidden > 0.0, "pipelined rounds must hide device time");
         assert!(hidden <= p.device().elapsed_secs() + 1e-12);
         // The hidden portion never exceeds what the rounds cost.

@@ -127,6 +127,7 @@ mod tests {
     use super::*;
     use nessa_data::SynthConfig;
     use nessa_nn::models::mlp;
+    use nessa_telemetry::JsonValue;
 
     fn data() -> (Dataset, Dataset) {
         SynthConfig {
@@ -213,6 +214,15 @@ mod tests {
             } * bytes;
             let t = r.traffic;
             assert_eq!(t.staged_to_host, staged, "{}", policy.label());
+            // The JSONL run summary carries the staged bytes too.
+            let jsonl = r.to_jsonl();
+            let run = JsonValue::parse(jsonl.lines().last().unwrap()).unwrap();
+            assert_eq!(
+                run.get("staged_to_host_bytes").and_then(JsonValue::as_u64),
+                Some(staged),
+                "{}",
+                policy.label()
+            );
             assert_eq!(
                 (t.ssd_to_fpga, t.fpga_to_host, t.host_to_fpga),
                 (0, 0, 0),

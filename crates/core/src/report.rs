@@ -8,11 +8,12 @@ use std::fmt;
 ///
 /// Under overlap the epoch's device work (the selection round for the
 /// *next* epoch) runs concurrently with GPU training, so the epoch's cost
-/// is not a sum: it is
-/// `sync_secs + max(select_side_secs, train_secs) + handoff_secs`.
-/// Every field lives on the simulated clock — `train_secs` comes from the
-/// deterministic GPU cost model (`nessa_nn::cost::epoch_time`), never the
-/// host wall clock — so overlapped runs stay byte-reproducible.
+/// is not a sum: it is [`critical_path_secs`](Self::critical_path_secs).
+/// The paper-scale model ([`crate::timing::nessa_overlapped_epoch`])
+/// prices a steady-state epoch with the same record. Every field lives on
+/// the simulated clock — `train_secs` comes from the deterministic GPU
+/// cost model (`nessa_nn::cost::DeviceSpec::train_secs`), never the host
+/// wall clock — so overlapped runs stay byte-reproducible.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OverlapRecord {
     /// Selection seconds paid synchronously *before* training could start
@@ -30,6 +31,20 @@ pub struct OverlapRecord {
     /// Feedback age (in epochs) used by the selection round overlapped
     /// with this epoch: 1 for a pipelined round, 0 for a synchronous one.
     pub staleness: usize,
+}
+
+impl OverlapRecord {
+    /// Critical-path epoch seconds:
+    /// `sync + max(select_side, train) + handoff`.
+    pub fn critical_path_secs(&self) -> f64 {
+        self.sync_secs + self.select_side_secs.max(self.train_secs) + self.handoff_secs
+    }
+
+    /// Seconds the overlap hides versus running the selection side and
+    /// training back to back: `min(select_side, train)`.
+    pub fn hidden_secs(&self) -> f64 {
+        self.select_side_secs.min(self.train_secs)
+    }
 }
 
 /// One epoch's measurements.
@@ -62,11 +77,11 @@ pub struct EpochRecord {
 
 impl EpochRecord {
     /// Total simulated seconds for the epoch: selection + I/O for the
-    /// sequential loop, `sync + max(select_side, train) + handoff` when
-    /// the epoch ran overlapped.
+    /// sequential loop, [`OverlapRecord::critical_path_secs`] when the
+    /// epoch ran overlapped.
     pub fn total_secs(&self) -> f64 {
         match &self.overlap {
-            Some(o) => o.sync_secs + o.select_side_secs.max(o.train_secs) + o.handoff_secs,
+            Some(o) => o.critical_path_secs(),
             None => self.select_secs + self.io_secs,
         }
     }
@@ -123,6 +138,16 @@ impl RunReport {
         self.epochs.iter().map(|e| e.select_secs + e.io_secs).sum()
     }
 
+    /// Device seconds hidden under concurrent training across the run
+    /// (0 for a sequential run).
+    pub fn hidden_secs(&self) -> f64 {
+        self.epochs
+            .iter()
+            .filter_map(|e| e.overlap.as_ref())
+            .map(OverlapRecord::hidden_secs)
+            .sum()
+    }
+
     /// JSONL rendering: one `{"type":"epoch",...}` object per epoch
     /// followed by one `{"type":"run",...}` summary line. Numbers use
     /// shortest-round-trip formatting, so the simulated timings re-parse
@@ -170,6 +195,7 @@ impl RunReport {
                 .u64_field("ssd_to_fpga_bytes", self.traffic.ssd_to_fpga)
                 .u64_field("fpga_to_host_bytes", self.traffic.fpga_to_host)
                 .u64_field("host_to_fpga_bytes", self.traffic.host_to_fpga)
+                .u64_field("staged_to_host_bytes", self.traffic.staged_to_host)
                 .finish(),
         );
         out.push('\n');
@@ -288,9 +314,11 @@ mod tests {
         });
         // Training dominates: total = 0.05 + max(0.3, 0.7) + 0.02.
         assert!((r.epochs[1].total_secs() - 0.77).abs() < 1e-12);
+        assert_eq!(r.hidden_secs(), 0.3);
         // Selection dominates once it outruns training.
         r.epochs[1].overlap.as_mut().unwrap().select_side_secs = 0.9;
         assert!((r.epochs[1].total_secs() - 0.97).abs() < 1e-12);
+        assert_eq!(r.hidden_secs(), 0.7);
         // The sequential epoch is untouched.
         assert!((r.epochs[0].total_secs() - 0.3).abs() < 1e-12);
     }

@@ -18,11 +18,12 @@
 //! near storage if it spends few cycles per byte. See DESIGN.md §2 for the
 //! substitution note.
 
+use crate::report::OverlapRecord;
 use nessa_data::{DatasetSpec, PaperModel};
-use nessa_nn::cost::{epoch_time, DeviceSpec, LoaderSpec};
+use nessa_nn::cost::{DeviceSpec, LoaderSpec};
 use nessa_nn::flops::ArchSpec;
 use nessa_smartssd::fpga::KernelProfile;
-use nessa_smartssd::{SmartSsd, SmartSsdConfig};
+use nessa_smartssd::{ClusterError, SmartSsdConfig, SsdCluster};
 
 /// Sustained CPU throughput for the irregular similarity/greedy selection
 /// workloads of the CPU baselines (bytes-bound, cache-unfriendly), in
@@ -45,6 +46,28 @@ impl PolicyTiming {
     /// Total epoch seconds.
     pub fn total_s(&self) -> f64 {
         self.data_move_s + self.select_s + self.train_s
+    }
+}
+
+/// Seconds of each near-storage phase of one NeSSA epoch, as a drive
+/// cluster charged them ([`Workload::run_near_storage`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NearStoragePhases {
+    /// Pool scan, flash → FPGA over P2P (slowest drive).
+    pub scan_s: f64,
+    /// Selection kernel: proxy-head update, similarities, greedy
+    /// (slowest drive).
+    pub select_s: f64,
+    /// Selected subset to the host (drives share the host link).
+    pub ship_s: f64,
+    /// Quantized-weight feedback broadcast (shared host link).
+    pub feedback_s: f64,
+}
+
+impl NearStoragePhases {
+    /// The four phases back to back.
+    pub fn total_s(&self) -> f64 {
+        self.scan_s + self.select_s + self.ship_s + self.feedback_s
     }
 }
 
@@ -92,163 +115,145 @@ impl Workload {
         3 * self.forward_flops
     }
 
-    fn subset(&self, fraction: f64) -> u64 {
+    /// Samples in a subset of `fraction` of the training set (at least 1).
+    pub fn subset(&self, fraction: f64) -> u64 {
         ((self.samples as f64 * fraction).ceil() as u64).max(1)
+    }
+
+    /// Bytes of the int8 quantized-weight feedback: one byte per parameter
+    /// of the paper's model, by penultimate width (ResNet-20 ≈ 0.27 M,
+    /// ResNet-18 ≈ 11.2 M, ResNet-50 ≈ 25.6 M parameters).
+    pub fn feedback_bytes(&self) -> u64 {
+        match self.feature_dim {
+            64 => 270_000,
+            512 => 11_200_000,
+            2048 => 25_600_000,
+            _ => 100_000,
+        }
+    }
+
+    /// The selection kernel's workload over the whole training set at a
+    /// subset fraction: a last-layer proxy head, `⌈128 / fraction⌉`
+    /// candidates per chunk (128 picks each) capped at what fits the
+    /// default drive's on-chip memory.
+    pub fn kernel_profile(&self, fraction: f64) -> KernelProfile {
+        let chunk = KernelProfile::max_chunk_for(&SmartSsdConfig::default().fpga, self.classes)
+            .min((128.0 / fraction).ceil() as usize)
+            .max(2);
+        KernelProfile {
+            samples: self.samples,
+            forward_macs_per_sample: (self.feature_dim * self.classes) as u64,
+            proxy_dim: self.classes,
+            chunk,
+            k_per_chunk: 128,
+        }
+    }
+
+    /// Runs one NeSSA epoch's near-storage phases on `cluster`: pool scan
+    /// over P2P, the selection kernel, the subset shipped to the host, and
+    /// the int8 feedback broadcast back.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first phase's [`ClusterError`] (a fault armed on a
+    /// drive); the phases after it do not run.
+    pub fn run_near_storage(
+        &self,
+        cluster: &mut SsdCluster,
+        fraction: f64,
+    ) -> Result<NearStoragePhases, ClusterError> {
+        Ok(NearStoragePhases {
+            scan_s: cluster.parallel_scan(self.samples, self.bytes_per_sample)?,
+            select_s: cluster.parallel_select(&self.kernel_profile(fraction))?,
+            ship_s: cluster.gather_selections(self.subset(fraction), self.bytes_per_sample)?,
+            feedback_s: cluster.broadcast_feedback(self.feedback_bytes())?,
+        })
+    }
+
+    /// §4.4's interconnect data-movement reduction at a subset fraction:
+    /// the full dataset staged to the host over what NeSSA moves (the
+    /// subset plus the int8 feedback).
+    pub fn movement_reduction(&self, fraction: f64) -> f64 {
+        let full_bytes = self.samples as f64 * self.bytes_per_sample as f64;
+        let moved_bytes = self.subset(fraction) as f64 * self.bytes_per_sample as f64
+            + self.feedback_bytes() as f64;
+        full_bytes / moved_bytes
+    }
+
+    /// Seconds to stage the full dataset to the host through the
+    /// conventional loader.
+    fn staged_read_s(&self) -> f64 {
+        self.samples as f64 * LoaderSpec::conventional_host().sample_time_s(self.bytes_per_sample)
+    }
+
+    /// The near-storage phases of one epoch on a single fault-free drive.
+    fn single_drive_phases(&self, fraction: f64) -> NearStoragePhases {
+        let mut drive = SsdCluster::new(1, SmartSsdConfig::default());
+        self.run_near_storage(&mut drive, fraction)
+            // nessa-lint: allow(p1-panic) — no fault plan is armed on this
+            // drive and `kernel_profile` sizes the chunk to fit on-chip
+            // memory, so no phase can fail; a Result here would force every
+            // timing-table caller to thread an impossible error.
+            .expect("fault-free drive")
     }
 }
 
 /// Epoch time for full-data training (the paper's "All Data"/"Goal" bar).
 pub fn goal_epoch(w: &Workload, gpu: &DeviceSpec) -> PolicyTiming {
-    let t = epoch_time(
-        gpu,
-        &LoaderSpec::conventional_host(),
-        w.samples,
-        w.training_flops(),
-        w.bytes_per_sample,
-    );
     PolicyTiming {
-        data_move_s: t.io_s,
+        data_move_s: w.staged_read_s(),
         select_s: 0.0,
-        train_s: t.compute_s,
+        train_s: gpu.train_secs(w.samples, w.training_flops()),
     }
 }
 
 /// Epoch time for NeSSA at a subset fraction.
 ///
-/// Uses the full [`SmartSsd`] simulator for the near-storage phases and
-/// the GPU cost model for subset training.
+/// Prices the near-storage phases on a one-drive [`SsdCluster`]
+/// ([`Workload::run_near_storage`]) and subset training with the GPU cost
+/// model; the shipped subset is already on the GPU, so training streams
+/// no bytes.
 pub fn nessa_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> PolicyTiming {
-    nessa_epoch_with_handoff(w, gpu, fraction).0
-}
-
-/// [`nessa_epoch`] plus the seconds its drive charged for the feedback
-/// hand-off (step 5, folded into `data_move_s`).
-fn nessa_epoch_with_handoff(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> (PolicyTiming, f64) {
-    let mut dev = SmartSsd::new(SmartSsdConfig::default());
-    let subset = w.subset(fraction);
-    // (1) Pool scan over P2P. No fault plan is armed on this throwaway
-    // device, so the data path cannot fail.
-    let read_s = dev
-        .read_records_to_fpga(w.samples, w.bytes_per_sample)
-        // nessa-lint: allow(p1-panic) — fault-free device; see above.
-        .expect("fault-free device");
-    // (2) Selection kernel: proxy-head update + similarities + greedy.
-    let chunk = KernelProfile::max_chunk_for(&dev.config().fpga, w.classes)
-        .min((128.0 / fraction).ceil() as usize)
-        .max(2);
-    let profile = KernelProfile {
-        samples: w.samples,
-        forward_macs_per_sample: (w.feature_dim * w.classes) as u64,
-        proxy_dim: w.classes,
-        chunk,
-        k_per_chunk: 128,
-    };
-    let select_s = dev
-        .run_selection(&profile)
-        // nessa-lint: allow(p1-panic) — `max_chunk_for` sized the chunk to
-        // fit on-chip memory two statements above, so this cannot fail; a
-        // Result here would force every timing-table caller to thread an
-        // impossible error.
-        .expect("chunk chosen to fit on-chip memory");
-    // (3) Subset to the GPU.
-    let subset_s = dev
-        .send_subset_to_host(subset, w.bytes_per_sample)
-        // nessa-lint: allow(p1-panic) — fault-free device; see step 1.
-        .expect("fault-free device");
-    // (4) GPU trains the subset (data already delivered by step 3).
-    let train = epoch_time(
-        gpu,
-        &LoaderSpec::smartssd_p2p(),
-        subset,
-        w.training_flops(),
-        0,
-    );
-    // (5) Quantized feedback: int8 model weights (≈¼ of f32 size).
-    let params_bytes = (estimate_params(w) / 4).max(1);
-    let feedback_s = dev
-        .receive_feedback(params_bytes)
-        // nessa-lint: allow(p1-panic) — fault-free device; see step 1.
-        .expect("fault-free device");
-    let timing = PolicyTiming {
-        data_move_s: read_s + subset_s + feedback_s,
-        select_s,
-        train_s: train.compute_s,
-    };
-    (timing, feedback_s)
-}
-
-/// A per-epoch time breakdown for NeSSA's overlapped schedule (§3,
-/// Figure 3): the selection round for the next epoch runs concurrently
-/// with GPU training, so only the slower of the two sides plus the
-/// serializing feedback hand-off lands on the critical path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverlappedTiming {
-    /// Seconds the selection side spends off the GPU's back: pool scan,
-    /// FPGA kernel, and subset shipment for the *next* epoch.
-    pub select_side_s: f64,
-    /// Seconds of GPU gradient computation on the current subset.
-    pub train_s: f64,
-    /// Seconds of the quantized-weight feedback broadcast that
-    /// serializes the two sides at the epoch boundary.
-    pub handoff_s: f64,
-}
-
-impl OverlappedTiming {
-    /// Critical-path epoch seconds: `max(select_side, train) + handoff`.
-    pub fn total_s(&self) -> f64 {
-        self.select_side_s.max(self.train_s) + self.handoff_s
-    }
-
-    /// Seconds the overlap hides versus running the sides back to back.
-    pub fn hidden_s(&self) -> f64 {
-        self.select_side_s.min(self.train_s)
+    let p = w.single_drive_phases(fraction);
+    PolicyTiming {
+        data_move_s: p.scan_s + p.ship_s + p.feedback_s,
+        select_s: p.select_s,
+        train_s: gpu.train_secs(w.subset(fraction), w.training_flops()),
     }
 }
 
 /// Steady-state epoch time for NeSSA with overlapped pipelining at a
-/// subset fraction.
+/// subset fraction (§3, Figure 3).
 ///
-/// Same device model as [`nessa_epoch`], recomposed: scan + kernel +
-/// ship count as the concurrent selection side, training runs under
-/// them, and only the feedback broadcast serializes. The epoch-0
-/// prologue round (which cannot overlap with anything) is excluded —
-/// this is the per-epoch cost once the pipeline is primed.
-pub fn nessa_overlapped_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> OverlappedTiming {
-    let (seq, handoff_s) = nessa_epoch_with_handoff(w, gpu, fraction);
-    OverlappedTiming {
-        select_side_s: (seq.data_move_s - handoff_s).max(0.0) + seq.select_s,
-        train_s: seq.train_s,
-        handoff_s,
+/// Same phases as [`nessa_epoch`], recomposed: scan + kernel + ship for
+/// the *next* epoch are the selection side running under training, and
+/// only the feedback hand-off serializes, so the epoch costs
+/// [`OverlapRecord::critical_path_secs`]. The epoch-0 prologue round
+/// (which cannot overlap with anything) is excluded: `sync_secs` is 0 and
+/// the feedback is one epoch stale, as once the pipeline is primed.
+pub fn nessa_overlapped_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> OverlapRecord {
+    let p = w.single_drive_phases(fraction);
+    OverlapRecord {
+        sync_secs: 0.0,
+        select_side_secs: p.scan_s + p.ship_s + p.select_s,
+        train_secs: gpu.train_secs(w.subset(fraction), w.training_flops()),
+        handoff_secs: p.feedback_s,
+        staleness: 1,
     }
 }
 
 /// Epoch time for CPU CRAIG at a subset fraction: full dataset to the
 /// host, per-class similarity + lazy greedy on proxies, subset training.
 pub fn craig_cpu_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> PolicyTiming {
-    let io = epoch_time(
-        gpu,
-        &LoaderSpec::conventional_host(),
-        w.samples,
-        0,
-        w.bytes_per_sample,
-    );
     // Per-class pairwise similarities over `classes`-dim proxies:
     // classes × (n/classes)² × proxy_dim × 2 FLOPs, plus the greedy sweep.
     let per_class = w.samples as f64 / w.classes as f64;
     let sim_flops = w.classes as f64 * per_class * per_class * w.classes as f64 * 2.0;
     let greedy_flops = w.classes as f64 * per_class * per_class * 4.0;
-    let select_s = (sim_flops + greedy_flops) / CPU_SELECT_FLOPS;
-    let train = epoch_time(
-        gpu,
-        &LoaderSpec::conventional_host(),
-        w.subset(fraction),
-        w.training_flops(),
-        0,
-    );
     PolicyTiming {
-        data_move_s: io.io_s,
-        select_s,
-        train_s: train.compute_s,
+        data_move_s: w.staged_read_s(),
+        select_s: (sim_flops + greedy_flops) / CPU_SELECT_FLOPS,
+        train_s: gpu.train_secs(w.subset(fraction), w.training_flops()),
     }
 }
 
@@ -256,60 +261,28 @@ pub fn craig_cpu_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> PolicyT
 /// the model's penultimate features (as Sener & Savarese), which is both
 /// higher-dimensional and k-pass sequential.
 pub fn kcenters_cpu_epoch(w: &Workload, gpu: &DeviceSpec, fraction: f64) -> PolicyTiming {
-    let io = epoch_time(
-        gpu,
-        &LoaderSpec::conventional_host(),
-        w.samples,
-        0,
-        w.bytes_per_sample,
-    );
     // Incremental farthest-first: k passes × n × feature_dim × 3 FLOPs.
     // Scanning over embeddings also re-reads n × feature_dim × 4 bytes per
     // pass; both terms charge the CPU.
     let k = w.subset(fraction) as f64;
     let flops = k * w.samples as f64 * w.feature_dim as f64 * 3.0;
-    let select_s = flops / CPU_SELECT_FLOPS;
-    let train = epoch_time(
-        gpu,
-        &LoaderSpec::conventional_host(),
-        w.subset(fraction),
-        w.training_flops(),
-        0,
-    );
     PolicyTiming {
-        data_move_s: io.io_s,
-        select_s,
-        train_s: train.compute_s,
+        data_move_s: w.staged_read_s(),
+        select_s: flops / CPU_SELECT_FLOPS,
+        train_s: gpu.train_secs(w.subset(fraction), w.training_flops()),
     }
-}
-
-fn estimate_params(w: &Workload) -> u64 {
-    // Rough parameter counts (bytes at f32) of the paper's models by
-    // penultimate width: ResNet-20 ≈ 0.27 M, ResNet-18 ≈ 11 M,
-    // ResNet-50 ≈ 25.6 M.
-    let params: u64 = match w.feature_dim {
-        64 => 270_000,
-        512 => 11_200_000,
-        2048 => 25_600_000,
-        _ => 100_000,
-    };
-    params * 4
 }
 
 /// §4.4's headline number: the average factor by which NeSSA reduces
 /// drive-host interconnect traffic vs. staging the full dataset, across
-/// the Table-1 datasets at their Table-2 subset percentages.
+/// the Table-1 datasets at their Table-2 subset percentages
+/// ([`Workload::movement_reduction`] per dataset).
 pub fn mean_data_movement_reduction(specs: &[DatasetSpec]) -> f64 {
     let mut total = 0.0;
     let mut count = 0;
     for spec in specs {
         let Some(paper) = spec.paper else { continue };
-        let w = Workload::from_spec(spec);
-        let full_bytes = w.samples as f64 * w.bytes_per_sample as f64;
-        let subset_bytes = w.subset(paper.subset_pct as f64 / 100.0) as f64
-            * w.bytes_per_sample as f64
-            + estimate_params(&w) as f64 / 4.0;
-        total += full_bytes / subset_bytes;
+        total += Workload::from_spec(spec).movement_reduction(paper.subset_pct as f64 / 100.0);
         count += 1;
     }
     if count == 0 {
@@ -389,20 +362,35 @@ mod tests {
         let ovl = nessa_overlapped_epoch(&w, &gpu, 0.3);
         // The decomposition covers the same work…
         assert!(
-            (seq.total_s() - (ovl.select_side_s + ovl.train_s + ovl.handoff_s)).abs()
+            (seq.total_s() - (ovl.select_side_secs + ovl.train_secs + ovl.handoff_secs)).abs()
                 < 1e-9 * seq.total_s(),
             "overlap sides must repartition the sequential epoch"
         );
         // …composed as max + handoff, so the overlapped epoch is
         // strictly cheaper and hides exactly min(select, train).
+        assert_eq!((ovl.sync_secs, ovl.staleness), (0.0, 1));
+        let total = ovl.critical_path_secs();
+        assert!(total < seq.total_s());
         assert!(
-            (ovl.total_s() - (ovl.select_side_s.max(ovl.train_s) + ovl.handoff_s)).abs() < 1e-12
-        );
-        assert!(ovl.total_s() < seq.total_s());
-        assert!(
-            (seq.total_s() - ovl.total_s() - ovl.hidden_s()).abs() < 1e-9 * seq.total_s(),
+            (seq.total_s() - total - ovl.hidden_secs()).abs() < 1e-9 * seq.total_s(),
             "savings must equal the hidden side"
         );
+    }
+
+    #[test]
+    fn near_storage_epoch_shards_scan_and_select_and_shares_the_link() {
+        let w = cifar();
+        let run = |drives| {
+            let mut cluster = SsdCluster::new(drives, SmartSsdConfig::default());
+            let p = w.run_near_storage(&mut cluster, 0.28).unwrap();
+            assert!((cluster.elapsed_secs() - p.total_s()).abs() < 1e-12);
+            p
+        };
+        let (one, four) = (run(1), run(4));
+        assert!(one.scan_s / four.scan_s > 3.0, "{one:?} vs {four:?}");
+        assert!(one.select_s / four.select_s > 3.0, "{one:?} vs {four:?}");
+        // Every drive receives the whole payload over the one host link.
+        assert!((four.feedback_s / one.feedback_s - 4.0).abs() < 1e-9);
     }
 
     #[test]

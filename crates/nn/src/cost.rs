@@ -54,6 +54,13 @@ impl DeviceSpec {
     pub fn sustained_flops(&self) -> f64 {
         self.peak_flops * self.utilization
     }
+
+    /// Seconds of gradient computation for one epoch over `samples`
+    /// examples at `training_flops_per_sample` forward+backward FLOPs each
+    /// (the compute term of [`epoch_time`]).
+    pub fn train_secs(&self, samples: u64, training_flops_per_sample: u64) -> f64 {
+        samples as f64 * training_flops_per_sample as f64 / self.sustained_flops()
+    }
 }
 
 /// The storage → host → device data path for training data.
@@ -72,15 +79,6 @@ impl LoaderSpec {
         Self {
             fixed_overhead_s: 2.5e-5,
             bytes_per_s: 4.6e8,
-        }
-    }
-
-    /// The SmartSSD peer-to-peer path: no host staging, negligible fixed
-    /// overhead, up to 3 GB/s on-board (paper §4.4).
-    pub fn smartssd_p2p() -> Self {
-        Self {
-            fixed_overhead_s: 1.0e-6,
-            bytes_per_s: 3.0e9,
         }
     }
 
@@ -134,7 +132,7 @@ pub fn epoch_time(
     training_flops_per_sample: u64,
     bytes_per_sample: u64,
 ) -> EpochTime {
-    let compute_s = samples as f64 * training_flops_per_sample as f64 / device.sustained_flops();
+    let compute_s = device.train_secs(samples, training_flops_per_sample);
     let io_s = samples as f64 * loader.sample_time_s(bytes_per_sample);
     EpochTime { compute_s, io_s }
 }
@@ -193,13 +191,6 @@ mod tests {
             .collect();
         assert!(fracs[0] < fracs[1]);
         assert!(fracs[2] < fracs[3]);
-    }
-
-    #[test]
-    fn p2p_loader_is_faster_than_host() {
-        let host = LoaderSpec::conventional_host().sample_time_s(130_000);
-        let p2p = LoaderSpec::smartssd_p2p().sample_time_s(130_000);
-        assert!(host / p2p > 2.0, "host {host}, p2p {p2p}");
     }
 
     #[test]

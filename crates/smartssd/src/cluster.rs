@@ -48,10 +48,6 @@ pub struct SsdCluster {
     retired: Vec<SmartSsd>,
     /// Wall-clock seconds (parallel phases take the max across drives).
     elapsed_s: f64,
-    /// Simulated seconds of device work that ran concurrently with GPU
-    /// training and were therefore hidden from the end-to-end critical
-    /// path (overlapped pipelining).
-    hidden_s: f64,
 }
 
 impl SsdCluster {
@@ -66,7 +62,6 @@ impl SsdCluster {
             drives: (0..n).map(|_| SmartSsd::new(config)).collect(),
             retired: Vec::new(),
             elapsed_s: 0.0,
-            hidden_s: 0.0,
         }
     }
 
@@ -148,21 +143,6 @@ impl SsdCluster {
     /// Wall-clock seconds elapsed across all phases so far.
     pub fn elapsed_secs(&self) -> f64 {
         self.elapsed_s
-    }
-
-    /// Marks `secs` of already-charged device time as hidden under
-    /// concurrent GPU training (the overlapped pipeline calls this once
-    /// per pipelined round with `min(round_secs, train_secs)`). Clamped
-    /// so the hidden total never exceeds the elapsed total.
-    pub fn note_overlap_hidden(&mut self, secs: f64) {
-        if secs > 0.0 {
-            self.hidden_s = (self.hidden_s + secs).min(self.elapsed_s);
-        }
-    }
-
-    /// Device seconds hidden under concurrent training so far.
-    pub fn hidden_secs(&self) -> f64 {
-        self.hidden_s
     }
 
     /// Aggregated traffic over all drives, retired ones included.
@@ -413,30 +393,6 @@ mod tests {
     #[should_panic(expected = "at least one drive")]
     fn rejects_empty_cluster() {
         let _ = SsdCluster::new(0, SmartSsdConfig::default());
-    }
-
-    #[test]
-    fn hidden_seconds_clamp_to_elapsed() {
-        let mut c = SsdCluster::new(2, SmartSsdConfig::default());
-        assert_eq!(c.hidden_secs(), 0.0);
-        let t = c.parallel_scan(10_000, 3000).unwrap();
-        // Hiding more time than elapsed clamps: the device cannot hide
-        // work it never did.
-        c.note_overlap_hidden(t * 10.0);
-        assert!((c.hidden_secs() - c.elapsed_secs()).abs() < 1e-12);
-        // Negative / zero notes are ignored.
-        c.note_overlap_hidden(-1.0);
-        c.note_overlap_hidden(0.0);
-        assert!((c.hidden_secs() - c.elapsed_secs()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hidden_seconds_accumulate() {
-        let mut c = SsdCluster::new(1, SmartSsdConfig::default());
-        let t = c.parallel_scan(50_000, 3000).unwrap();
-        c.note_overlap_hidden(t / 4.0);
-        c.note_overlap_hidden(t / 4.0);
-        assert!((c.hidden_secs() - t / 2.0).abs() < 1e-12);
     }
 
     #[test]

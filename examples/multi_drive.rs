@@ -1,46 +1,40 @@
 //! The paper's future work, runnable: shard a full-scale dataset across a
 //! fleet of simulated SmartSSDs, select locally on each drive (GreeDi
-//! round 1), and watch the near-storage phases scale while the shared
-//! host link becomes the new bottleneck.
+//! round 1), feed the int8 weights back, and watch the near-storage phases
+//! scale while the shared host link becomes the new bottleneck.
 //!
 //! Run with `cargo run --release --example multi_drive`.
 
+use nessa::core::timing::Workload;
 use nessa::data::DatasetSpec;
 use nessa::smartssd::cluster::SsdCluster;
-use nessa::smartssd::fpga::KernelProfile;
 use nessa::smartssd::SmartSsdConfig;
 
 fn main() {
     let spec = DatasetSpec::by_name("TinyImageNet").expect("catalog entry");
-    let records = spec.train_size as u64;
-    let bytes = spec.bytes_per_image as u64;
-    let subset = records * 34 / 100; // the paper's Table-2 operating point
+    // The paper's Table-2 operating point.
+    let pct = spec.paper.expect("table 2 row").subset_pct;
+    let w = Workload::from_spec(&spec);
     println!(
-        "{}: {} records x {} KB, 34% subset, GreeDi across drives",
+        "{}: {} records x {} KB, {pct}% subset, GreeDi across drives",
         spec.name,
-        records,
-        bytes / 1000
+        w.samples,
+        w.bytes_per_sample / 1000
     );
     for drives in [1usize, 2, 4, 8, 16] {
         let mut cluster = SsdCluster::new(drives, SmartSsdConfig::default());
-        let scan = cluster.parallel_scan(records, bytes).expect("fault-free");
-        let profile = KernelProfile {
-            samples: records,
-            forward_macs_per_sample: (512 * spec.classes) as u64,
-            proxy_dim: spec.classes,
-            chunk: KernelProfile::max_chunk_for(&SmartSsdConfig::default().fpga, spec.classes)
-                .min(457),
-            k_per_chunk: 128,
-        };
-        let select = cluster.parallel_select(&profile).expect("chunk fits");
-        let gather = cluster
-            .gather_selections(subset, bytes)
+        let p = w
+            .run_near_storage(&mut cluster, pct as f64 / 100.0)
             .expect("fault-free");
         println!(
-            "  {drives:>2} drives: scan {scan:>6.2}s  select {select:>5.2}s  gather {gather:>5.2}s  total {:>6.2}s  ({:.1} J)",
+            "  {drives:>2} drives: scan {:>6.2}s  select {:>5.2}s  gather {:>5.2}s  feedback {:>5.2}s  total {:>6.2}s  ({:.1} J)",
+            p.scan_s,
+            p.select_s,
+            p.ship_s,
+            p.feedback_s,
             cluster.elapsed_secs(),
             cluster.energy_joules()
         );
     }
-    println!("(scan/select parallelize; the gather shares one host link — Amdahl)");
+    println!("(scan/select parallelize; gather and feedback share one host link — Amdahl)");
 }

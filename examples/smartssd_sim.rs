@@ -4,8 +4,8 @@
 //!
 //! Run with `cargo run --release --example smartssd_sim`.
 
+use nessa::core::timing::Workload;
 use nessa::data::{record, DatasetSpec};
-use nessa::smartssd::fpga::KernelProfile;
 use nessa::smartssd::resources::{KernelResourceConfig, ResourceReport};
 use nessa::smartssd::{LinkModel, SmartSsd, SmartSsdConfig};
 
@@ -21,27 +21,22 @@ fn main() {
         encoded.len() as f64 / 1e6
     );
 
+    // A full-scale epoch at the Table-2 subset, sized as the Figure-4
+    // epoch model sizes it.
+    let w = Workload::from_spec(&spec);
+    let fraction = spec.paper.expect("table 2 row").subset_pct as f64 / 100.0;
     let mut dev = SmartSsd::new(SmartSsdConfig::default());
     let read_s = dev
-        .read_records_to_fpga(
-            spec.train_size as u64, // full-scale scan
-            spec.bytes_per_image as u64,
-        )
+        .read_records_to_fpga(w.samples, w.bytes_per_sample)
         .expect("fault-free device");
-    let profile = KernelProfile {
-        samples: spec.train_size as u64,
-        forward_macs_per_sample: 640,
-        proxy_dim: spec.classes,
-        chunk: 457,
-        k_per_chunk: 128,
-    };
-    let select_s = dev.run_selection(&profile).expect("chunk fits on-chip");
-    let subset = (spec.train_size as u64 * 28) / 100;
+    let select_s = dev
+        .run_selection(&w.kernel_profile(fraction))
+        .expect("chunk fits on-chip");
     let ship_s = dev
-        .send_subset_to_host(subset, spec.bytes_per_image as u64)
+        .send_subset_to_host(w.subset(fraction), w.bytes_per_sample)
         .expect("fault-free device");
     let feedback_s = dev
-        .receive_feedback(270_000 / 4)
+        .receive_feedback(w.feedback_bytes())
         .expect("fault-free device");
 
     println!("simulated epoch timeline:");
@@ -58,7 +53,7 @@ fn main() {
         t.interconnect_bytes() as f64 / 1e6,
         t.ssd_to_fpga as f64 / t.interconnect_bytes() as f64
     );
-    println!("energy: {}", dev.energy());
+    println!("{}", dev.energy());
     println!();
     println!("{}", dev.trace());
 
