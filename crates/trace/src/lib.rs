@@ -27,8 +27,6 @@ pub mod report;
 pub mod run;
 
 pub use chrome::chrome_trace;
-pub use diff::{
-    bench_artifact, diff_runs, DiffGates, DiffItem, DiffReport, PhaseSummary, Quantiles, RunSummary,
-};
+pub use diff::{bench_artifact, diff_runs, DiffGates, DiffItem, DiffReport, RunSummary};
 pub use report::{EpochReport, PhaseStat, TraceReport};
 pub use run::{LoadError, RunTrace};
