@@ -7,6 +7,7 @@
 
 use crate::rules::registry;
 use crate::Outcome;
+use nessa_telemetry::json::quote;
 
 /// Renders the human-readable report.
 pub fn human(outcome: &Outcome) -> String {
@@ -71,13 +72,13 @@ pub fn json(outcome: &Outcome) -> String {
         out.push_str(&format!(
             "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"column\": {}, \
              \"module\": {}, \"message\": {}, \"snippet\": {}}}",
-            escape(v.rule),
-            escape(&v.file),
+            quote(v.rule),
+            quote(&v.file),
             v.line,
             v.column,
-            escape(&v.module),
-            escape(&v.message),
-            escape(&v.snippet)
+            quote(&v.module),
+            quote(&v.message),
+            quote(&v.snippet)
         ));
     }
     if !outcome.new_violations.is_empty() {
@@ -90,33 +91,14 @@ pub fn json(outcome: &Outcome) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"rule\": {}, \"file\": {}, \"frozen\": {frozen}, \"seen\": {seen}}}",
-            escape(rule),
-            escape(file)
+            quote(rule),
+            quote(file)
         ));
     }
     if !outcome.stale.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
-    out
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -173,11 +155,5 @@ mod tests {
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(text.matches('{').count(), text.matches('}').count());
         assert_eq!(text.matches('[').count(), text.matches(']').count());
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(escape("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(escape("plain"), "\"plain\"");
     }
 }

@@ -20,11 +20,6 @@ pub fn now() -> Instant {
     Instant::now()
 }
 
-/// Seconds elapsed since `earlier`, as `f64`.
-pub fn secs_since(earlier: Instant) -> f64 {
-    earlier.elapsed().as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -34,6 +29,5 @@ mod tests {
         let a = now();
         let b = now();
         assert!(b >= a);
-        assert!(secs_since(a) >= 0.0);
     }
 }

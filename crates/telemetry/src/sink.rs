@@ -6,7 +6,8 @@ use crate::span::{AttrValue, SpanRecord};
 use crate::DeviceEvent;
 use std::fmt::Write as _;
 
-fn attrs_json(attrs: &[(String, AttrValue)]) -> String {
+/// Encodes span attributes as a JSON object, in attribute order.
+pub fn attrs_json(attrs: &[(String, AttrValue)]) -> String {
     let mut obj = JsonObject::new();
     for (k, v) in attrs {
         obj = match v {

@@ -16,7 +16,7 @@
 
 use crate::run::RunTrace;
 use nessa_telemetry::json::JsonObject;
-use nessa_telemetry::AttrValue;
+use nessa_telemetry::sink::attrs_json;
 use std::collections::BTreeMap;
 
 /// Host-span process id.
@@ -26,19 +26,6 @@ pub const DEVICE_PID: u64 = 2;
 
 fn secs_to_us(s: f64) -> f64 {
     s * 1e6
-}
-
-fn attr_args(attrs: &[(String, AttrValue)]) -> String {
-    let mut obj = JsonObject::new();
-    for (k, v) in attrs {
-        obj = match v {
-            AttrValue::U64(v) => obj.u64_field(k, *v),
-            AttrValue::I64(v) => obj.i64_field(k, *v),
-            AttrValue::F64(v) => obj.f64_field(k, *v),
-            AttrValue::Str(v) => obj.str_field(k, v),
-        };
-    }
-    obj.finish()
 }
 
 /// Renders the trace as Chrome trace-event JSON (an array of complete
@@ -55,7 +42,7 @@ pub fn chrome_trace(trace: &RunTrace) -> String {
                 .u64_field("tid", 1)
                 .f64_field("ts", secs_to_us(span.start_secs))
                 .f64_field("dur", secs_to_us(span.wall_secs))
-                .raw_field("args", &attr_args(&span.attrs))
+                .raw_field("args", &attrs_json(&span.attrs))
                 .finish(),
         );
     }
