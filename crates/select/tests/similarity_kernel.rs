@@ -1,12 +1,16 @@
 //! Pins the similarity kernel's bit-exact contract.
 //!
-//! `SimilarityMatrix::from_factored` computes only the upper triangle,
-//! takes its dot products straight from the factor rows in register tiles
-//! of 2 rows × 16 candidates and mirrors the result. Every entry must still equal, bit for bit, the Gram-matrix
-//! evaluation below (two full `matmul_transb` Gram matrices, every ordered
-//! pair, a separate distance buffer), which exists only here as the
-//! reference. The greedy maximizers start coverage at `0.0`, which relies
-//! on every similarity being non-negative; that invariant is pinned too.
+//! `SimilarityMatrix::from_factored` computes only the upper triangle: one
+//! dispatched kernel takes the dot products straight from the factor rows
+//! in register tiles of 4 rows × 16 candidates, folds the pair product
+//! over the factors and applies the `(sq_i + sq_j − p).max(0)` epilogue,
+//! and one pass maps each entry to `c0 − d` and mirrors it. Every entry
+//! must still equal, bit for bit, the Gram-matrix evaluation below (two
+//! full `matmul_transb` Gram matrices, every ordered pair, a separate
+//! distance buffer and a separate transform), which exists only here as
+//! the reference. The greedy maximizers start coverage at `0.0`, which
+//! relies on every similarity being non-negative; that invariant is
+//! pinned too.
 
 use nessa_select::facility::SimilarityMatrix;
 use nessa_tensor::linalg::pairwise_sq_dists;
@@ -130,10 +134,11 @@ fn factored_matches_gram_reference_on_small_and_degenerate_tiles() {
 
 #[test]
 fn kernel_matches_gram_reference_across_tile_edges() {
-    // The kernel runs 2 rows against 16 candidate lanes at a time and
+    // The kernel runs 4 rows against 16 candidate lanes at a time and
     // mirrors in 32 × 32 blocks: cover one short of, exactly at and one
-    // past each edge, and a select-heavy tile with an odd last row.
-    for n in [15, 16, 17, 31, 32, 33, 601] {
+    // past each edge, and select-heavy tiles whose last row group is
+    // short by one, two and three rows.
+    for n in [15, 16, 17, 31, 32, 33, 599, 601, 602] {
         let a = factor(n, 10, 1.0, 0.3, 0.05, 100 + n as u64);
         let b = factor(n, 64, 3.0, 0.1, 0.05, 200 + n as u64);
         assert_matches_reference(&a, &b);
@@ -193,6 +198,6 @@ proptest! {
         let b = factor(n, db, 3.0, 0.0, 0.2, seed ^ 1);
         assert_nonnegative(&SimilarityMatrix::from_factored(&a, &b));
         assert_nonnegative(&SimilarityMatrix::from_features(&b));
-        assert_nonnegative(&SimilarityMatrix::from_sq_dists(&pairwise_sq_dists(&b)));
+        assert_nonnegative(&SimilarityMatrix::from_features(&a));
     }
 }

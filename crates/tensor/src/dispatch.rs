@@ -3,15 +3,17 @@
 //! The hot kernels ([`Tensor::matmul_transb`](crate::Tensor::matmul_transb)'s
 //! register tile, the backward axpy rows of
 //! [`Tensor::matmul`](crate::Tensor::matmul) and
-//! [`Tensor::matmul_transa`](crate::Tensor::matmul_transa), and the greedy's
-//! batch gains in `nessa-select`) keep one in-order sum per SIMD lane, so
-//! a wider register only holds more lanes: it cannot change a bit. The
-//! build targets the x86-64 baseline (SSE2), whose registers are half as
-//! wide as AVX2's, and a global `target-cpu` would fault on older CPUs. So a
-//! kernel is written once, as a [`Kernel`] whose `run` is
-//! `#[inline(always)]`, and [`run`] executes it either as compiled for the
-//! baseline or through one generic `#[target_feature(enable = "avx2")]`
-//! wrapper that the body is inlined into.
+//! [`Tensor::matmul_transa`](crate::Tensor::matmul_transa), the row groups
+//! of the similarity kernel [`map_sq_dists`](crate::linalg::map_sq_dists),
+//! and the greedy's batch and row gains in `nessa-select`) keep one
+//! in-order sum per SIMD lane, so a wider register only holds more lanes:
+//! it cannot change a bit. The build targets the x86-64 baseline (SSE2),
+//! whose registers are half as wide as AVX2's, and a global `target-cpu`
+//! would fault on older CPUs. So a kernel is written once, as a [`Kernel`]
+//! whose `run` is `#[inline(always)]`, and [`run`] executes it either as
+//! compiled for the baseline or through one generic
+//! `#[target_feature(enable = "avx2")]` wrapper that the body is inlined
+//! into.
 //!
 //! Only `avx2` is enabled, never `fma`: rustc does not contract `a * b + c`
 //! into a fused multiply-add, and without the `fma` feature LLVM has no
