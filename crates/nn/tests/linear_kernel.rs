@@ -9,6 +9,14 @@
 //! reference. No transposed copy of the weight exists, so a weight write
 //! (`Sgd::step`, `import_weights`) is visible to the next forward.
 //!
+//! The backward products are pinned against their own in-order reference:
+//! `g·W` (`Tensor::matmul`, the input gradient) and `gᵀ·x`
+//! (`Tensor::matmul_transa`, the weight gradient) sum, for every output,
+//! exactly the terms whose coefficient in `g` is not `0.0`, in order from
+//! `+0.0`, and `Linear::backward` adds that sum once onto the weight
+//! gradient it already holds. Because the terms are the same ones, the
+//! contract holds for `inf` and `NaN` operands too.
+//!
 //! The rest of the step is pinned the same way: `Network::backward` skips
 //! the network-input gradient but leaves every parameter gradient
 //! bit-identical to a full backward through every layer, and the fused
@@ -72,8 +80,13 @@ fn relu_like(m: usize, k: usize, scale: f32, zero_share: f64, seed: u64) -> Tens
     Tensor::from_vec(data, &[m, k])
 }
 
+/// The bits of each value, with every `NaN` read as `f32::NAN`: Rust does
+/// not pin the sign or payload of a `NaN` that an operation returns.
 fn bits(values: &[f32]) -> Vec<u32> {
-    values.iter().map(|v| v.to_bits()).collect()
+    values
+        .iter()
+        .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+        .collect()
 }
 
 /// Bits of every parameter value (`grads == false`) or gradient that
@@ -242,6 +255,240 @@ fn parameter_gradients_match_a_full_backward_through_every_layer() {
     }
 }
 
+/// Output `(i, j)` of a backward product with `m` rows: `Σ coeff(i, p) ·
+/// b[p][j]` over the `p < k` whose coefficient is not `0.0`, summed in `p`
+/// order from `+0.0`.
+fn backward_reference(
+    m: usize,
+    k: usize,
+    coeff: impl Fn(usize, usize) -> f32,
+    b: &Tensor,
+) -> Vec<f32> {
+    let n = b.dim(1);
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                let c = coeff(i, p);
+                if c != 0.0 {
+                    acc += c * b.as_slice()[p * n + j];
+                }
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// The reference for `a.matmul(b)`: row `i`'s coefficients are row `i` of
+/// `a`.
+fn matmul_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let k = a.dim(1);
+    backward_reference(a.dim(0), k, |i, p| a.as_slice()[i * k + p], b)
+}
+
+/// The reference for `a.matmul_transa(b)`: row `i`'s coefficients are
+/// column `i` of `a`.
+fn matmul_transa_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let m = a.dim(1);
+    backward_reference(m, a.dim(0), |i, p| a.as_slice()[p * m + i], b)
+}
+
+/// How the zeros of an output gradient `g` fall.
+#[derive(Clone, Copy, Debug)]
+enum ZeroPattern {
+    /// About 90 % zero, with about 43 % of the columns (units) zero in
+    /// every row: train-heavy's second hidden layer.
+    Sparse90,
+    /// Each entry zero with probability 1/2.
+    Iid50,
+    /// Every even row zero, and 30 % of the rest.
+    ZeroRows,
+    /// Each entry zero with probability 1/2, and every zero is `-0.0`.
+    NegZeros,
+}
+
+const ZEROS: [ZeroPattern; 4] = [
+    ZeroPattern::Sparse90,
+    ZeroPattern::Iid50,
+    ZeroPattern::ZeroRows,
+    ZeroPattern::NegZeros,
+];
+
+/// An `m × k` output gradient whose zeros fall as `zeros` says; outside
+/// [`ZeroPattern::NegZeros`] a quarter of the zeros are `-0.0`, and the other
+/// entries are uniform in `[-1, 1)`.
+fn gradient_like(m: usize, k: usize, zeros: ZeroPattern, seed: u64) -> Tensor {
+    let mut rng = Rng64::new(seed);
+    let dead: Vec<bool> = (0..k)
+        .map(|_| matches!(zeros, ZeroPattern::Sparse90) && rng.coin(0.43))
+        .collect();
+    let mut data = vec![0.0f32; m * k];
+    for (i, row) in data.chunks_mut(k.max(1)).enumerate() {
+        for (v, &dead) in row.iter_mut().zip(&dead) {
+            let zero = match zeros {
+                ZeroPattern::Sparse90 => dead || rng.coin(0.82),
+                ZeroPattern::Iid50 | ZeroPattern::NegZeros => rng.coin(0.5),
+                ZeroPattern::ZeroRows => i % 2 == 0 || rng.coin(0.3),
+            };
+            *v = if !zero {
+                rng.uniform(-1.0, 1.0)
+            } else if matches!(zeros, ZeroPattern::NegZeros) || rng.coin(0.25) {
+                -0.0
+            } else {
+                0.0
+            };
+        }
+    }
+    Tensor::from_vec(data, &[m, k])
+}
+
+/// `t` with about 4 % of its entries replaced by `inf`, `-inf` or `NaN`.
+fn with_non_finite(t: &Tensor, seed: u64) -> Tensor {
+    let mut rng = Rng64::new(seed);
+    let mut t = t.clone();
+    for v in t.as_mut_slice() {
+        if rng.coin(0.04) {
+            *v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.index(3)];
+        }
+    }
+    t
+}
+
+/// `init[i] + add[i]`: one sum added once onto a gradient.
+fn accumulated(init: &Tensor, add: &[f32]) -> Vec<f32> {
+    init.as_slice()
+        .iter()
+        .zip(add)
+        .map(|(&g, &s)| g + s)
+        .collect()
+}
+
+/// Checks `g.matmul(weight)` and `g.matmul_transa(x)` against the
+/// reference, then two `Linear::backward`s through a layer holding
+/// `weight`: the first onto the weight gradient `init` (which holds
+/// `-0.0`s), the second, with `g2`, onto what the first left.
+fn assert_backward_matches_reference(
+    x: &Tensor,
+    weight: &Tensor,
+    g: &Tensor,
+    g2: &Tensor,
+    init: &Tensor,
+) {
+    let ctx = format!(
+        "x {:?}, weight {:?}",
+        x.shape().dims(),
+        weight.shape().dims()
+    );
+    let dx = matmul_reference(g, weight);
+    let dw = matmul_transa_reference(g, x);
+    assert_eq!(
+        bits(g.matmul(weight).as_slice()),
+        bits(&dx),
+        "matmul, {ctx}"
+    );
+    assert_eq!(
+        bits(g.matmul_transa(x).as_slice()),
+        bits(&dw),
+        "matmul_transa, {ctx}"
+    );
+
+    let mut layer = linear_with(weight, &Tensor::zeros(&[weight.dim(0)]));
+    layer.visit_params(&mut |p: &mut Param| {
+        if p.value.ndim() == 2 {
+            p.grad = init.clone();
+        }
+    });
+    let weight_grad = |layer: &mut Linear| param_bits(|f| layer.visit_params(f), true).remove(0);
+    layer.forward(x);
+    assert_eq!(
+        bits(layer.backward(g).as_slice()),
+        bits(&dx),
+        "backward dx, {ctx}"
+    );
+    let after_first = accumulated(init, &dw);
+    assert_eq!(
+        weight_grad(&mut layer),
+        bits(&after_first),
+        "backward dW, {ctx}"
+    );
+
+    let first = Tensor::from_vec(after_first, weight.shape().dims());
+    assert_eq!(
+        bits(layer.backward(g2).as_slice()),
+        bits(&matmul_reference(g2, weight)),
+        "second backward dx, {ctx}"
+    );
+    let expect = accumulated(&first, &matmul_transa_reference(g2, x));
+    assert_eq!(
+        weight_grad(&mut layer),
+        bits(&expect),
+        "second backward dW, {ctx}"
+    );
+}
+
+#[test]
+fn backward_matches_in_order_reference_at_workload_shapes() {
+    // Each workload's training batch through every layer of its MLP, under
+    // every zero pattern of the output gradient, with an input as sparse as
+    // the hidden ReLUs leave it.
+    for (w_i, &(batch, sizes)) in WORKLOADS.iter().enumerate() {
+        for (l, w) in sizes.windows(2).enumerate() {
+            let (fan_in, fan_out) = (w[0], w[1]);
+            for (z_i, &zeros) in ZEROS.iter().enumerate() {
+                let seed = 1000 * w_i as u64 + 100 * l as u64 + 10 * z_i as u64;
+                let x = relu_like(batch, fan_in, 2.0, if l == 0 { 0.0 } else { 0.5 }, seed);
+                let weight = relu_like(fan_out, fan_in, 0.3, 0.0, seed + 1);
+                let g = gradient_like(batch, fan_out, zeros, seed + 2);
+                let g2 = gradient_like(batch, fan_out, zeros, seed + 3);
+                let init = relu_like(fan_out, fan_in, 0.5, 0.3, seed + 4);
+                assert_backward_matches_reference(&x, &weight, &g, &g2, &init);
+            }
+        }
+    }
+}
+
+#[test]
+fn backward_matches_in_order_reference_at_edge_widths() {
+    // Output widths around the 32-column strip; `k = 0` (no coefficient at
+    // all) as an empty batch for `gᵀ·x` and a zero-wide layer for `g·W`.
+    let mut seed = 0;
+    for n in [1, 31, 32, 33, 384] {
+        for (batch, fan_out) in [(0, 3), (5, 0), (1, 1), (3, 33), (16, 40)] {
+            for zeros in ZEROS {
+                seed += 10;
+                let x = relu_like(batch, n, 1.0, 0.4, seed);
+                let weight = relu_like(fan_out, n, 1.0, 0.0, seed + 1);
+                let g = gradient_like(batch, fan_out, zeros, seed + 2);
+                let g2 = gradient_like(batch, fan_out, zeros, seed + 3);
+                let init = relu_like(fan_out, n, 1.0, 0.5, seed + 4);
+                assert_backward_matches_reference(&x, &weight, &g, &g2, &init);
+            }
+        }
+    }
+}
+
+#[test]
+fn backward_matches_in_order_reference_on_non_finite_operands() {
+    // `inf` and `NaN` in the right operand of both products: the zero
+    // coefficients drop their `0·inf` and `0·NaN` terms, the others carry
+    // them into the sum.
+    let mut seed = 0;
+    for n in [1, 31, 32, 33, 384] {
+        for zeros in ZEROS {
+            seed += 10;
+            let (batch, fan_out) = (16, 40);
+            let x = with_non_finite(&relu_like(batch, n, 1.0, 0.4, seed), seed + 1);
+            let weight = with_non_finite(&relu_like(fan_out, n, 1.0, 0.0, seed + 2), seed + 3);
+            let g = gradient_like(batch, fan_out, zeros, seed + 4);
+            let g2 = gradient_like(batch, fan_out, zeros, seed + 5);
+            let init = relu_like(fan_out, n, 1.0, 0.5, seed + 6);
+            assert_backward_matches_reference(&x, &weight, &g, &g2, &init);
+        }
+    }
+}
+
 /// The six-pass update `Sgd::step` ran before it was fused: clone the
 /// gradient, fold in weight decay, scale the velocity, add the gradient,
 /// then step along the Nesterov or plain direction.
@@ -318,6 +565,22 @@ fn fused_sgd_step_matches_the_six_pass_update() {
 }
 
 proptest! {
+    #[test]
+    fn backward_is_bit_identical_to_in_order_reference(
+        batch in 0usize..20,
+        fan_in in 0usize..70,
+        fan_out in 0usize..40,
+        z_i in 0usize..ZEROS.len(),
+        seed in any::<u64>(),
+    ) {
+        let x = relu_like(batch, fan_in, 2.0, 0.5, seed);
+        let weight = relu_like(fan_out, fan_in, 1.0, 0.0, seed ^ 0x9e37);
+        let g = gradient_like(batch, fan_out, ZEROS[z_i], seed ^ 0x51);
+        let g2 = gradient_like(batch, fan_out, ZEROS[z_i], seed ^ 0x77);
+        let init = relu_like(fan_out, fan_in, 1.0, 0.5, seed ^ 0x3c);
+        assert_backward_matches_reference(&x, &weight, &g, &g2, &init);
+    }
+
     #[test]
     fn kernels_are_bit_identical_to_dot_reference(
         m in 0usize..50,
