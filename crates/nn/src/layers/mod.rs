@@ -150,13 +150,14 @@ impl Linear {
         self.out_features
     }
 
-    /// Accumulates `dW = gᵀx` and `db = Σ_rows g` from the cached input.
+    /// Adds `gᵀx` to the weight gradient in place and `Σ_rows g` to the
+    /// bias gradient, from the cached input.
     fn accumulate_param_grads(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
             .expect("Linear::backward before forward");
-        self.weight.grad += &grad_out.matmul_transa(x);
+        self.weight.grad.add_matmul_transa(grad_out, x);
         self.bias.grad += &sum_axis0(grad_out);
     }
 }
@@ -178,7 +179,7 @@ impl Layer for Linear {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         self.accumulate_param_grads(grad_out);
-        // dx = g W: backward gradients go through the zero-skipping axpy.
+        // dx = g W, summing only the terms whose coefficient in g is not 0.
         grad_out.matmul(&self.weight.value)
     }
 

@@ -1,13 +1,14 @@
 //! Runtime selection of the instruction set a bit-exact kernel runs at.
 //!
 //! The hot kernels ([`Tensor::matmul_transb`](crate::Tensor::matmul_transb)'s
-//! register tile, the backward axpy rows of
+//! register tile, the backward products of
 //! [`Tensor::matmul`](crate::Tensor::matmul) and
-//! [`Tensor::matmul_transa`](crate::Tensor::matmul_transa), the row groups
-//! of the similarity kernel [`map_sq_dists`](crate::linalg::map_sq_dists),
-//! and the greedy's batch and row gains in `nessa-select`) keep one
-//! in-order sum per SIMD lane, so a wider register only holds more lanes:
-//! it cannot change a bit. The build targets the x86-64 baseline (SSE2),
+//! [`Tensor::add_matmul_transa`](crate::Tensor::add_matmul_transa), which
+//! sum each row's compacted non-zero terms over a 32-column register
+//! strip, the row groups of the similarity kernel
+//! [`map_sq_dists`](crate::linalg::map_sq_dists), and the greedy's batch
+//! and row gains in `nessa-select`) keep one in-order sum per SIMD lane,
+//! so a wider register only holds more lanes: it cannot change a bit. The build targets the x86-64 baseline (SSE2),
 //! whose registers are half as wide as AVX2's, and a global `target-cpu`
 //! would fault on older CPUs. So a kernel is written once, as a [`Kernel`]
 //! whose `run` is `#[inline(always)]`, and [`run`] executes it either as
@@ -73,7 +74,7 @@ fn avx2<K: Kernel>(kernel: K) -> K::Output {
 mod tests {
     use super::*;
     use crate::rng::Rng64;
-    use crate::tensor::{pack_lanes, AxpyRows, DotTile, TILE_LANES};
+    use crate::tensor::{pack_lanes, AddProducts, DotTile, TILE_LANES};
 
     /// A kernel that does nothing, to ask which instance would run.
     struct Probe;
@@ -158,30 +159,35 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_axpy_row_instances_are_bit_identical() {
-        if !avx2_available("dispatch_axpy_row_instances_are_bit_identical") {
+    fn dispatch_add_products_instances_are_bit_identical() {
+        if !avx2_available("dispatch_add_products_instances_are_bit_identical") {
             return;
         }
-        // Row lengths around and off the 8-lane width, from zero and from
-        // awkward starting rows, with the contiguous coefficients of
-        // `matmul` and the strided ones of `matmul_transa`.
+        // Output widths around the 32-column strip, into zeroed and awkward
+        // outputs, with the contiguous coefficients of `matmul` (row `i` is
+        // row `i` of `a`) and the strided ones of `add_matmul_transa` (row
+        // `i` is column `i` of `a`).
         let mut rng = Rng64::new(42);
-        for n in [1, 7, 8, 9, 13, 31, 33, 100] {
-            for k in [1, 5, 16] {
+        for n in [1, 7, 8, 31, 32, 33, 63, 64, 65, 100, 384] {
+            for (m, k) in [(1, 0), (3, 0), (1, 1), (3, 5), (4, 16), (2, 40)] {
                 let b = awkward(k * n, 3.0, &mut rng);
-                let coeffs = awkward(3 * k, 1.0, &mut rng);
-                let start = awkward(n, 1.0, &mut rng);
-                for stride in [1, 3] {
-                    for from in [vec![0.0; n], start.clone()] {
+                let a = awkward(m * k, 1.0, &mut rng);
+                let start = awkward(m * n, 1.0, &mut rng);
+                for (row_step, p_step) in [(k, 1), (1, m)] {
+                    for from in [vec![0.0; m * n], start.clone()] {
                         let (mut base, mut wide) = (from.clone(), from);
-                        let axpy = |o_row| AxpyRows {
-                            o_row,
-                            coeffs: coeffs.iter().step_by(stride).take(k).copied(),
+                        let product = |out| AddProducts {
+                            out,
+                            n,
+                            a: &a,
+                            row_step,
+                            p_step,
                             b: &b,
                         };
-                        axpy(&mut base).run();
-                        avx2_instance(axpy(&mut wide));
-                        assert_eq!(bits(&wide), bits(&base), "n {n}, k {k}, stride {stride}");
+                        product(&mut base).run();
+                        avx2_instance(product(&mut wide));
+                        let ctx = format!("n {n}, m {m}, k {k}, steps ({row_step}, {p_step})");
+                        assert_eq!(bits(&wide), bits(&base), "{ctx}");
                     }
                 }
             }

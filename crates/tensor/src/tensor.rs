@@ -217,12 +217,12 @@ impl Tensor {
 
     /// Matrix product of two 2-D tensors: `self (m×k) · other (k×n)`.
     ///
-    /// Uses an i-k-j loop order: each row of `self` scales rows of `other`
-    /// into the output row (an axpy), so the inner loop streams both
-    /// operands and vectorizes across outputs. Every output still sums its
-    /// `k` products in order from `+0.0`, at any dispatched width (see
-    /// [`crate::dispatch`]). Zero entries of `self` are skipped, which
-    /// leaves that sum bit-identical for finite `other`.
+    /// Runs the backward-product kernel (see [`Tensor::add_matmul_transa`])
+    /// with row `i` of `self` as output row `i`'s coefficients: every
+    /// output is the in-order sum, from `+0.0`, of the `k` products whose
+    /// coefficient is not `0.0`, at any dispatched width (see
+    /// [`crate::dispatch`]). Dropping a zero coefficient's product leaves
+    /// that sum bit-identical for finite `other`.
     ///
     /// # Panics
     ///
@@ -233,13 +233,9 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (k2, n) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        if k > 0 && n > 0 {
-            for (a_row, o_row) in self.data.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-                axpy_rows(o_row, a_row.iter().copied(), &other.data);
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
+        let mut out = Tensor::zeros(&[m, n]);
+        add_products(&mut out.data, &self.data, (k, 1), &other.data, n);
+        out
     }
 
     /// `self (m×k) · otherᵀ` where `other` is `n×k`: the dense-layer
@@ -253,9 +249,8 @@ impl Tensor {
     /// rows are packed lane-major (a small copy of the left operand), and
     /// each lane is its own in-order sum. Rows of `self` past the last
     /// full tile and a last odd row of `other` fall back to scalar dots.
-    /// Zeros are not skipped: on dense activations the tile outruns the
-    /// zero-skipping axpy of [`Tensor::matmul`], and on half-zero ones it
-    /// keeps up with it.
+    /// Zeros are not skipped, unlike in the backward products of
+    /// [`Tensor::matmul`].
     ///
     /// # Panics
     ///
@@ -305,12 +300,8 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// `selfᵀ (k×m) · other (k×n)` producing `m×n`.
-    ///
-    /// The same zero-skipping axpy as [`Tensor::matmul`], one output row at
-    /// a time: row `i` reads column `i` of `self` as its coefficients, so
-    /// the row stays in cache while the `k` rows of `other` stream past,
-    /// and each output sums its products in order of `k`.
+    /// `selfᵀ (k×m) · other (k×n)` producing `m×n`: zeros plus
+    /// [`Tensor::add_matmul_transa`].
     ///
     /// # Panics
     ///
@@ -318,23 +309,45 @@ impl Tensor {
     pub fn matmul_transa(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul_transa lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul_transa rhs must be 2-D");
-        let (k, m) = (self.dim(0), self.dim(1));
-        let (k2, n) = (other.dim(0), other.dim(1));
+        let mut out = Tensor::zeros(&[self.dim(1), other.dim(1)]);
+        out.add_matmul_transa(self, other);
+        out
+    }
+
+    /// `self (m×n) += aᵀ · b` for `a` of `k×m` and `b` of `k×n`: the
+    /// weight-gradient accumulation `dW += gᵀ·x`, with no temporary.
+    ///
+    /// Output row `i` takes column `i` of `a` as its coefficients. The
+    /// kernel first compacts the coefficients that are not `0.0` into a
+    /// list of `(p, c)` terms, without a branch: it always writes the term
+    /// and advances the length by `c != 0.0`. It then sums those terms over
+    /// a strip of 32 output columns held in registers (a shorter one for
+    /// the last `n mod 32`), in `p` order from `+0.0`, and adds each
+    /// finished strip to `self` once. So every output gains exactly the
+    /// sum [`Tensor::matmul_transa`] returns, bit for bit, for any
+    /// operands: an accumulator that starts at `+0.0` never becomes
+    /// `-0.0`, so `0.0 + sum == sum`, and an output whose row has no
+    /// non-zero coefficient still gains `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or leading-dimension mismatch, or when `self` is not
+    /// `m×n`.
+    pub fn add_matmul_transa(&mut self, a: &Tensor, b: &Tensor) {
+        assert_eq!(a.ndim(), 2, "matmul_transa lhs must be 2-D");
+        assert_eq!(b.ndim(), 2, "matmul_transa rhs must be 2-D");
+        let (k, m) = (a.dim(0), a.dim(1));
+        let (k2, n) = (b.dim(0), b.dim(1));
         assert_eq!(
             k, k2,
             "matmul_transa leading dimensions differ: {k} vs {k2}"
         );
-        let mut out = vec![0.0f32; m * n];
-        if k > 0 && n > 0 {
-            for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
-                axpy_rows(
-                    o_row,
-                    self.data[i..].iter().step_by(m).copied(),
-                    &other.data,
-                );
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
+        assert_eq!(
+            self.shape.dims(),
+            [m, n],
+            "add_matmul_transa output must be {m}×{n}"
+        );
+        add_products(&mut self.data, &a.data, (1, m), &b.data, n);
     }
 
     /// Transpose of a 2-D tensor.
@@ -541,34 +554,85 @@ impl Kernel for DotTile<'_> {
     }
 }
 
-/// `o_row[j] += c_p · b[p·n + j]` for each coefficient `c_p` in order,
-/// `n = o_row.len()`: one output row of the backward products, every entry
-/// its own in-order sum. A zero coefficient is skipped, which leaves that
-/// sum bit-identical for finite `b`: the skipped product is `±0.0`, and an
-/// accumulator that starts at `+0.0` never becomes `-0.0`.
-fn axpy_rows(o_row: &mut [f32], coeffs: impl Iterator<Item = f32>, b: &[f32]) {
-    dispatch::run(AxpyRows { o_row, coeffs, b });
+/// Output columns one strip of the backward products holds in registers:
+/// four AVX2 or eight SSE2 accumulator registers.
+pub(crate) const STRIP: usize = 32;
+
+/// `out[i][j] += Σ_p c(i, p) · b[p·n + j]` for an `m×n` `out` and a `k×n`
+/// `b`, where output row `i`'s coefficients are `c(i, p) = a[i·row_step +
+/// p·p_step]` and only those that are not `0.0` contribute: the body of
+/// [`Tensor::matmul`] and [`Tensor::add_matmul_transa`], dispatched once
+/// per product.
+fn add_products(out: &mut [f32], a: &[f32], steps: (usize, usize), b: &[f32], n: usize) {
+    let (row_step, p_step) = steps;
+    dispatch::run(AddProducts {
+        out,
+        n,
+        a,
+        row_step,
+        p_step,
+        b,
+    });
 }
 
-/// The body of [`axpy_rows`].
-pub(crate) struct AxpyRows<'a, C> {
-    pub(crate) o_row: &'a mut [f32],
-    pub(crate) coeffs: C,
+/// The body of [`add_products`].
+pub(crate) struct AddProducts<'a> {
+    pub(crate) out: &'a mut [f32],
+    pub(crate) n: usize,
+    pub(crate) a: &'a [f32],
+    pub(crate) row_step: usize,
+    pub(crate) p_step: usize,
     pub(crate) b: &'a [f32],
 }
 
-impl<C: Iterator<Item = f32>> Kernel for AxpyRows<'_, C> {
+impl Kernel for AddProducts<'_> {
     type Output = ();
 
     #[inline(always)]
     fn run(self) {
-        let n = self.o_row.len();
-        for (a, b_row) in self.coeffs.zip(self.b.chunks_exact(n)) {
-            if a == 0.0 {
-                continue;
+        let Self {
+            out,
+            n,
+            a,
+            row_step,
+            p_step,
+            b,
+        } = self;
+        if n == 0 {
+            return;
+        }
+        let k = b.len() / n;
+        // Row `i`'s non-zero coefficients as `(offset of b's row p, c)`.
+        let mut terms = vec![(0usize, 0.0f32); k];
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let mut len = 0;
+            let coeffs = a.iter().skip(i * row_step).step_by(p_step).take(k);
+            for (p, &c) in coeffs.enumerate() {
+                terms[len] = (p * n, c);
+                len += usize::from(c != 0.0);
             }
-            for (o, &b) in self.o_row.iter_mut().zip(b_row) {
-                *o += a * b;
+            let terms = &terms[..len];
+            let (strips, tail) = o_row.split_at_mut(n - n % STRIP);
+            for (s, o_strip) in strips.chunks_exact_mut(STRIP).enumerate() {
+                let mut acc = [0.0f32; STRIP];
+                for &(row, c) in terms {
+                    for (acc, &v) in acc.iter_mut().zip(&b[row + s * STRIP..][..STRIP]) {
+                        *acc += c * v;
+                    }
+                }
+                for (o, acc) in o_strip.iter_mut().zip(acc) {
+                    *o += acc;
+                }
+            }
+            let mut acc = [0.0f32; STRIP];
+            let (acc, from) = (&mut acc[..tail.len()], strips.len());
+            for &(row, c) in terms {
+                for (acc, &v) in acc.iter_mut().zip(&b[row + from..row + n]) {
+                    *acc += c * v;
+                }
+            }
+            for (o, &acc) in tail.iter_mut().zip(&*acc) {
+                *o += acc;
             }
         }
     }
