@@ -222,7 +222,8 @@ impl Tensor {
     /// output is the in-order sum, from `+0.0`, of the `k` products whose
     /// coefficient is not `0.0`, at any dispatched width (see
     /// [`crate::dispatch`]). Dropping a zero coefficient's product leaves
-    /// that sum bit-identical for finite `other`.
+    /// that sum bit-identical to the full dot product for finite `other`;
+    /// with an `inf` or `NaN` there, the dropped `0 · inf` never enters it.
     ///
     /// # Panics
     ///
@@ -234,7 +235,14 @@ impl Tensor {
         let (k2, n) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
         let mut out = Tensor::zeros(&[m, n]);
-        add_products(&mut out.data, &self.data, (k, 1), &other.data, n);
+        dispatch::run(AddProducts {
+            out: &mut out.data,
+            n,
+            a: &self.data,
+            row_step: k,
+            p_step: 1,
+            b: &other.data,
+        });
         out
     }
 
@@ -347,7 +355,14 @@ impl Tensor {
             [m, n],
             "add_matmul_transa output must be {m}×{n}"
         );
-        add_products(&mut self.data, &a.data, (1, m), &b.data, n);
+        dispatch::run(AddProducts {
+            out: &mut self.data,
+            n,
+            a: &a.data,
+            row_step: 1,
+            p_step: m,
+            b: &b.data,
+        });
     }
 
     /// Transpose of a 2-D tensor.
@@ -556,26 +571,13 @@ impl Kernel for DotTile<'_> {
 
 /// Output columns one strip of the backward products holds in registers:
 /// four AVX2 or eight SSE2 accumulator registers.
-pub(crate) const STRIP: usize = 32;
+const STRIP: usize = 32;
 
 /// `out[i][j] += Σ_p c(i, p) · b[p·n + j]` for an `m×n` `out` and a `k×n`
 /// `b`, where output row `i`'s coefficients are `c(i, p) = a[i·row_step +
 /// p·p_step]` and only those that are not `0.0` contribute: the body of
 /// [`Tensor::matmul`] and [`Tensor::add_matmul_transa`], dispatched once
 /// per product.
-fn add_products(out: &mut [f32], a: &[f32], steps: (usize, usize), b: &[f32], n: usize) {
-    let (row_step, p_step) = steps;
-    dispatch::run(AddProducts {
-        out,
-        n,
-        a,
-        row_step,
-        p_step,
-        b,
-    });
-}
-
-/// The body of [`add_products`].
 pub(crate) struct AddProducts<'a> {
     pub(crate) out: &'a mut [f32],
     pub(crate) n: usize,
