@@ -24,28 +24,17 @@ pub struct LossTracker {
 impl LossTracker {
     /// Creates a tracker over `n` samples.
     ///
-    /// * `window` — epochs of loss history per sample (paper: 5),
-    /// * `drop_every` — epochs between pool prunings (paper: 20),
-    /// * `drop_fraction` — fraction of the pool marked per pruning,
+    /// * `window` — epochs of loss history per sample (paper: 5; ≥ 1),
+    /// * `drop_every` — epochs between pool prunings (paper: 20; ≥ 1),
+    /// * `drop_fraction` — fraction of the pool marked per pruning, in `[0, 1)`,
     /// * `min_pool` — the pool never shrinks below this many samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` or `drop_every` is zero, or `drop_fraction` is
-    /// outside `[0, 1)`.
-    pub fn new(
+    pub(crate) fn new(
         n: usize,
         window: usize,
         drop_every: usize,
         drop_fraction: f32,
         min_pool: usize,
     ) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!(drop_every > 0, "drop_every must be positive");
-        assert!(
-            (0.0..1.0).contains(&drop_fraction),
-            "drop_fraction must be in [0, 1)"
-        );
         Self {
             window,
             drop_every,

@@ -1,6 +1,8 @@
 //! Pipeline configuration.
 
+use crate::error::PipelineError;
 use nessa_select::facility::GreedyVariant;
+use nessa_select::SelectError;
 use nessa_smartssd::FaultPlan;
 use nessa_telemetry::TelemetrySettings;
 
@@ -10,7 +12,7 @@ use nessa_telemetry::TelemetrySettings;
 /// ÷5 at 60/120/160 of 200 epochs, weight decay 5e-4, Nesterov 0.9) and
 /// optimization settings (§3.2: 5-epoch loss window, drop every 20
 /// epochs). Construct with [`NessaConfig::new`] and override fields with
-/// the builder methods.
+/// the builder methods; [`crate::NessaPipeline::run`] checks the values.
 ///
 /// ```
 /// use nessa_core::NessaConfig;
@@ -92,11 +94,6 @@ impl NessaConfig {
     /// Creates a configuration with the paper's defaults for everything
     /// except the subset fraction and epoch count.
     pub fn new(subset_fraction: f32, epochs: usize) -> Self {
-        assert!(
-            subset_fraction > 0.0 && subset_fraction <= 1.0,
-            "subset fraction must be in (0, 1], got {subset_fraction}"
-        );
-        assert!(epochs > 0, "need at least one epoch");
         Self {
             subset_fraction,
             epochs,
@@ -134,10 +131,6 @@ impl NessaConfig {
     /// Sets the base learning rate of the multi-step schedule (the decay
     /// shape is unchanged).
     pub fn with_base_lr(mut self, base_lr: f32) -> Self {
-        assert!(
-            base_lr > 0.0 && base_lr.is_finite(),
-            "base learning rate must be positive and finite, got {base_lr}"
-        );
         self.base_lr = base_lr;
         self
     }
@@ -173,12 +166,7 @@ impl NessaConfig {
     }
 
     /// Sets the batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
         self.batch_size = batch_size;
         self
     }
@@ -202,12 +190,7 @@ impl NessaConfig {
     }
 
     /// Sets the number of SmartSSDs in the simulated cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drives == 0`.
     pub fn with_drives(mut self, drives: usize) -> Self {
-        assert!(drives > 0, "a cluster needs at least one drive");
         self.drives = drives;
         self
     }
@@ -223,6 +206,37 @@ impl NessaConfig {
     /// chunk at the current fraction needs chunks of `m / fraction`.
     pub fn partition_chunk(&self, fraction: f32) -> usize {
         ((self.batch_size as f32 / fraction).ceil() as usize).max(2)
+    }
+
+    /// Every field rule of a run's inputs; the first one broken is the
+    /// error. Biasing and sizing knobs are checked even when those are off.
+    pub(crate) fn check(&self) -> Result<(), PipelineError> {
+        let (fraction, lr, factor) = (self.subset_fraction, self.base_lr, self.sizing_factor);
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            return Err(SelectError::BadFraction(fraction).into());
+        }
+        let rule = if self.epochs == 0 {
+            "need at least one epoch"
+        } else if self.batch_size == 0 {
+            "batch size must be positive"
+        } else if !(lr > 0.0 && lr.is_finite()) {
+            "base learning rate must be positive and finite"
+        } else if self.biasing_drop_every == 0 {
+            "biasing_drop_every must be positive"
+        } else if !(0.0..1.0).contains(&self.biasing_drop_fraction) {
+            "biasing_drop_fraction must be in [0, 1)"
+        } else if !(0.0..).contains(&self.sizing_threshold) {
+            "sizing_threshold must be non-negative"
+        } else if !(factor > 0.0 && factor < 1.0) {
+            "sizing_factor must be in (0, 1)"
+        } else if self.sizing_min_fraction <= 0.0 {
+            "sizing_min_fraction must be positive"
+        } else if self.drives == 0 {
+            "a cluster needs at least one drive"
+        } else {
+            return Ok(());
+        };
+        Err(PipelineError::Config(rule))
     }
 }
 
@@ -277,34 +291,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "base learning rate")]
-    fn rejects_nonpositive_base_lr() {
-        let _ = NessaConfig::new(0.3, 10).with_base_lr(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one drive")]
-    fn rejects_zero_drives() {
-        let _ = NessaConfig::new(0.5, 10).with_drives(0);
-    }
-
-    #[test]
     fn partition_chunk_selects_batch_per_chunk() {
         let cfg = NessaConfig::new(0.3, 10);
         // m / fraction = 128 / 0.3 ≈ 427.
         assert_eq!(cfg.partition_chunk(0.3), 427);
         assert_eq!(cfg.partition_chunk(1.0), 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "subset fraction")]
-    fn rejects_bad_fraction() {
-        let _ = NessaConfig::new(1.5, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one epoch")]
-    fn rejects_zero_epochs() {
-        let _ = NessaConfig::new(0.5, 0);
     }
 }

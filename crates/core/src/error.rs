@@ -1,10 +1,10 @@
 //! Typed pipeline failures.
 //!
 //! The epoch loop never panics (`nessa-lint` rule **P1**): anything that
-//! can go wrong during a run — bad selection inputs, a kernel profile
-//! that does not fit the FPGA's on-chip memory, a drive failure the
-//! degradation ladder could not absorb — surfaces as a [`PipelineError`]
-//! so callers can attribute and report it.
+//! can go wrong during a run — a bad run input, bad selection inputs, a
+//! kernel profile that does not fit the FPGA's on-chip memory, a drive
+//! failure the degradation ladder could not absorb — surfaces as a
+//! [`PipelineError`] so callers can attribute and report it.
 
 use nessa_select::SelectError;
 use nessa_smartssd::fpga::KernelError;
@@ -13,6 +13,9 @@ use nessa_smartssd::{ClusterError, DeviceError};
 /// Why a pipeline run stopped before completing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
+    /// A configuration, network or dataset input broke the named rule;
+    /// the run stopped before any work.
+    Config(&'static str),
     /// The selection kernel rejected its inputs or broke an invariant.
     Select(SelectError),
     /// The simulated FPGA rejected the kernel profile (typically a chunk
@@ -38,6 +41,7 @@ pub enum PipelineError {
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            PipelineError::Config(rule) => write!(f, "invalid run input: {rule}"),
             PipelineError::Select(e) => write!(f, "selection failed: {e}"),
             PipelineError::Kernel(e) => write!(f, "selection kernel failed: {e}"),
             PipelineError::Drive { drive, error } => {
@@ -59,7 +63,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Select(e) => Some(e),
             PipelineError::Kernel(e) => Some(e),
             PipelineError::Drive { error, .. } => Some(error),
-            PipelineError::AllDrivesLost { .. } => None,
+            PipelineError::Config(_) | PipelineError::AllDrivesLost { .. } => None,
         }
     }
 }
@@ -105,6 +109,12 @@ mod tests {
         });
         assert!(k.to_string().contains("kernel"));
         assert!(std::error::Error::source(&k).is_some());
+        let c = PipelineError::Config("batch size must be positive");
+        assert_eq!(
+            c.to_string(),
+            "invalid run input: batch size must be positive"
+        );
+        assert!(std::error::Error::source(&c).is_none());
     }
 
     #[test]

@@ -480,37 +480,24 @@ impl NessaPipeline {
     /// (the selector is the FPGA-side copy refreshed by the feedback
     /// loop).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the two networks have different parameter structures or
-    /// the datasets disagree on feature dimension / class count.
+    /// None at construction: [`run`](Self::run) returns
+    /// [`PipelineError::Config`] if the networks' parameter shapes differ
+    /// or the datasets disagree on feature dimension or class count.
     pub fn new(
         config: NessaConfig,
-        mut target: Network,
-        mut selector: Network,
+        target: Network,
+        selector: Network,
         train: Dataset,
         test: Dataset,
     ) -> Self {
-        let t_shapes: Vec<_> = target
-            .export_weights()
-            .iter()
-            .map(|w| w.shape().dims().to_vec())
-            .collect();
-        let s_shapes: Vec<_> = selector
-            .export_weights()
-            .iter()
-            .map(|w| w.shape().dims().to_vec())
-            .collect();
-        assert_eq!(
-            t_shapes, s_shapes,
-            "target and selector must share structure"
-        );
         Self::with_method(config, Method::Nessa, target, Some(selector), train, test)
     }
 
     /// A pipeline that selects with `method`. Only NeSSA has a `selector`
-    /// (a mismatched one panics at the run's first quantized snapshot); a
-    /// baseline selects with the target itself.
+    /// (a mismatched one is [`run`](Self::run)'s [`PipelineError::Config`]);
+    /// a baseline selects with the target itself.
     pub(crate) fn with_method(
         config: NessaConfig,
         method: Method,
@@ -519,10 +506,8 @@ impl NessaPipeline {
         train: Dataset,
         test: Dataset,
     ) -> Self {
-        assert_eq!(train.dim(), test.dim(), "train/test feature dims differ");
-        assert_eq!(train.classes(), test.classes(), "train/test classes differ");
         let telemetry = Telemetry::new(&config.telemetry);
-        let mut device = SsdCluster::new(config.drives.max(1), SmartSsdConfig::default());
+        let mut device = SsdCluster::new(config.drives, SmartSsdConfig::default());
         for (drive, plan) in &config.fault_plans {
             device.inject_faults(*drive, plan.clone());
         }
@@ -549,6 +534,10 @@ impl NessaPipeline {
     ///
     /// # Errors
     ///
+    /// Before any work, [`PipelineError::Config`] for a bad input: a
+    /// [`NessaConfig`] field out of range (a bad fraction is
+    /// [`SelectError::BadFraction`]), a selector shaped unlike the target,
+    /// or train and test sets with different dimensions or classes. Then
     /// [`PipelineError::Select`] if the selection kernel rejects its
     /// inputs, [`PipelineError::Kernel`] if a selection chunk exceeds the
     /// FPGA's on-chip memory (enable partitioning or shrink the chunk),
@@ -556,6 +545,7 @@ impl NessaPipeline {
     /// could not absorb, and [`PipelineError::AllDrivesLost`] once every
     /// drive has been evicted.
     pub fn run(&mut self) -> Result<RunReport, PipelineError> {
+        self.check_inputs()?;
         self.history.clear();
         let cfg = self.config.clone();
         // `select_every` is a public field; 0 means "every epoch", like 1.
@@ -799,6 +789,24 @@ impl NessaPipeline {
         }
         self.finish_run(&mut report, &health);
         Ok(report)
+    }
+
+    /// The run's input check: the config's field rules, then the two
+    /// structural ones.
+    fn check_inputs(&mut self) -> Result<(), PipelineError> {
+        self.config.check()?;
+        let shapes = self.target.param_shapes();
+        let reshaped = |selector: &mut Network| selector.param_shapes() != shapes;
+        let rule = if self.selector.as_mut().is_some_and(reshaped) {
+            "target and selector must share structure"
+        } else if self.train.dim() != self.test.dim() {
+            "train/test feature dims differ"
+        } else if self.train.classes() != self.test.classes() {
+            "train/test classes differ"
+        } else {
+            return Ok(());
+        };
+        Err(PipelineError::Config(rule))
     }
 
     /// Shared run epilogue: traffic/energy roll-ups, fault totals, and
@@ -1094,23 +1102,5 @@ mod tests {
         q.run().unwrap();
         let epochs: Vec<usize> = q.selection_history().iter().map(|(e, _)| *e).collect();
         assert_eq!(epochs, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "share structure")]
-    fn rejects_mismatched_selector() {
-        let cfg = NessaConfig::new(0.3, 2);
-        let synth = SynthConfig {
-            train: 50,
-            test: 20,
-            dim: 8,
-            classes: 3,
-            ..SynthConfig::default()
-        };
-        let (train, test) = synth.generate();
-        let mut rng = Rng64::new(0);
-        let target = mlp(&[8, 24, 3], &mut rng);
-        let selector = mlp(&[8, 16, 3], &mut rng);
-        let _ = NessaPipeline::new(cfg, target, selector, train, test);
     }
 }

@@ -8,7 +8,6 @@ use crate::pipeline::{Method, NessaPipeline};
 use crate::report::RunReport;
 use nessa_data::Dataset;
 use nessa_nn::models::Network;
-use nessa_select::SelectError;
 use nessa_tensor::rng::Rng64;
 
 /// A training policy from the paper's evaluation.
@@ -70,9 +69,9 @@ impl Policy {
 ///
 /// # Errors
 ///
-/// Propagates [`PipelineError`] when selection rejects its inputs (a
-/// subset fraction outside `(0, 1]` among them) or a kernel profile does
-/// not fit the simulated FPGA.
+/// Propagates [`NessaPipeline::run`]'s [`PipelineError`]: its input check
+/// rejects a bad `epochs`, `batch_size` or fraction before any work, and a
+/// selection, kernel or drive failure ends the run.
 pub fn run_policy(
     policy: &Policy,
     train: &Dataset,
@@ -111,10 +110,6 @@ pub fn run_policy(
         Policy::KCenters { fraction } => (baseline(fraction), Method::KCenters, None),
         Policy::Random { fraction } => (baseline(fraction), Method::Random, None),
     };
-    let fraction = cfg.subset_fraction;
-    if !(fraction > 0.0 && fraction <= 1.0) {
-        return Err(SelectError::BadFraction(fraction).into());
-    }
     let mut report =
         NessaPipeline::with_method(cfg, method, target, selector, train.clone(), test.clone())
             .run()?;
@@ -127,6 +122,7 @@ mod tests {
     use super::*;
     use nessa_data::SynthConfig;
     use nessa_nn::models::mlp;
+    use nessa_select::SelectError;
     use nessa_telemetry::JsonValue;
 
     fn data() -> (Dataset, Dataset) {

@@ -24,22 +24,8 @@ impl SubsetSizer {
     /// * `initial` — starting subset fraction,
     /// * `threshold` — relative loss reduction below which to shrink,
     /// * `factor` — multiplicative shrink in `(0, 1)`,
-    /// * `min_fraction` — floor for the fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is out of range.
-    pub fn new(initial: f32, threshold: f32, factor: f32, min_fraction: f32) -> Self {
-        assert!(
-            initial > 0.0 && initial <= 1.0,
-            "initial fraction out of range"
-        );
-        assert!(threshold >= 0.0, "threshold must be non-negative");
-        assert!(factor > 0.0 && factor < 1.0, "factor must be in (0, 1)");
-        assert!(
-            min_fraction > 0.0 && min_fraction <= initial,
-            "min_fraction must be in (0, initial]"
-        );
+    /// * `min_fraction` — floor for the fraction, in `(0, initial]`.
+    pub(crate) fn new(initial: f32, threshold: f32, factor: f32, min_fraction: f32) -> Self {
         Self {
             fraction: initial,
             threshold,
@@ -136,11 +122,5 @@ mod tests {
         s.observe(0.0);
         assert_eq!(s.shrink_count(), 1);
         assert!((s.fraction() - 0.2).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be in")]
-    fn rejects_bad_factor() {
-        let _ = SubsetSizer::new(0.3, 0.01, 1.0, 0.05);
     }
 }

@@ -5,7 +5,7 @@
 use crate::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, Param, Relu, ToImage};
 use crate::metrics::argmax_rows;
 use nessa_tensor::rng::Rng64;
-use nessa_tensor::Tensor;
+use nessa_tensor::{Shape, Tensor};
 
 /// A feed-forward network: an ordered stack of [`Layer`]s.
 ///
@@ -117,6 +117,14 @@ impl Network {
         let mut n = 0;
         self.visit_params(&mut |p| n += p.value.numel());
         n
+    }
+
+    /// Every parameter's shape, in [`Network::visit_params`] order; no
+    /// weight is copied.
+    pub fn param_shapes(&mut self) -> Vec<Shape> {
+        let mut shapes = Vec::new();
+        self.visit_params(&mut |p| shapes.push(p.value.shape().clone()));
+        shapes
     }
 
     /// Forward FLOPs per sample summed over layers, for samples shaped
@@ -248,6 +256,12 @@ mod tests {
         let y = net.forward(&x);
         assert_eq!(y.shape().dims(), &[5, 4]);
         assert_eq!(net.len(), 3);
+        let shapes: Vec<Vec<usize>> = net
+            .param_shapes()
+            .iter()
+            .map(|s| s.dims().to_vec())
+            .collect();
+        assert_eq!(shapes, [vec![16, 8], vec![16], vec![4, 16], vec![4]]);
     }
 
     fn assert_param_grads_nonzero(net: &mut Network) {

@@ -51,13 +51,10 @@ pub struct SsdCluster {
 }
 
 impl SsdCluster {
-    /// Creates a cluster of `n` drives with the same configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
+    /// Creates a cluster of `n` drives with the same configuration. With
+    /// `n == 0` it is empty, like a cluster whose every drive was
+    /// evicted: no phase has a shard to run.
     pub fn new(n: usize, config: SmartSsdConfig) -> Self {
-        assert!(n > 0, "a cluster needs at least one drive");
         Self {
             drives: (0..n).map(|_| SmartSsd::new(config)).collect(),
             retired: Vec::new(),
@@ -70,7 +67,8 @@ impl SsdCluster {
         self.drives.len()
     }
 
-    /// True when every drive has been evicted (a fresh cluster has ≥ 1).
+    /// True when no drive is live (every drive was evicted, or there were
+    /// none).
     pub fn is_empty(&self) -> bool {
         self.drives.is_empty()
     }
@@ -390,9 +388,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one drive")]
-    fn rejects_empty_cluster() {
-        let _ = SsdCluster::new(0, SmartSsdConfig::default());
+    fn zero_drives_make_an_empty_cluster() {
+        let mut c = SsdCluster::new(0, SmartSsdConfig::default());
+        assert!(c.is_empty());
+        assert!(c.shard_counts(10).is_empty());
+        assert_eq!(c.parallel_scan(10, 64), Ok(0.0));
+        assert_eq!(c.elapsed_secs(), 0.0);
     }
 
     #[test]
