@@ -11,9 +11,9 @@ use nessa::core::timing::{
     craig_cpu_epoch, goal_epoch, kcenters_cpu_epoch, mean_data_movement_reduction, nessa_epoch,
     nessa_overlapped_epoch, PolicyTiming, Workload,
 };
+use nessa::core::OverlapRecord;
 use nessa::data::DatasetSpec;
 use nessa::nn::cost::DeviceSpec;
-use std::fmt::Debug;
 
 /// Expected `(data_move_s, select_s, train_s)` bits of one policy.
 type Bits = [u64; 3];
@@ -89,29 +89,13 @@ fn bits(t: PolicyTiming) -> Bits {
     ]
 }
 
-/// The overlapped epoch's select-side, train and hand-off seconds, read
-/// by field name from its `Debug` rendering (shortest round-trip floats,
-/// so the bits survive). Names are matched by stem — `train_s` and
-/// `train_secs` both read as `train` — so the pins hold whichever
-/// overlap type carries these seconds.
-fn overlapped_bits(ovl: &impl Debug) -> Bits {
-    let text = format!("{ovl:?}");
-    let body = text
-        .split_once('{')
-        .and_then(|(_, rest)| rest.rsplit_once('}'))
-        .map_or("", |(body, _)| body);
-    let field = |stem: &str| -> u64 {
-        body.split(',')
-            .filter_map(|kv| kv.split_once(':'))
-            .find(|(name, _)| {
-                let name = name.trim();
-                name.strip_suffix("_secs").or(name.strip_suffix("_s")) == Some(stem)
-            })
-            .and_then(|(_, value)| value.trim().parse::<f64>().ok())
-            .unwrap_or_else(|| panic!("no `{stem}` seconds in {text}"))
-            .to_bits()
-    };
-    [field("select_side"), field("train"), field("handoff")]
+/// The overlapped epoch's `(select side, train, hand-off)` bits.
+fn overlapped_bits(o: &OverlapRecord) -> Bits {
+    [
+        o.select_side_secs.to_bits(),
+        o.train_secs.to_bits(),
+        o.handoff_secs.to_bits(),
+    ]
 }
 
 #[test]
