@@ -67,67 +67,52 @@ impl Conv2d {
         self.out_ch
     }
 
+    /// Walks every kernel tap that lands inside an `h × w` input (padding
+    /// taps are skipped) in c, ky, kx, oy, ox order, handing `f` the tap's
+    /// index in the `[c*k*k, oh*ow]` column matrix and in the `[c, h, w]`
+    /// image. [`Conv2d::im2col`] gathers and [`Conv2d::col2im`] scatters
+    /// through this one walk.
+    fn for_each_tap(&self, h: usize, w: usize, mut f: impl FnMut(usize, usize)) {
+        let (oh, ow) = self.out_hw(h, w);
+        let (k, stride, pad) = (self.k, self.stride, self.pad as isize);
+        for c in 0..self.in_ch {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let base = ((c * k + ky) * k + kx) * oh * ow;
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let row = (c * h + iy as usize) * w;
+                        for ox in 0..ow {
+                            let ix = (ox * stride + kx) as isize - pad;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            f(base + oy * ow + ox, row + ix as usize);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Lowers one sample `[c, h, w]` (as a flat slice) to a
     /// `[c*k*k, oh*ow]` column matrix.
     fn im2col(&self, sample: &[f32], h: usize, w: usize) -> Tensor {
         let (oh, ow) = self.out_hw(h, w);
         let rows = self.in_ch * self.k * self.k;
-        let cols = oh * ow;
-        let mut out = vec![0.0f32; rows * cols];
-        for c in 0..self.in_ch {
-            let plane = &sample[c * h * w..(c + 1) * h * w];
-            for ky in 0..self.k {
-                for kx in 0..self.k {
-                    let row = (c * self.k + ky) * self.k + kx;
-                    let base = row * cols;
-                    for oy in 0..oh {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for ox in 0..ow {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            out[base + oy * ow + ox] = plane[iy * w + ix as usize];
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[rows, cols])
+        let mut out = vec![0.0f32; rows * oh * ow];
+        self.for_each_tap(h, w, |col, img| out[col] = sample[img]);
+        Tensor::from_vec(out, &[rows, oh * ow])
     }
 
     /// Scatters a `[c*k*k, oh*ow]` column-gradient back to a `[c, h, w]`
     /// input-gradient slice (the adjoint of [`Conv2d::im2col`]).
     fn col2im(&self, cols_t: &Tensor, h: usize, w: usize, out: &mut [f32]) {
-        let (oh, ow) = self.out_hw(h, w);
-        let cols = oh * ow;
         let data = cols_t.as_slice();
-        for c in 0..self.in_ch {
-            for ky in 0..self.k {
-                for kx in 0..self.k {
-                    let row = (c * self.k + ky) * self.k + kx;
-                    let base = row * cols;
-                    for oy in 0..oh {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for ox in 0..ow {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            out[c * h * w + iy * w + ix as usize] += data[base + oy * ow + ox];
-                        }
-                    }
-                }
-            }
-        }
+        self.for_each_tap(h, w, |col, img| out[img] += data[col]);
     }
 
     /// Convolves `x`, handing each sample's column matrix to `keep_col`.
