@@ -437,6 +437,15 @@ fn selection_round(
     })
 }
 
+/// The drives `config` asks for, unused, each armed with its fault plan.
+fn fresh_cluster(config: &NessaConfig) -> SsdCluster {
+    let mut device = SsdCluster::new(config.drives, SmartSsdConfig::default());
+    for (drive, plan) in &config.fault_plans {
+        device.inject_faults(*drive, plan.clone());
+    }
+    device
+}
+
 /// The assembled SmartSSD+GPU training loop.
 ///
 /// The pipeline owns the **target model** (trained on the GPU side), the
@@ -467,10 +476,6 @@ pub struct NessaPipeline {
     device: SsdCluster,
     telemetry: Telemetry,
     history: Vec<(usize, Vec<usize>)>,
-    /// Forward FLOPs per training sample, the same for the target and the
-    /// selector (they share a structure): the GPU and FPGA cost models'
-    /// compute term.
-    flops_per_sample: u64,
 }
 
 impl NessaPipeline {
@@ -482,9 +487,11 @@ impl NessaPipeline {
     ///
     /// # Errors
     ///
-    /// None at construction: [`run`](Self::run) returns
-    /// [`PipelineError::Config`] if the networks' parameter shapes differ
-    /// or the datasets disagree on feature dimension or class count.
+    /// None at construction, which never runs a network:
+    /// [`run`](Self::run) returns [`PipelineError::Config`] if the
+    /// networks' parameter shapes differ, the target's input width is not
+    /// the data's feature dimension, or the datasets disagree on feature
+    /// dimension or class count.
     pub fn new(
         config: NessaConfig,
         target: Network,
@@ -506,38 +513,34 @@ impl NessaPipeline {
         train: Dataset,
         test: Dataset,
     ) -> Self {
-        let telemetry = Telemetry::new(&config.telemetry);
-        let mut device = SsdCluster::new(config.drives, SmartSsdConfig::default());
-        for (drive, plan) in &config.fault_plans {
-            device.inject_faults(*drive, plan.clone());
-        }
-        let flops_per_sample = target.flops_per_sample(&[train.dim()]);
         Self {
+            telemetry: Telemetry::new(&config.telemetry),
+            device: fresh_cluster(&config),
             config,
             method,
             target,
             selector,
             train,
             test,
-            device,
-            telemetry,
             history: Vec::new(),
-            flops_per_sample,
         }
     }
 
     /// Runs the full training loop and returns the report.
     ///
-    /// One loop serves both schedules (module docs). Sequential mode is
-    /// the determinism reference: its RNG draw order and its report
-    /// bytes must never change.
+    /// Each run starts on a fresh cluster built from the config, so a
+    /// second run reports its own device time and traffic. One loop serves
+    /// both schedules (module docs). Sequential mode is the determinism
+    /// reference: its RNG draw order and its report bytes must never
+    /// change.
     ///
     /// # Errors
     ///
     /// Before any work, [`PipelineError::Config`] for a bad input: a
     /// [`NessaConfig`] field out of range (a bad fraction is
     /// [`SelectError::BadFraction`]), a selector shaped unlike the target,
-    /// or train and test sets with different dimensions or classes. Then
+    /// a target whose input width is not the data's feature dimension, or
+    /// train and test sets with different dimensions or classes. Then
     /// [`PipelineError::Select`] if the selection kernel rejects its
     /// inputs, [`PipelineError::Kernel`] if a selection chunk exceeds the
     /// FPGA's on-chip memory (enable partitioning or shrink the chunk),
@@ -546,7 +549,14 @@ impl NessaPipeline {
     /// drive has been evicted.
     pub fn run(&mut self) -> Result<RunReport, PipelineError> {
         self.check_inputs()?;
+        // Every run starts on unused drives: no clock, traffic or fault
+        // plan progress carries over from an earlier run.
+        self.device = fresh_cluster(&self.config);
         self.history.clear();
+        // Forward FLOPs per training sample, the same for the target and
+        // the selector (they share a structure): the GPU and FPGA cost
+        // models' compute term.
+        let flops_per_sample = self.target.flops_per_sample(&[self.train.dim()]);
         let cfg = self.config.clone();
         // `select_every` is a public field; 0 means "every epoch", like 1.
         let select_every = cfg.select_every.max(1);
@@ -605,7 +615,7 @@ impl NessaPipeline {
         let mut fraction = cfg.subset_fraction;
         // Forward + backward ≈ 3× the forward cost; feeds the
         // deterministic GPU-side cost model for the overlap ledger.
-        let train_flops = 3 * self.flops_per_sample;
+        let train_flops = 3 * flops_per_sample;
         let gpu = DeviceSpec::v100();
         // The round selected on the worker during the previous epoch,
         // waiting to be consumed, and the feedback staleness (in epochs)
@@ -622,7 +632,7 @@ impl NessaPipeline {
                 telemetry: &self.telemetry,
                 select_metrics: &select_metrics,
                 train: &self.train,
-                flops_per_sample: self.flops_per_sample,
+                flops_per_sample,
             };
             let mut select_secs = 0.0;
             let mut io_secs = 0.0;
@@ -791,15 +801,18 @@ impl NessaPipeline {
         Ok(report)
     }
 
-    /// The run's input check: the config's field rules, then the two
+    /// The run's input check: the config's field rules, then the
     /// structural ones.
     fn check_inputs(&mut self) -> Result<(), PipelineError> {
         self.config.check()?;
         let shapes = self.target.param_shapes();
         let reshaped = |selector: &mut Network| selector.param_shapes() != shapes;
+        let dim = self.train.dim();
         let rule = if self.selector.as_mut().is_some_and(reshaped) {
             "target and selector must share structure"
-        } else if self.train.dim() != self.test.dim() {
+        } else if self.target.input_width().is_some_and(|w| w != dim) {
+            "network input width differs from the feature dim"
+        } else if dim != self.test.dim() {
             "train/test feature dims differ"
         } else if self.train.classes() != self.test.classes() {
             "train/test classes differ"
@@ -898,6 +911,7 @@ mod tests {
     use super::*;
     use nessa_data::SynthConfig;
     use nessa_nn::models::mlp;
+    use nessa_smartssd::FaultPlan;
 
     fn small_setup(cfg: &NessaConfig) -> NessaPipeline {
         let synth = SynthConfig {
@@ -930,6 +944,29 @@ mod tests {
         // Subset stays near the requested fraction.
         let pct = report.mean_subset_pct();
         assert!((25.0..40.0).contains(&pct), "subset {pct}%");
+    }
+
+    #[test]
+    fn a_second_run_starts_from_fresh_drives() {
+        let mut cfg = NessaConfig::new(0.3, 3).with_batch_size(32).with_seed(5);
+        cfg.subset_biasing = false;
+        cfg.dynamic_sizing = false;
+        let mut p = small_setup(&cfg);
+        let first = p.run().unwrap();
+        let first_secs = p.device().elapsed_secs();
+        let second = p.run().unwrap();
+        assert!(first.traffic.ssd_to_fpga > 0);
+        assert_eq!(second.traffic, first.traffic);
+        assert_eq!(p.device().elapsed_secs(), first_secs);
+        // A fault plan's op counters start over too: the same burst fires
+        // in every run.
+        let faulty = cfg.with_fault_plan(0, FaultPlan::none().with_kernel_abort(1, 1));
+        let mut p = small_setup(&faulty);
+        p.run().unwrap();
+        let fired = p.device().faults_injected();
+        p.run().unwrap();
+        assert!(fired > 0);
+        assert_eq!(p.device().faults_injected(), fired);
     }
 
     #[test]

@@ -22,6 +22,8 @@ type Edit = fn(&mut NessaConfig);
 /// What one case builds its pipeline from.
 struct Inputs {
     cfg: NessaConfig,
+    /// The input width of both networks.
+    input_width: usize,
     selector_hidden: usize,
     test_dim: usize,
     test_classes: usize,
@@ -33,6 +35,7 @@ fn valid() -> Inputs {
             .with_batch_size(16)
             .with_seed(3)
             .with_telemetry(TelemetrySettings::memory()),
+        input_width: DIM,
         selector_hidden: HIDDEN,
         test_dim: DIM,
         test_classes: CLASSES,
@@ -58,8 +61,11 @@ fn pipeline(inputs: Inputs) -> NessaPipeline {
     let (train, _) = synth(DIM, CLASSES);
     let (_, test) = synth(inputs.test_dim, inputs.test_classes);
     let mut rng = Rng64::new(0);
-    let target = model(&mut rng);
-    let selector = mlp(&[DIM, inputs.selector_hidden, CLASSES], &mut rng);
+    let target = mlp(&[inputs.input_width, HIDDEN, CLASSES], &mut rng);
+    let selector = mlp(
+        &[inputs.input_width, inputs.selector_hidden, CLASSES],
+        &mut rng,
+    );
     NessaPipeline::new(inputs.cfg, target, selector, train, test)
 }
 
@@ -155,6 +161,16 @@ fn violations() -> Vec<(&'static str, Inputs, PipelineError)> {
                 ..valid()
             },
             rule("target and selector must share structure"),
+        ),
+        (
+            // Both networks take 7-wide rows of 6-dim data; building the
+            // pipeline must not run them.
+            "network input width",
+            Inputs {
+                input_width: DIM + 1,
+                ..valid()
+            },
+            rule("network input width differs from the feature dim"),
         ),
         (
             "test dim",

@@ -175,7 +175,7 @@ impl Layer for Conv2d {
             );
             let col = &self.cached_cols[i];
             // dW += g · col^T
-            self.weight.grad += &g.matmul_transb(col);
+            self.weight.grad.add_matmul_transb(&g, col);
             // db += row sums of g
             for oc in 0..self.out_ch {
                 let s: f32 = g.row(oc).iter().sum();
@@ -292,6 +292,42 @@ mod tests {
             let num = (fp - fm) / (2.0 * eps);
             let ana = analytic[0].as_slice()[wi];
             assert!((num - ana).abs() < 2e-2, "w[{wi}]: numeric {num} vs {ana}");
+        }
+    }
+
+    #[test]
+    fn weight_gradient_accumulates_like_a_product_then_add() {
+        // The backward adds `g · colᵀ` straight into `dW`; each entry must
+        // be `dW + dot` bit for bit, as adding the product tensor made it.
+        let mut rng = Rng64::new(9);
+        for stride in 1..=3 {
+            for pad in 0..=2 {
+                for k in [1, 3, 5] {
+                    let mut conv = Conv2d::new(2, 3, k, stride, pad, &mut rng);
+                    let x = Tensor::randn(&[2, 2, 7, 6], 0.0, 1.0, &mut rng);
+                    let y = conv.forward(&x);
+                    let g = Tensor::randn(y.shape().dims(), 0.0, 1.0, &mut rng);
+                    let start = Tensor::randn(conv.weight.grad.shape().dims(), 0.0, 1.0, &mut rng);
+                    conv.weight.grad = start.clone();
+                    let mut expect = start;
+                    let per_sample = g.numel() / 2;
+                    for (i, col) in conv.cached_cols.iter().enumerate() {
+                        let gi = Tensor::from_vec(
+                            g.as_slice()[i * per_sample..(i + 1) * per_sample].to_vec(),
+                            &[3, per_sample / 3],
+                        );
+                        expect += &gi.matmul_transb(col);
+                    }
+                    conv.backward(&g);
+                    let bits =
+                        |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&conv.weight.grad),
+                        bits(&expect),
+                        "stride {stride}, pad {pad}, k {k}"
+                    );
+                }
+            }
         }
     }
 

@@ -93,6 +93,12 @@ pub trait Layer: Send + Sync {
         None
     }
 
+    /// The width of the flat rows this layer accepts, when it accepts only
+    /// one width (`None` for a layer that takes any shape, or no flat rows).
+    fn input_width(&self) -> Option<usize> {
+        None
+    }
+
     /// Multiply-accumulate-dominated forward FLOPs per sample of `x`, a
     /// batch shaped like this layer's input (backward is modelled as 2×
     /// forward, as is conventional).
@@ -196,6 +202,10 @@ impl Layer for Linear {
         Some(self.in_features)
     }
 
+    fn input_width(&self) -> Option<usize> {
+        Some(self.in_features)
+    }
+
     fn flops_per_sample(&self, _x: &Tensor) -> u64 {
         2 * self.in_features as u64 * self.out_features as u64
     }
@@ -294,6 +304,10 @@ impl Layer for ToImage {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let n = grad_out.dim(0);
         grad_out.reshape(&[n, self.c * self.h * self.w])
+    }
+
+    fn input_width(&self) -> Option<usize> {
+        Some(self.c * self.h * self.w)
     }
 
     fn name(&self) -> &'static str {

@@ -141,6 +141,13 @@ impl Network {
         flops
     }
 
+    /// Width of the flat input rows the network accepts, read from its
+    /// first layer without running it; `None` when that layer takes any
+    /// width.
+    pub fn input_width(&self) -> Option<usize> {
+        self.layers.first().and_then(|l| l.input_width())
+    }
+
     /// Width of the features a gradient proxy pairs with the residual: the
     /// input width of the network's last [`Linear`] layer (the features
     /// [`Network::infer_with_features`] returns for an MLP or CNN head),

@@ -11,28 +11,32 @@
 use crate::metrics::SelectMetrics;
 use crate::{SelectError, Selection};
 use nessa_tensor::dispatch::{self, Kernel};
-use nessa_tensor::linalg::map_sq_dists;
+use nessa_tensor::linalg::{map_sq_dists, upper_row_start};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A dense pairwise-similarity matrix for facility-location selection.
+/// A pairwise-similarity matrix for facility-location selection.
 ///
 /// Built from squared Euclidean distances via `sim = c0 − d²` where
 /// `c0 = max d²` (the constant of paper Eq. 5), so all similarities are
 /// non-negative and self-similarity is maximal.
 ///
 /// The matrix is symmetric bit for bit, by construction: each pair's
-/// similarity is computed once and written to both `(i, j)` and `(j, i)`
-/// (see [`map_sq_dists`]). Row `j` is therefore also column `j`, which
-/// lets the greedy sum the gains of many candidates at once down the rows
-/// and assign CRAIG owners from the rows it absorbs.
+/// similarity is computed once (see [`map_sq_dists`]). So it stores each
+/// pair once: the strict upper triangle, packed row by row (row `i` holds
+/// `sim(i, j)` for `j` in `i + 1..n`, see [`upper_row_start`]), and the one
+/// value every diagonal entry shares. Candidate `j`'s similarities in
+/// candidate order are column `j` of the triangle, then the diagonal
+/// value, then packed row `j`; the greedy sums them in that order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityMatrix {
     n: usize,
-    /// Row-major `n × n` similarities.
-    sim: Vec<f32>,
+    /// The strict upper triangle, packed row by row.
+    upper: Vec<f32>,
+    /// `sim(i, i)`, the same for every `i`.
+    diag: f32,
 }
 
 impl SimilarityMatrix {
@@ -52,8 +56,8 @@ impl SimilarityMatrix {
     /// 2 (a_i·a_j)(b_i·b_j)` — `O(dim_a + dim_b)` per pair instead of
     /// `O(dim_a · dim_b)`. This is how NeSSA's FPGA kernel compares
     /// last-layer gradients (residual ⊗ feature) without materializing
-    /// them. The kernel is [`map_sq_dists`]: upper triangle only, mapped
-    /// to `c0 − d` and mirrored in one pass, bit-identical to the
+    /// them. The kernel is [`map_sq_dists`]: upper triangle only, stored
+    /// packed and mapped to `c0 − d` in one pass, bit-identical to the
     /// Gram-matrix evaluation.
     ///
     /// # Panics
@@ -66,10 +70,11 @@ impl SimilarityMatrix {
     /// `c0 − d` over the product-space distances of `factors`, with
     /// `c0 = max(max d, 0)`, so every similarity is `≥ 0`.
     fn from_factors(factors: &[&Tensor]) -> Self {
-        let sim = map_sq_dists(factors, |c0, d| c0 - d);
+        let (upper, diag) = map_sq_dists(factors, |c0, d| c0 - d);
         Self {
             n: factors[0].dim(0),
-            sim,
+            upper,
+            diag,
         }
     }
 
@@ -85,12 +90,36 @@ impl SimilarityMatrix {
 
     /// Similarity between candidates `i` and `j`.
     pub fn at(&self, i: usize, j: usize) -> f32 {
-        self.sim[i * self.n + j]
+        match i.cmp(&j) {
+            Ordering::Less => self.upper_row(i)[j - i - 1],
+            Ordering::Equal => self.diag,
+            Ordering::Greater => self.upper_row(j)[i - j - 1],
+        }
     }
 
-    /// Row `j` of the matrix: similarity of every candidate to `j`.
-    pub fn row(&self, j: usize) -> &[f32] {
-        &self.sim[j * self.n..(j + 1) * self.n]
+    /// Similarity of every candidate to `j`, in candidate order.
+    pub fn row(&self, j: usize) -> impl Iterator<Item = f32> + '_ {
+        self.upper_column(j)
+            .chain(std::iter::once(self.diag))
+            .chain(self.upper_row(j).iter().copied())
+    }
+
+    /// Packed row `i`: `sim(i, j)` for `j` in `i + 1..n`.
+    fn upper_row(&self, i: usize) -> &[f32] {
+        let start = upper_row_start(self.n, i);
+        &self.upper[start..start + self.n - i - 1]
+    }
+
+    /// Column `j` of the triangle: `sim(i, j)` for `i` in `0..j`, top down.
+    fn upper_column(&self, j: usize) -> impl Iterator<Item = f32> + '_ {
+        // `(0, j)` sits at `j − 1`, and row `i + 1`'s entry `n − i − 2`
+        // after row `i`'s.
+        let n = self.n;
+        (0..j).scan(j, move |next, i| {
+            let s = self.upper[*next - 1];
+            *next += n - i - 2;
+            Some(s)
+        })
     }
 
     /// Evaluates `F(S) = Σ_i max_{j∈S} sim(i, j)` (`0.0` for the empty set).
@@ -192,20 +221,14 @@ impl Cover {
         }
     }
 
-    /// Adds `j` to the solution. One pass over row `j` (column `j`, as the
-    /// matrix is symmetric) raises coverage and reassigns every candidate
-    /// whose similarity to `j` strictly beats its owner's: the first pick
-    /// with the largest similarity keeps it.
+    /// Adds `j` to the solution. One pass over `j`'s similarities raises
+    /// coverage and reassigns every candidate whose similarity to `j`
+    /// strictly beats its owner's: the first pick with the largest
+    /// similarity keeps it.
     fn absorb(&mut self, sim: &SimilarityMatrix, j: usize) {
         let pick = self.picks.len();
         self.picks.push(j);
-        for (((c, b), o), &s) in self
-            .coverage
-            .iter_mut()
-            .zip(&mut self.best)
-            .zip(&mut self.owner)
-            .zip(sim.row(j))
-        {
+        let raise = |((c, b), o): ((&mut f32, &mut f32), &mut usize), s: f32| {
             if s > *c {
                 *c = s;
             }
@@ -213,6 +236,20 @@ impl Cover {
                 *b = s;
                 *o = pick;
             }
+        };
+        let mut entries = self
+            .coverage
+            .iter_mut()
+            .zip(&mut self.best)
+            .zip(&mut self.owner);
+        for (s, entry) in sim.upper_column(j).zip(entries.by_ref()) {
+            raise(entry, s);
+        }
+        if let Some(entry) = entries.next() {
+            raise(entry, sim.diag);
+        }
+        for (entry, &s) in entries.zip(sim.upper_row(j)) {
+            raise(entry, s);
         }
     }
 
@@ -254,15 +291,14 @@ fn naive_greedy(
     let n = sim.len();
     let mut cover = Cover::new(n, k);
     let mut remaining: Vec<usize> = (0..n).collect();
-    let mut gains = vec![0.0f32; n];
     for _ in 0..k {
-        let gains = &mut gains[..remaining.len()];
-        gains_into(sim, &remaining, &cover.coverage, gains);
+        // Every candidate's gain at once; only the remaining ones count.
+        let gains = row_gains(sim, &cover.coverage);
         let mut best = None;
         let mut best_gain = f32::NEG_INFINITY;
-        for (&j, &g) in remaining.iter().zip(gains.iter()) {
-            if g > best_gain {
-                best_gain = g;
+        for &j in &remaining {
+            if gains[j] > best_gain {
+                best_gain = gains[j];
                 best = Some(j);
             }
         }
@@ -278,64 +314,18 @@ fn naive_greedy(
     Ok(cover)
 }
 
-/// Marginal gain `Σ_i max(sim(i, j) − coverage_i, 0)` of adding `j`.
+/// Marginal gain `Σ_i max(sim(i, j) − coverage_i, 0)` of adding `j`,
+/// summed in `i` order: column `j` of the triangle, the diagonal, then
+/// packed row `j`.
 fn gain_from(sim: &SimilarityMatrix, j: usize, coverage: &[f32]) -> f32 {
-    sim.row(j)
-        .iter()
-        .zip(coverage)
-        .map(|(&s, &c)| (s - c).max(0.0))
+    let term = |(s, &c): (f32, &f32)| (s - c).max(0.0);
+    let (above, rest) = coverage.split_at(j);
+    sim.upper_column(j)
+        .zip(above)
+        .map(term)
+        .chain(std::iter::once(term((sim.diag, &rest[0]))))
+        .chain(sim.upper_row(j).iter().copied().zip(&rest[1..]).map(term))
         .sum()
-}
-
-/// Candidates whose gains [`gains_into`] sums side by side.
-const GAIN_LANES: usize = 8;
-
-/// `out[c] = gain_from(sim, candidates[c], coverage)` for every `c`, bit
-/// for bit, at the widest dispatched width (see [`nessa_tensor::dispatch`]).
-fn gains_into(sim: &SimilarityMatrix, candidates: &[usize], coverage: &[f32], out: &mut [f32]) {
-    dispatch::run(Gains {
-        sim,
-        candidates,
-        coverage,
-        out,
-    });
-}
-
-/// The body of [`gains_into`]. Groups of [`GAIN_LANES`] candidates run as
-/// interleaved chains, one accumulator per candidate: each starts where
-/// `Iterator::sum` starts and adds its terms in order, so no sum is
-/// reordered, but the chains overlap instead of waiting on one another's
-/// adds. A last partial group runs the [`gain_from`] chain.
-struct Gains<'a> {
-    sim: &'a SimilarityMatrix,
-    candidates: &'a [usize],
-    coverage: &'a [f32],
-    out: &'a mut [f32],
-}
-
-impl Kernel for Gains<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run(self) {
-        let start: f32 = std::iter::empty::<f32>().sum();
-        let n = self.coverage.len();
-        let mut groups = self.candidates.chunks_exact(GAIN_LANES);
-        let mut outs = self.out.chunks_exact_mut(GAIN_LANES);
-        for (group, out) in (&mut groups).zip(&mut outs) {
-            let rows: [&[f32]; GAIN_LANES] = std::array::from_fn(|l| &self.sim.row(group[l])[..n]);
-            let mut acc = [start; GAIN_LANES];
-            for (i, &c) in self.coverage.iter().enumerate() {
-                for (a, row) in acc.iter_mut().zip(&rows) {
-                    *a += (row[i] - c).max(0.0);
-                }
-            }
-            out.copy_from_slice(&acc);
-        }
-        for (o, &j) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-            *o = gain_from(self.sim, j, self.coverage);
-        }
-    }
 }
 
 /// Candidates whose gains [`row_gains`] sums in one strip of registers.
@@ -353,12 +343,11 @@ fn row_gains(sim: &SimilarityMatrix, coverage: &[f32]) -> Vec<f32> {
     out
 }
 
-/// The body of [`row_gains`]. The matrix is symmetric bit for bit, so
-/// column `j` holds the terms of `gain_from(j)` in the order it sums
-/// them. The kernel reads the rows in order and adds each row's entries
-/// to the accumulators of [`STRIP`] contiguous candidates at once: each
-/// starts where `Iterator::sum` starts and adds its terms in order, so no
-/// sum is reordered. The last few candidates run [`gain_from`].
+/// The body of [`row_gains`]. The kernel sums the gains of [`STRIP`]
+/// contiguous candidates at once, walking the candidates `i` in order and
+/// adding each one's terms to all the strip's accumulators: each starts
+/// where `Iterator::sum` starts and adds its terms in order, so no sum is
+/// reordered. The last few candidates run [`gain_from`].
 struct RowGains<'a> {
     sim: &'a SimilarityMatrix,
     coverage: &'a [f32],
@@ -372,7 +361,7 @@ impl Kernel for RowGains<'_> {
     fn run(self) {
         let mut strips = self.out.chunks_exact_mut(STRIP);
         for (j0, out) in (0..).step_by(STRIP).zip(&mut strips) {
-            out.copy_from_slice(&column_gains(self.sim, self.coverage, j0));
+            out.copy_from_slice(&strip_gains(self.sim, self.coverage, j0));
         }
         let rest = strips.into_remainder();
         let first = self.sim.len() - rest.len();
@@ -383,17 +372,50 @@ impl Kernel for RowGains<'_> {
 }
 
 /// The gains of candidates `j0..j0 + STRIP`: `Σ_i max(sim(i, j) −
-/// coverage_i, 0)` down the rows, one in-order accumulator per candidate.
+/// coverage_i, 0)` over `i` in order, one accumulator per candidate. A
+/// candidate `i` above the strip holds the strip's similarities
+/// contiguously, in its packed row. The strip's own `STRIP × STRIP`
+/// diagonal block is filled from its packed rows and mirrored. Below it,
+/// `sim(i, j)` is column `i` of packed row `j`, so those rows pass through
+/// a `STRIP × STRIP` transpose in L1 first.
 #[inline(always)]
-fn column_gains(sim: &SimilarityMatrix, coverage: &[f32], j0: usize) -> [f32; STRIP] {
+fn strip_gains(sim: &SimilarityMatrix, coverage: &[f32], j0: usize) -> [f32; STRIP] {
+    let add = |acc: &mut [f32; STRIP], lane: &[f32; STRIP], c: f32| {
+        for (a, &s) in acc.iter_mut().zip(lane) {
+            *a += (s - c).max(0.0);
+        }
+    };
     let mut acc = [std::iter::empty::<f32>().sum(); STRIP];
-    for (row, &c) in sim.sim.chunks_exact(sim.n).zip(coverage) {
+    let (above, rest) = coverage.split_at(j0);
+    let (block, below) = rest.split_at(STRIP);
+    for (i, &c) in above.iter().enumerate() {
         // Always `Some`, as the strip ends inside the row; the fixed
         // width keeps `acc` in registers.
-        if let Some(row) = row[j0..].first_chunk::<STRIP>() {
-            for (a, &s) in acc.iter_mut().zip(row) {
-                *a += (s - c).max(0.0);
+        if let Some(lane) = sim.upper_row(i)[j0 - i - 1..].first_chunk::<STRIP>() {
+            add(&mut acc, lane, c);
+        }
+    }
+    let mut lanes = [[0.0f32; STRIP]; STRIP];
+    // The strip's diagonal block, from its packed rows and mirrored.
+    for (q, i) in (j0..j0 + STRIP).enumerate() {
+        lanes[q][q] = sim.diag;
+        for (l, &s) in (q + 1..STRIP).zip(sim.upper_row(i)) {
+            lanes[q][l] = s;
+            lanes[l][q] = s;
+        }
+    }
+    for (lane, &c) in lanes.iter().zip(block) {
+        add(&mut acc, lane, c);
+    }
+    for (i0, cover) in (j0 + STRIP..).step_by(STRIP).zip(below.chunks(STRIP)) {
+        for (l, j) in (j0..j0 + STRIP).enumerate() {
+            let row = &sim.upper_row(j)[i0 - j - 1..][..cover.len()];
+            for (lane, &s) in lanes.iter_mut().zip(row) {
+                lane[l] = s;
             }
+        }
+        for (lane, &c) in lanes.iter().zip(cover) {
+            add(&mut acc, lane, c);
         }
     }
     acc
@@ -480,7 +502,6 @@ fn stochastic_greedy(
     let mut cover = Cover::new(n, k);
     let mut in_set = vec![false; n];
     let mut remaining: Vec<usize> = (0..n).collect();
-    let mut gains = vec![0.0f32; sample.min(n)];
     for _ in 0..k {
         // Draw the candidate sample from the remaining pool.
         let s = sample.min(remaining.len());
@@ -488,11 +509,10 @@ fn stochastic_greedy(
             let j = i + rng.index(remaining.len() - i);
             remaining.swap(i, j);
         }
-        let gains = &mut gains[..s];
-        gains_into(sim, &remaining[..s], &cover.coverage, gains);
         let mut best = remaining[0];
         let mut best_gain = f32::NEG_INFINITY;
-        for (&j, &g) in remaining.iter().zip(gains.iter()) {
+        for &j in &remaining[..s] {
+            let g = gain_from(sim, j, &cover.coverage);
             if g > best_gain {
                 best_gain = g;
                 best = j;
@@ -675,81 +695,42 @@ mod tests {
         SimilarityMatrix::from_factored(&a, &b)
     }
 
-    fn assert_gains_match(sim: &SimilarityMatrix, candidates: &[usize], coverage: &[f32]) {
-        let mut got = vec![f32::NAN; candidates.len()];
-        gains_into(sim, candidates, coverage, &mut got);
-        for (&j, g) in candidates.iter().zip(&got) {
-            let expect = gain_from(sim, j, coverage);
-            assert_eq!(
-                g.to_bits(),
-                expect.to_bits(),
-                "candidate {j}: {g} vs {expect}"
-            );
-        }
-    }
-
-    /// Runs `check` on the gain tiles: sizes around the 8-lane group,
-    /// candidates descending and shuffled, coverage after 0 to 3 picks.
-    fn for_each_gains_case(mut check: impl FnMut(&SimilarityMatrix, &[usize], &[f32])) {
-        for n in [0, 1, 7, 8, 9, 600] {
+    /// Runs `check` on coverage states of the gain tiles: sizes around
+    /// the 32-candidate strip, coverage after 0 to 3 picks and late in a
+    /// greedy run, when many terms are zero.
+    fn for_each_gains_case(mut check: impl FnMut(&SimilarityMatrix, &[f32])) {
+        for n in [0, 1, 7, 31, 32, 33, 65, 600] {
             let sim = factored_sim(n, n as u64);
-            let mut rng = Rng64::new(n as u64 + 1);
-            let descending: Vec<usize> = (0..n).rev().collect();
-            let mut shuffled: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                shuffled.swap(i, rng.index(i + 1));
-            }
             let mut cover = Cover::new(n, 3);
             for pick in [None, Some(n / 2), Some(0), Some(n.saturating_sub(1))] {
                 if let Some(j) = pick.filter(|_| n > 0) {
                     cover.absorb(&sim, j);
                 }
-                check(&sim, &descending, &cover.coverage);
-                check(&sim, &shuffled, &cover.coverage);
+                check(&sim, &cover.coverage);
             }
-            // Late in a greedy run many terms are zero.
             for j in (0..n).step_by(5) {
                 cover.absorb(&sim, j);
             }
-            check(&sim, &shuffled, &cover.coverage);
+            check(&sim, &cover.coverage);
         }
     }
 
     #[test]
-    fn gains_into_is_bit_identical_to_gain_from() {
-        for_each_gains_case(assert_gains_match);
-    }
-
-    #[test]
-    fn dispatch_gains_instances_are_bit_identical() {
-        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
-        let mut skipped = false;
-        for_each_gains_case(|sim, candidates, coverage| {
-            let gains = |out| Gains {
-                sim,
-                candidates,
-                coverage,
-                out,
-            };
-            let mut base = vec![f32::NAN; candidates.len()];
-            let mut wide = base.clone();
-            gains(&mut base).run();
-            skipped |= dispatch::run_avx2(gains(&mut wide)).is_err();
-            if !skipped {
-                assert_eq!(bits(&wide), bits(&base), "{} candidates", candidates.len());
+    fn gain_from_sums_every_candidate_in_order() {
+        for_each_gains_case(|sim, coverage| {
+            for j in 0..sim.len() {
+                let expect: f32 = (0..sim.len())
+                    .map(|i| (sim.at(i, j) - coverage[i]).max(0.0))
+                    .sum();
+                let got = gain_from(sim, j, coverage);
+                assert_eq!(got.to_bits(), expect.to_bits(), "candidate {j}");
             }
         });
-        if skipped {
-            println!(
-                "dispatch_gains_instances_are_bit_identical: skipped, this CPU lacks AVX2 \
-                 and runs the baseline instance only"
-            );
-        }
     }
 
     #[test]
     fn row_gains_are_bit_identical_to_gain_from() {
-        for_each_gains_case(|sim, _, coverage| {
+        for_each_gains_case(|sim, coverage| {
             let got = row_gains(sim, coverage);
             let expect: Vec<f32> = (0..sim.len())
                 .map(|j| gain_from(sim, j, coverage))
@@ -763,37 +744,21 @@ mod tests {
     fn dispatch_row_gains_instances_are_bit_identical() {
         let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
         let mut skipped = false;
-        // Sizes around the 32-candidate strip, too.
-        for n in [31, 32, 33, 65] {
-            let sim = factored_sim(n, n as u64);
-            let mut cover = Cover::new(n, 1);
-            cover.absorb(&sim, n / 3);
-            check_row_gains_dispatch(&sim, &cover.coverage, &mut skipped, bits);
-        }
-        for_each_gains_case(|sim, _, coverage| {
-            check_row_gains_dispatch(sim, coverage, &mut skipped, bits);
+        for_each_gains_case(|sim, coverage| {
+            let gains = |out| RowGains { sim, coverage, out };
+            let mut base = vec![f32::NAN; sim.len()];
+            let mut wide = base.clone();
+            gains(&mut base).run();
+            skipped |= dispatch::run_avx2(gains(&mut wide)).is_err();
+            if !skipped {
+                assert_eq!(bits(&wide), bits(&base), "{} candidates", sim.len());
+            }
         });
         if skipped {
             println!(
                 "dispatch_row_gains_instances_are_bit_identical: skipped, this CPU lacks AVX2 \
                  and runs the baseline instance only"
             );
-        }
-    }
-
-    fn check_row_gains_dispatch(
-        sim: &SimilarityMatrix,
-        coverage: &[f32],
-        skipped: &mut bool,
-        bits: impl Fn(&[f32]) -> Vec<u32>,
-    ) {
-        let gains = |out| RowGains { sim, coverage, out };
-        let mut base = vec![f32::NAN; sim.len()];
-        let mut wide = base.clone();
-        gains(&mut base).run();
-        *skipped |= dispatch::run_avx2(gains(&mut wide)).is_err();
-        if !*skipped {
-            assert_eq!(bits(&wide), bits(&base), "{} candidates", sim.len());
         }
     }
 
@@ -847,15 +812,14 @@ mod tests {
 
     #[test]
     fn a_fully_covered_candidate_gains_positive_zero() {
-        let sim = factored_sim(9, 3);
-        let mut cover = Cover::new(9, 1);
+        let sim = factored_sim(40, 3);
+        let mut cover = Cover::new(40, 1);
         cover.absorb(&sim, 4);
-        // Candidate 4 sits in the first group of lanes, not the remainder.
-        let candidates = [1, 4, 0, 2, 3, 5, 6, 7, 8];
-        assert_gains_match(&sim, &candidates, &cover.coverage);
-        let mut got = [f32::NAN; 9];
-        gains_into(&sim, &candidates, &cover.coverage, &mut got);
-        assert_eq!(got[1].to_bits(), 0.0f32.to_bits());
+        // Candidate 4 sits in the first strip, not the remainder.
+        assert_eq!(
+            gain_from(&sim, 4, &cover.coverage).to_bits(),
+            0.0f32.to_bits()
+        );
         assert_eq!(
             row_gains(&sim, &cover.coverage)[4].to_bits(),
             0.0f32.to_bits()

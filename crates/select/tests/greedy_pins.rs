@@ -35,7 +35,7 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 fn sim_hash(sim: &SimilarityMatrix) -> u64 {
-    fnv((0..sim.len()).flat_map(|j| sim.row(j).iter().map(|s| u64::from(s.to_bits()))))
+    fnv((0..sim.len()).flat_map(|j| sim.row(j).map(|s| u64::from(s.to_bits()))))
 }
 
 fn selection_hash(sel: &Selection) -> u64 {
@@ -238,7 +238,7 @@ fn duplicate_row_tiles_are_pinned() {
 #[test]
 fn all_identical_tile_is_pinned() {
     let sim = identical_tile(40);
-    assert!((0..40).all(|j| sim.row(j).iter().all(|s| s.to_bits() == 0)));
+    assert!((0..40).all(|j| sim.row(j).all(|s| s.to_bits() == 0)));
     check(
         "identical 40",
         &sim,

@@ -83,7 +83,7 @@ fn factor(n: usize, d: usize, scale: f32, zero_share: f64, dup_share: f64, seed:
 
 fn bits(sim: &SimilarityMatrix) -> Vec<u32> {
     (0..sim.len())
-        .flat_map(|j| sim.row(j).iter().map(|s| s.to_bits()))
+        .flat_map(|j| sim.row(j).map(|s| s.to_bits()))
         .collect()
 }
 
@@ -106,7 +106,7 @@ fn assert_pairwise_matches_reference(x: &Tensor) {
 
 fn assert_nonnegative(sim: &SimilarityMatrix) {
     for j in 0..sim.len() {
-        for (i, &s) in sim.row(j).iter().enumerate() {
+        for (i, s) in sim.row(j).enumerate() {
             assert!(s >= 0.0, "sim({i}, {j}) = {s}");
         }
     }

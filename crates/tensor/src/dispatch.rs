@@ -6,8 +6,8 @@
 //! [`Tensor::add_matmul_transa`](crate::Tensor::add_matmul_transa), which
 //! sum each row's compacted non-zero terms over a 32-column register
 //! strip, the row groups of the similarity kernel
-//! [`map_sq_dists`](crate::linalg::map_sq_dists), and the greedy's batch
-//! and row gains in `nessa-select`) keep one in-order sum per SIMD lane,
+//! [`map_sq_dists`](crate::linalg::map_sq_dists), and the greedy's row
+//! gains in `nessa-select`) keep one in-order sum per SIMD lane,
 //! so a wider register only holds more lanes: it cannot change a bit. The build targets the x86-64 baseline (SSE2),
 //! whose registers are half as wide as AVX2's, and a global `target-cpu`
 //! would fault on older CPUs. So a kernel is written once, as a [`Kernel`]

@@ -7,9 +7,9 @@
 //! products.
 //!
 //! The selection tile comes from [`map_sq_dists`]: a dispatched kernel of
-//! 4 rows × 16 candidate lanes with the epilogue fused, over the upper
-//! triangle, then one pass that maps and mirrors it, bit-identical to the
-//! Gram-matrix evaluation.
+//! 4 rows × 16 candidate lanes with the epilogue fused, which stores only
+//! the strict upper triangle, packed row by row, then one contiguous pass
+//! that maps it, bit-identical to the Gram-matrix evaluation.
 
 use crate::dispatch::{self, Kernel};
 use crate::tensor::{pack_lanes, TILE_LANES};
@@ -30,11 +30,32 @@ use crate::Tensor;
 pub fn pairwise_sq_dists(x: &Tensor) -> Tensor {
     assert_eq!(x.ndim(), 2, "pairwise_sq_dists requires a 2-D tensor");
     let n = x.dim(0);
-    Tensor::from_vec(map_sq_dists(&[x], |_, d| d), &[n, n])
+    let (upper, diagonal) = map_sq_dists(&[x], |_, d| d);
+    let mut out = vec![diagonal; n * n];
+    let mut rows = upper.as_slice();
+    for i in 0..n {
+        let (row, rest) = rows.split_at(n - i - 1);
+        rows = rest;
+        for (j, &d) in (i + 1..).zip(row) {
+            out[i * n + j] = d;
+            out[j * n + i] = d;
+        }
+    }
+    Tensor::from_vec(out, &[n, n])
+}
+
+/// Where row `i` of an `n × n` strict upper triangle starts when it is
+/// packed row by row: rows `0..i` hold `n − 1, n − 2, …, n − i` entries.
+/// Row `i` holds columns `i + 1..n`, so entry `(i, j)`, `i < j`, sits at
+/// `upper_row_start(n, i) + j − i − 1`.
+pub fn upper_row_start(n: usize, i: usize) -> usize {
+    i * n - i * (i + 1) / 2
 }
 
 /// All pairwise squared distances in the product space of `factors`
-/// (each `n × d_f`), passed through a map, as a row-major `n × n` matrix.
+/// (each `n × d_f`), passed through a map: the strict upper triangle,
+/// packed row by row (row `i` holds columns `i + 1..n`, see
+/// [`upper_row_start`]), and the one value every diagonal entry maps to.
 ///
 /// Candidate `i` is the outer product `f¹_i ⊗ f²_i ⊗ …` of row `i` of
 /// every factor, and its distance to `j` comes through the factorization
@@ -44,7 +65,9 @@ pub fn pairwise_sq_dists(x: &Tensor) -> Tensor {
 /// factor gives plain Euclidean distances. Negative cancellation noise is
 /// clamped to zero. Once every distance is known, entry `(i, j)` becomes
 /// `map(max, d_ij)`, where `max` is the largest distance (at least
-/// `0.0`), and the diagonal becomes `map(max, 0.0)`.
+/// `0.0`), and the diagonal becomes `map(max, 0.0)`. A distance is
+/// symmetric bit for bit (each entry's operands commute), so the triangle
+/// holds every pair once.
 ///
 /// Every distance is bit-identical to evaluating the expression over the
 /// Gram matrices `fᶠ·fᶠᵀ` of [`Tensor::matmul_transb`]:
@@ -57,18 +80,17 @@ pub fn pairwise_sq_dists(x: &Tensor) -> Tensor {
 /// - the pair product is folded left from `2.0` across the factors, and
 ///   the epilogue `(sq_i + sq_j − p).max(0)` runs in the same kernel, so
 ///   its AVX2 instance keeps the whole entry in registers;
-/// - only entries with `j > i` are kept: the blocks that cross the
-///   diagonal write lanes left of it too, but those and the padding past
-///   `n` stay out of the maximum, and the mirror pass overwrites them;
-/// - one blocked pass maps each upper entry once and writes the result
-///   to both `(i, j)` and `(j, i)`, which is exact because each entry's
-///   operands commute.
+/// - only entries with `j > i` are stored, straight into their packed
+///   rows: the blocks that cross the diagonal compute lanes left of it
+///   too, but those and the padding past `n` are neither stored nor
+///   counted toward the maximum;
+/// - one contiguous pass then maps each stored entry once.
 ///
 /// # Panics
 ///
 /// Panics if `factors` is empty, a factor is not 2-D or the factors
 /// have different row counts.
-pub fn map_sq_dists(factors: &[&Tensor], map: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+pub fn map_sq_dists(factors: &[&Tensor], map: impl Fn(f32, f32) -> f32) -> (Vec<f32>, f32) {
     assert!(
         !factors.is_empty(),
         "map_sq_dists needs at least one factor"
@@ -79,20 +101,22 @@ pub fn map_sq_dists(factors: &[&Tensor], map: impl Fn(f32, f32) -> f32) -> Vec<f
         assert_eq!(f.dim(0), n, "factors must have equal row counts");
     }
     let (sq, packed) = operands(factors);
-    let mut out = vec![0.0f32; n * n];
+    let mut upper = vec![0.0f32; upper_row_start(n, n)];
     let mut max = 0.0f32;
     for r0 in (0..n).step_by(GROUP_ROWS) {
-        let rows = &mut out[r0 * n..n.min(r0 + GROUP_ROWS) * n];
+        let rows = upper_row_start(n, r0)..upper_row_start(n, n.min(r0 + GROUP_ROWS));
         max = max.max(dispatch::run(SqDistRows {
             factors,
             packed: &packed,
             sq: &sq,
             r0,
-            out: rows,
+            out: &mut upper[rows],
         }));
     }
-    mirror_map(&mut out, n, |d| map(max, d));
-    out
+    for d in &mut upper {
+        *d = map(max, *d);
+    }
+    (upper, map(max, 0.0))
 }
 
 /// What every row group of [`map_sq_dists`] reads besides the factor
@@ -133,9 +157,9 @@ fn operands(factors: &[&Tensor]) -> (Vec<f32>, Vec<Vec<[f32; TILE_LANES]>>) {
 const GROUP_ROWS: usize = 4;
 
 /// One row group of [`map_sq_dists`]: the squared distances of rows
-/// `r0..r0 + out.len() / n` to every candidate block from the one holding
-/// `r0` to the end, stored into `out` (those rows of the `n × n` output).
-/// Returns the largest distance right of the diagonal (at least `0.0`).
+/// `r0..r0 + 4` (fewer at the end) to every candidate right of the
+/// diagonal, stored into `out`, those rows of the packed upper triangle.
+/// Returns the largest of them (at least `0.0`).
 struct SqDistRows<'a> {
     factors: &'a [&'a Tensor],
     packed: &'a [Vec<[f32; TILE_LANES]>],
@@ -151,7 +175,7 @@ impl Kernel for SqDistRows<'_> {
     #[inline(always)]
     fn run(self) -> f32 {
         let n = self.factors[0].dim(0);
-        let rows = self.out.len() / n;
+        let rows = GROUP_ROWS.min(n - self.r0);
         // The group's rows of every factor. A group short of 4 rows
         // repeats its last row in the missing ones; their results are
         // never stored.
@@ -180,22 +204,28 @@ impl Kernel for SqDistRows<'_> {
                 }
             }
             let j0 = block * TILE_LANES;
-            for ((r, prod), out_row) in (self.r0..).zip(&prods).zip(self.out.chunks_exact_mut(n)) {
+            for (r, prod) in (self.r0..).zip(&prods).take(rows) {
                 let sq_r = self.sq[r];
                 let mut d = [0.0f32; TILE_LANES];
                 for ((d, &sq_j), &p) in d.iter_mut().zip(sq_j).zip(prod) {
                     *d = (sq_r + sq_j - p).max(0.0);
                 }
                 // Only lanes right of the diagonal and inside the matrix
-                // count toward the maximum.
-                for ((m, &d), j) in max.iter_mut().zip(&d).zip(j0..) {
-                    if j > r && j < n {
+                // count toward the maximum, and only they are stored:
+                // column `j` of row `r` sits at `j − r − 1` in `row`.
+                let fold = |max: &mut [f32], d: &[f32]| {
+                    for (m, &d) in max.iter_mut().zip(d) {
                         *m = m.max(d);
                     }
-                }
-                match out_row.get_mut(j0..j0 + TILE_LANES) {
-                    Some(whole) => whole.copy_from_slice(&d),
-                    None => out_row[j0..].copy_from_slice(&d[..n - j0]),
+                };
+                let row = &mut self.out[upper_row_start(n, r) - upper_row_start(n, self.r0)..];
+                if j0 > r && j0 + TILE_LANES <= n {
+                    fold(&mut max, &d);
+                    row[j0 - r - 1..][..TILE_LANES].copy_from_slice(&d);
+                } else {
+                    let lanes = (r + 1).max(j0) - j0..n.min(j0 + TILE_LANES) - j0;
+                    fold(&mut max[lanes.clone()], &d[lanes.clone()]);
+                    row[j0 + lanes.start - r - 1..][..lanes.len()].copy_from_slice(&d[lanes]);
                 }
             }
         }
@@ -221,31 +251,6 @@ fn dot_rows(
         }
     }
     acc
-}
-
-/// Side of the square blocks [`mirror_map`] copies through.
-const MIRROR_BLOCK: usize = 32;
-
-/// Replaces every entry of the strict upper triangle of the row-major
-/// `n × n` matrix `m` by `map` of itself and copies it onto the lower
-/// triangle; the diagonal becomes `map(0.0)`. Block by block, so both the
-/// rows read and the columns written stay in cache.
-fn mirror_map(m: &mut [f32], n: usize, map: impl Fn(f32) -> f32) {
-    for ib in (0..n).step_by(MIRROR_BLOCK) {
-        for jb in (ib..n).step_by(MIRROR_BLOCK) {
-            for i in ib..n.min(ib + MIRROR_BLOCK) {
-                for j in (i + 1).max(jb)..n.min(jb + MIRROR_BLOCK) {
-                    let s = map(m[i * n + j]);
-                    m[i * n + j] = s;
-                    m[j * n + i] = s;
-                }
-            }
-        }
-    }
-    let diagonal = map(0.0);
-    for i in 0..n {
-        m[i * n + i] = diagonal;
-    }
 }
 
 /// Squared Euclidean distances from every row of `x` (`n × d`) to every row
@@ -370,8 +375,8 @@ mod tests {
                 let factors: Vec<&Tensor> = factors.iter().collect();
                 let (sq, packed) = operands(&factors);
                 for r0 in (0..n).step_by(GROUP_ROWS) {
-                    let rows = n.min(r0 + GROUP_ROWS) - r0;
-                    let (mut base, mut wide) = (vec![f32::NAN; rows * n], vec![f32::NAN; rows * n]);
+                    let len = upper_row_start(n, n.min(r0 + GROUP_ROWS)) - upper_row_start(n, r0);
+                    let (mut base, mut wide) = (vec![f32::NAN; len], vec![f32::NAN; len]);
                     let group = |out| SqDistRows {
                         factors: &factors,
                         packed: &packed,

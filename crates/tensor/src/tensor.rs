@@ -266,46 +266,31 @@ impl Tensor {
     pub fn matmul_transb(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul_transb lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul_transb rhs must be 2-D");
-        let (m, k) = (self.dim(0), self.dim(1));
-        let (n, k2) = (other.dim(0), other.dim(1));
-        assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        if k == 0 || n == 0 {
-            // Every output is an empty sum, and `chunks_exact` below needs
-            // a non-zero row width.
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        let tiled = m - m % TILE_LANES;
-        let packed = pack_lanes(&self.data, tiled, k);
-        let w_pairs = other.data.chunks_exact(2 * k);
-        for (lanes, o_rows) in packed
-            .chunks_exact(k)
-            .zip(out.chunks_exact_mut(TILE_LANES * n))
-        {
-            for (jp, pair) in w_pairs.clone().enumerate() {
-                let (w0, w1) = pair.split_at(k);
-                let (acc0, acc1) = dot_tile(lanes, w0, w1);
-                for ((o_row, v0), v1) in o_rows.chunks_exact_mut(n).zip(acc0).zip(acc1) {
-                    o_row[2 * jp] = v0;
-                    o_row[2 * jp + 1] = v1;
-                }
-            }
-        }
-        for (i, (a_row, o_row)) in self
-            .data
-            .chunks_exact(k)
-            .zip(out.chunks_exact_mut(n))
-            .enumerate()
-        {
-            let ragged = if i < tiled { n - n % 2 } else { 0 };
-            for (o, w_row) in o_row[ragged..]
-                .iter_mut()
-                .zip(other.data[ragged * k..].chunks_exact(k))
-            {
-                *o = dot_in_order(a_row, w_row);
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
+        let mut out = vec![0.0f32; self.dim(0) * other.dim(0)];
+        transb_tile(self, other, &mut out, |o, dot| *o = dot);
+        Tensor::from_vec(out, &[self.dim(0), other.dim(0)])
+    }
+
+    /// `self (m×n) += a (m×k) · bᵀ` for `b` of `n×k`: the convolution's
+    /// weight-gradient accumulation `dW += g·colᵀ`, with no temporary.
+    /// It runs the register tile of [`Tensor::matmul_transb`] and adds each
+    /// in-order dot into its output, so each output becomes exactly
+    /// `o + dot`, as adding the product tensor would make it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or inner-dimension mismatch, or when `self` is not
+    /// `m×n`.
+    pub fn add_matmul_transb(&mut self, a: &Tensor, b: &Tensor) {
+        assert_eq!(a.ndim(), 2, "matmul_transb lhs must be 2-D");
+        assert_eq!(b.ndim(), 2, "matmul_transb rhs must be 2-D");
+        let (m, n) = (a.dim(0), b.dim(0));
+        assert_eq!(
+            self.shape.dims(),
+            [m, n],
+            "add_matmul_transb output must be {m}×{n}"
+        );
+        transb_tile(a, b, &mut self.data, |o, dot| *o += dot);
     }
 
     /// `selfᵀ (k×m) · other (k×n)` producing `m×n`: zeros plus
@@ -499,6 +484,55 @@ impl Tensor {
     /// sanity checks and failure-injection tests.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+/// The register tile of [`Tensor::matmul_transb`]: `store(&mut out[i·n +
+/// j], dot)` for every row `i` of `a` (`m×k`) and row `j` of `b` (`n×k`),
+/// where `dot` is their in-order dot product from `+0.0`. The store is a
+/// parameter so that [`Tensor::add_matmul_transb`] can accumulate through
+/// the same tile while the forward keeps its plain stores.
+fn transb_tile(a: &Tensor, b: &Tensor, out: &mut [f32], store: impl Fn(&mut f32, f32)) {
+    let (k, k2) = (a.dim(1), b.dim(1));
+    assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
+    let (m, n) = (a.dim(0), b.dim(0));
+    if k == 0 || n == 0 {
+        // Every dot is an empty sum, and `chunks_exact` below needs a
+        // non-zero row width.
+        for o in out {
+            store(o, 0.0);
+        }
+        return;
+    }
+    let tiled = m - m % TILE_LANES;
+    let packed = pack_lanes(&a.data, tiled, k);
+    let w_pairs = b.data.chunks_exact(2 * k);
+    for (lanes, o_rows) in packed
+        .chunks_exact(k)
+        .zip(out.chunks_exact_mut(TILE_LANES * n))
+    {
+        for (jp, pair) in w_pairs.clone().enumerate() {
+            let (w0, w1) = pair.split_at(k);
+            let (acc0, acc1) = dot_tile(lanes, w0, w1);
+            for ((o_row, v0), v1) in o_rows.chunks_exact_mut(n).zip(acc0).zip(acc1) {
+                store(&mut o_row[2 * jp], v0);
+                store(&mut o_row[2 * jp + 1], v1);
+            }
+        }
+    }
+    for (i, (a_row, o_row)) in a
+        .data
+        .chunks_exact(k)
+        .zip(out.chunks_exact_mut(n))
+        .enumerate()
+    {
+        let ragged = if i < tiled { n - n % 2 } else { 0 };
+        for (o, w_row) in o_row[ragged..]
+            .iter_mut()
+            .zip(b.data[ragged * k..].chunks_exact(k))
+        {
+            store(o, dot_in_order(a_row, w_row));
+        }
     }
 }
 
@@ -741,6 +775,34 @@ mod tests {
         let c = a.matmul(&b);
         assert_eq!(c.shape().dims(), &[2, 2]);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
+    }
+
+    #[test]
+    fn add_matmul_transb_adds_the_product_bit_for_bit() {
+        // Shapes around the 16-row tile and an odd row of `b`, into a start
+        // holding `-0.0` and awkward values, and an empty inner dimension.
+        let mut rng = Rng64::new(17);
+        for (m, n, k) in [
+            (1, 1, 3),
+            (15, 3, 5),
+            (16, 4, 7),
+            (17, 5, 9),
+            (33, 6, 0),
+            (0, 3, 2),
+        ] {
+            let a = Tensor::randn(&[m, k], 0.0, 1.0, &mut rng);
+            let b = Tensor::randn(&[n, k], 0.0, 1.0, &mut rng);
+            let mut start = Tensor::randn(&[m, n], 0.0, 1.0, &mut rng);
+            if let Some(v) = start.as_mut_slice().first_mut() {
+                *v = -0.0;
+            }
+            let mut got = start.clone();
+            got.add_matmul_transb(&a, &b);
+            let mut expect = start;
+            expect += &a.matmul_transb(&b);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&expect), "{m}×{n}×{k}");
+        }
     }
 
     #[test]
