@@ -1,7 +1,9 @@
 //! Criterion microbenchmarks of the dense layers at the train-heavy
 //! workload's shapes: one training-size batch through the MLP, one full
 //! training step, and the selector's gradient-proxy forward over a whole
-//! candidate pool.
+//! candidate pool. Pipelined-faulty's forward (batch 32 through
+//! 32→256→128→10) and its first layer's product alone (32×32×256, where
+//! the per-call cost of a layer only 32 inputs deep shows) run too.
 //!
 //! The training step cycles through a ring of distinct batches of
 //! train-heavy's pool, as a run does. Replaying one fixed batch would let
@@ -26,6 +28,19 @@ fn bench_mlp_forward(c: &mut Criterion) {
     let x = Tensor::randn(&[16, LAYERS[0]], 0.0, 1.0, &mut rng);
     c.bench_function("mlp_forward_b16_32x384x192x10", |b| {
         b.iter(|| black_box(net.infer(black_box(&x))))
+    });
+}
+
+fn bench_pipelined_faulty_forward(c: &mut Criterion) {
+    let mut rng = Rng64::new(4);
+    let net = mlp(&[32, 256, 128, 10], &mut rng);
+    let x = Tensor::randn(&[32, 32], 0.0, 1.0, &mut rng);
+    c.bench_function("mlp_forward_b32_32x256x128x10", |b| {
+        b.iter(|| black_box(net.infer(black_box(&x))))
+    });
+    let w = Tensor::randn(&[256, 32], 0.0, 0.1, &mut rng);
+    c.bench_function("matmul_transb_32x32x256", |b| {
+        b.iter(|| black_box(black_box(&x).matmul_transb(black_box(&w))))
     });
 }
 
@@ -83,6 +98,7 @@ fn bench_gradient_proxies(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_mlp_forward,
+    bench_pipelined_faulty_forward,
     bench_mlp_train_step,
     bench_gradient_proxies
 );

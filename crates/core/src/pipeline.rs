@@ -680,7 +680,7 @@ impl NessaPipeline {
             // like the weights it selects with.
             let next = epoch + 1;
             let ahead = cfg.overlap && next < cfg.epochs && next % select_every == 0;
-            let (outcome, joined) = std::thread::scope(|s| {
+            let (outcome, test_acc, joined) = std::thread::scope(|s| {
                 // Only a quantized selector can select while the target
                 // trains; a baseline selects with the target itself.
                 let worker = self.selector.as_ref().filter(|_| ahead).map(|selector| {
@@ -726,6 +726,9 @@ impl NessaPipeline {
                         Some(&train_metrics),
                     )
                 };
+                // The test pass reads only the trained target, so it runs
+                // while the worker may still be selecting.
+                let test_acc = evaluate(&self.target, &self.test, cfg.batch_size);
                 let joined = worker.map(|w| {
                     let _wait = self
                         .telemetry
@@ -733,7 +736,7 @@ impl NessaPipeline {
                         .with_attr("epoch", epoch);
                     w.join()
                 });
-                (outcome, joined)
+                (outcome, test_acc, joined)
             });
             if let Some(joined) = joined {
                 let round = joined.unwrap_or_else(|_| {
@@ -775,7 +778,6 @@ impl NessaPipeline {
             if cfg.dynamic_sizing {
                 fraction = sizer.observe(outcome.mean_loss);
             }
-            let test_acc = evaluate(&self.target, &self.test, cfg.batch_size);
             let record = EpochRecord {
                 epoch,
                 lr,

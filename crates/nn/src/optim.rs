@@ -7,6 +7,7 @@
 //! scaling the milestones when an experiment runs fewer epochs.
 
 use crate::models::Network;
+use nessa_tensor::dispatch::{self, Kernel, Level};
 use nessa_tensor::Tensor;
 
 /// Hyper-parameters for [`Sgd`].
@@ -68,24 +69,55 @@ impl Sgd {
             if velocity.len() <= i {
                 velocity.push(Tensor::zeros(p.value.shape().dims()));
             }
-            let wd = if p.decay { cfg.weight_decay } else { 0.0 };
-            let (mu, step) = (cfg.momentum, -lr);
-            // One pass per parameter, each element in the order of the
-            // textbook update: g = grad + wd·w; v = v·μ + g; then
-            // w += −lr·(g + μ·v) under Nesterov, or w += −lr·v.
-            let elems = p
-                .value
-                .as_mut_slice()
-                .iter_mut()
-                .zip(p.grad.as_slice())
-                .zip(velocity[i].as_mut_slice());
-            for ((w, &grad), v) in elems {
-                let g = if wd != 0.0 { grad + wd * *w } else { grad };
-                *v = *v * mu + g;
-                *w += step * if cfg.nesterov { g + mu * *v } else { *v };
-            }
+            dispatch::run(SgdUpdate {
+                w: p.value.as_mut_slice(),
+                grad: p.grad.as_slice(),
+                v: velocity[i].as_mut_slice(),
+                wd: if p.decay { cfg.weight_decay } else { 0.0 },
+                mu: cfg.momentum,
+                step: -lr,
+                nesterov: cfg.nesterov,
+            });
             i += 1;
         });
+    }
+}
+
+/// One parameter's update in [`Sgd::step`], one pass over its elements,
+/// each in the order of the textbook update: `g = grad + wd·w`; `v = v·μ +
+/// g`; then `w += −lr·(g + μ·v)` under Nesterov, or `w += −lr·v`. Every
+/// element is independent, so each dispatched level computes the same
+/// bits.
+struct SgdUpdate<'a> {
+    w: &'a mut [f32],
+    grad: &'a [f32],
+    v: &'a mut [f32],
+    wd: f32,
+    mu: f32,
+    /// `−lr`.
+    step: f32,
+    nesterov: bool,
+}
+
+impl Kernel for SgdUpdate<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self, _: Level) {
+        let Self {
+            w,
+            grad,
+            v,
+            wd,
+            mu,
+            step,
+            nesterov,
+        } = self;
+        for ((w, &grad), v) in w.iter_mut().zip(grad).zip(v) {
+            let g = if wd != 0.0 { grad + wd * *w } else { grad };
+            *v = *v * mu + g;
+            *w += step * if nesterov { g + mu * *v } else { *v };
+        }
     }
 }
 
@@ -263,6 +295,63 @@ mod tests {
         opt.step(&mut net, 0.5);
         let after: f32 = net.export_weights().iter().map(Tensor::sq_norm).sum();
         assert!(after < before, "{after} !< {before}");
+    }
+
+    #[test]
+    fn dispatch_sgd_update_instances_are_bit_identical() {
+        fn update<'a>(
+            (w, v): &'a mut (Vec<f32>, Vec<f32>),
+            grad: &'a [f32],
+            wd: f32,
+            nesterov: bool,
+        ) -> SgdUpdate<'a> {
+            SgdUpdate {
+                w,
+                grad,
+                v,
+                wd,
+                mu: 0.9,
+                step: -0.05,
+                nesterov,
+            }
+        }
+        // Lengths around the register widths, with and without decay and
+        // Nesterov; velocities that start at zero and that do not.
+        let mut rng = Rng64::new(44);
+        let mut skipped = Vec::new();
+        for len in [0, 1, 7, 15, 16, 17, 33, 384] {
+            let mut random = |scale| Tensor::randn(&[len], 0.0, scale, &mut rng).into_vec();
+            let (w, grad, v) = (random(1.0), random(0.1), random(0.01));
+            for (wd, nesterov, v) in [
+                (5e-4, true, v.clone()),
+                (0.0, true, v.clone()),
+                (5e-4, false, vec![0.0; len]),
+                (0.0, false, v),
+            ] {
+                let mut base = (w.clone(), v.clone());
+                update(&mut base, &grad, wd, nesterov).run(Level::Baseline);
+                let (base_w, base_v) = base;
+                for level in [Level::Avx2, Level::Avx512] {
+                    let mut wide = (w.clone(), v.clone());
+                    let ran =
+                        dispatch::run_at(level, update(&mut wide, &grad, wd, nesterov)).is_ok();
+                    let (wide_w, wide_v) = wide;
+                    if !ran {
+                        skipped.push(level);
+                        continue;
+                    }
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let at = format!("{level:?}, len {len}, wd {wd}, nesterov {nesterov}");
+                    assert_eq!(bits(&wide_w), bits(&base_w), "{at}");
+                    assert_eq!(bits(&wide_v), bits(&base_v), "{at}");
+                }
+            }
+        }
+        skipped.sort();
+        skipped.dedup();
+        for level in skipped {
+            println!("dispatch_sgd_update_instances_are_bit_identical: {level:?} skipped, this CPU lacks it");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the strict upper triangle, packed row by row, then one contiguous pass
 //! that maps it, bit-identical to the Gram-matrix evaluation.
 
-use crate::dispatch::{self, Kernel};
+use crate::dispatch::{self, Kernel, Level};
 use crate::tensor::{pack_lanes, TILE_LANES};
 use crate::Tensor;
 
@@ -152,8 +152,9 @@ fn operands(factors: &[&Tensor]) -> (Vec<f32>, Vec<Vec<[f32; TILE_LANES]>>) {
 }
 
 /// Rows of one row group of the similarity kernel. Four rows × 16 lanes
-/// keep the 64 accumulators in eight AVX2 registers, and the SSE2
-/// instance runs no slower than a 2-row tile.
+/// keep the 64 accumulators in eight AVX2 or four AVX-512 registers, and
+/// the SSE2 instance runs no slower than a 2-row tile. An 8-row group at
+/// AVX-512 measured slower.
 const GROUP_ROWS: usize = 4;
 
 /// One row group of [`map_sq_dists`]: the squared distances of rows
@@ -173,7 +174,7 @@ impl Kernel for SqDistRows<'_> {
     type Output = f32;
 
     #[inline(always)]
-    fn run(self) -> f32 {
+    fn run(self, _: Level) -> f32 {
         let n = self.factors[0].dim(0);
         let rows = GROUP_ROWS.min(n - self.r0);
         // The group's rows of every factor. A group short of 4 rows
@@ -356,7 +357,7 @@ mod tests {
         // group edges, with one factor and with two, narrow and wide, some
         // entries and rows zero.
         let mut rng = Rng64::new(43);
-        let mut skipped = false;
+        let mut skipped = Vec::new();
         for n in [1, 2, 3, 4, 5, 15, 16, 17, 33, 70] {
             for widths in [&[3][..], &[10, 64], &[0, 5], &[1, 1]] {
                 let factors: Vec<Tensor> = widths
@@ -376,7 +377,8 @@ mod tests {
                 let (sq, packed) = operands(&factors);
                 for r0 in (0..n).step_by(GROUP_ROWS) {
                     let len = upper_row_start(n, n.min(r0 + GROUP_ROWS)) - upper_row_start(n, r0);
-                    let (mut base, mut wide) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                    let mut base = vec![f32::NAN; len];
+                    let mut wide = vec![vec![f32::NAN; len]; 2];
                     let group = |out| SqDistRows {
                         factors: &factors,
                         packed: &packed,
@@ -384,24 +386,32 @@ mod tests {
                         r0,
                         out,
                     };
-                    let base_max = group(&mut base).run();
-                    match dispatch::run_avx2(group(&mut wide)) {
-                        Ok(wide_max) => {
-                            let bits =
-                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            let at = format!("n {n}, widths {widths:?}, rows from {r0}");
-                            assert_eq!(bits(&wide), bits(&base), "{at}");
-                            assert_eq!(wide_max.to_bits(), base_max.to_bits(), "{at}");
-                        }
-                        Err(_) => skipped = true,
+                    let base_max = group(&mut base).run(Level::Baseline);
+                    let levels = [Level::Avx2, Level::Avx512];
+                    let maxes: Vec<_> = levels
+                        .into_iter()
+                        .zip(&mut wide)
+                        .map(|(level, wide)| dispatch::run_at(level, group(wide)).ok())
+                        .collect();
+                    for ((level, wide), wide_max) in levels.into_iter().zip(&wide).zip(maxes) {
+                        let Some(wide_max) = wide_max else {
+                            skipped.push(level);
+                            continue;
+                        };
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let at = format!("{level:?}, n {n}, widths {widths:?}, rows from {r0}");
+                        assert_eq!(bits(wide), bits(&base), "{at}");
+                        assert_eq!(wide_max.to_bits(), base_max.to_bits(), "{at}");
                     }
                 }
             }
         }
-        if skipped {
+        skipped.sort();
+        skipped.dedup();
+        for level in skipped {
             println!(
-                "dispatch_sq_dist_rows_instances_are_bit_identical: skipped, this CPU lacks \
-                 AVX2 and runs the baseline instance only"
+                "dispatch_sq_dist_rows_instances_are_bit_identical: {level:?} skipped, this CPU \
+                 lacks it"
             );
         }
     }

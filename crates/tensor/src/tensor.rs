@@ -1,6 +1,6 @@
 //! The dense row-major `f32` tensor.
 
-use crate::dispatch::{self, Kernel};
+use crate::dispatch::{self, Kernel, Level};
 use crate::rng::Rng64;
 use crate::shape::{Shape, ShapeError};
 use std::fmt;
@@ -252,11 +252,11 @@ impl Tensor {
     ///
     /// Every output is the in-order dot product of a row of `self` with a
     /// row of `other`, summed from `+0.0`, so it is bit-identical to a
-    /// serial `acc += a * b` loop for any input. The kernel holds a tile
-    /// of 16 rows of `self` against two rows of `other` in registers: the
-    /// rows are packed lane-major (a small copy of the left operand), and
-    /// each lane is its own in-order sum. Rows of `self` past the last
-    /// full tile and a last odd row of `other` fall back to scalar dots.
+    /// serial `acc += a * b` loop for any input. The rows of `self` are
+    /// packed lane-major in blocks of 16 (a small copy of the left
+    /// operand, the last block zero-padded), and the kernel holds each
+    /// block against 2, 4 or 8 rows of `other` in registers, by dispatched
+    /// level (see [`crate::dispatch`]); each lane is its own in-order sum.
     /// Zeros are not skipped, unlike in the backward products of
     /// [`Tensor::matmul`].
     ///
@@ -491,11 +491,13 @@ impl Tensor {
 /// j], dot)` for every row `i` of `a` (`m×k`) and row `j` of `b` (`n×k`),
 /// where `dot` is their in-order dot product from `+0.0`. The store is a
 /// parameter so that [`Tensor::add_matmul_transb`] can accumulate through
-/// the same tile while the forward keeps its plain stores.
+/// the same tile while the forward keeps its plain stores. `a` is packed
+/// in blocks of [`TILE_LANES`] rows, the last one zero-padded, and each
+/// block is one dispatched [`TransbBlock`].
 fn transb_tile(a: &Tensor, b: &Tensor, out: &mut [f32], store: impl Fn(&mut f32, f32)) {
     let (k, k2) = (a.dim(1), b.dim(1));
     assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
-    let (m, n) = (a.dim(0), b.dim(0));
+    let n = b.dim(0);
     if k == 0 || n == 0 {
         // Every dot is an empty sum, and `chunks_exact` below needs a
         // non-zero row width.
@@ -504,47 +506,25 @@ fn transb_tile(a: &Tensor, b: &Tensor, out: &mut [f32], store: impl Fn(&mut f32,
         }
         return;
     }
-    let tiled = m - m % TILE_LANES;
-    let packed = pack_lanes(&a.data, tiled, k);
-    let w_pairs = b.data.chunks_exact(2 * k);
-    for (lanes, o_rows) in packed
-        .chunks_exact(k)
-        .zip(out.chunks_exact_mut(TILE_LANES * n))
-    {
-        for (jp, pair) in w_pairs.clone().enumerate() {
-            let (w0, w1) = pair.split_at(k);
-            let (acc0, acc1) = dot_tile(lanes, w0, w1);
-            for ((o_row, v0), v1) in o_rows.chunks_exact_mut(n).zip(acc0).zip(acc1) {
-                store(&mut o_row[2 * jp], v0);
-                store(&mut o_row[2 * jp + 1], v1);
-            }
-        }
-    }
-    for (i, (a_row, o_row)) in a
-        .data
-        .chunks_exact(k)
-        .zip(out.chunks_exact_mut(n))
-        .enumerate()
-    {
-        let ragged = if i < tiled { n - n % 2 } else { 0 };
-        for (o, w_row) in o_row[ragged..]
-            .iter_mut()
-            .zip(b.data[ragged * k..].chunks_exact(k))
-        {
-            store(o, dot_in_order(a_row, w_row));
-        }
+    let packed = pack_lanes(&a.data, a.dim(0), k);
+    for (lanes, out) in packed.chunks_exact(k).zip(out.chunks_mut(TILE_LANES * n)) {
+        dispatch::run(TransbBlock {
+            lanes,
+            b: &b.data,
+            out,
+            store: &store,
+        });
     }
 }
 
 /// Lanes of one register tile: rows of the left operand in
 /// [`Tensor::matmul_transb`], candidates in the similarity kernel of
-/// [`crate::linalg`]. The forward's two weight rows × 16 lanes keep both
-/// accumulator sets and the lane loads in registers; the similarity
-/// kernel holds four rows, its 64 accumulators in eight AVX2 registers.
+/// [`crate::linalg`]. Sixteen lanes are one AVX-512, two AVX2 or four
+/// SSE2 registers per accumulator row.
 pub(crate) const TILE_LANES: usize = 16;
 
 /// The first `rows` rows of the row-major `data` (`k` wide), packed for
-/// [`dot_tile`]: block `b` is the `k` lane arrays
+/// [`dot_rows`]: block `b` is the `k` lane arrays
 /// `packed[b·k + p][l] = data[(b·TILE_LANES + l)·k + p]`, i.e.
 /// `TILE_LANES` rows stored column-major, with rows past `rows` zero-padded.
 pub(crate) fn pack_lanes(data: &[f32], rows: usize, k: usize) -> Vec<[f32; TILE_LANES]> {
@@ -560,51 +540,92 @@ pub(crate) fn pack_lanes(data: &[f32], rows: usize, k: usize) -> Vec<[f32; TILE_
     packed
 }
 
-/// The dots of `TILE_LANES` packed rows with `w0` and with `w1`: lane `l`
-/// of each result sums `lanes[p][l] * w[p]` over `p` in order from `+0.0`.
-///
-/// Kept out of line: inlined into the caller, whose stores interleave the
-/// two results, LLVM vectorizes across `acc0[l], acc1[l]` pairs instead of
-/// across lanes, spills, and runs about 3× slower. It is also the
-/// dispatched unit, since a callee that is not inlined into the AVX2
-/// instance runs at the baseline width.
-#[inline(never)]
-pub(crate) fn dot_tile(
-    lanes: &[[f32; TILE_LANES]],
-    w0: &[f32],
-    w1: &[f32],
-) -> ([f32; TILE_LANES], [f32; TILE_LANES]) {
-    dispatch::run(DotTile { lanes, w0, w1 })
-}
-
-/// The body of [`dot_tile`].
-pub(crate) struct DotTile<'a> {
-    pub(crate) lanes: &'a [[f32; TILE_LANES]],
-    pub(crate) w0: &'a [f32],
-    pub(crate) w1: &'a [f32],
-}
-
-impl Kernel for DotTile<'_> {
-    type Output = ([f32; TILE_LANES], [f32; TILE_LANES]);
-
-    #[inline(always)]
-    fn run(self) -> Self::Output {
-        let mut acc0 = [0.0f32; TILE_LANES];
-        let mut acc1 = [0.0f32; TILE_LANES];
-        for ((x, &a), &b) in self.lanes.iter().zip(self.w0).zip(self.w1) {
-            for (acc, &v) in acc0.iter_mut().zip(x) {
+/// The dots of the packed lanes with each of the `R` weight rows `w`, each
+/// `lanes.len()` long: lane `l` of row `q` sums `lanes[p][l] * w[q][p]`
+/// over `p` in order from `+0.0`, with a separate multiply and add.
+#[inline(always)]
+fn dot_rows<const R: usize>(lanes: &[[f32; TILE_LANES]], w: [&[f32]; R]) -> [[f32; TILE_LANES]; R] {
+    let mut acc = [[0.0f32; TILE_LANES]; R];
+    for (p, x) in lanes.iter().enumerate() {
+        for (acc, w) in acc.iter_mut().zip(w) {
+            let a = w[p];
+            for (acc, &v) in acc.iter_mut().zip(x) {
                 *acc += v * a;
             }
-            for (acc, &v) in acc1.iter_mut().zip(x) {
-                *acc += v * b;
-            }
         }
-        (acc0, acc1)
+    }
+    acc
+}
+
+/// One packed block of [`transb_tile`]: `store(&mut out[l·n + j], dot)`
+/// for each of the block's rows `l` (up to [`TILE_LANES`]; `out` holds
+/// them) and every row `j` of `b` (`n×k`, `k` = `lanes.len()`). It holds
+/// the block against as many weight rows as its level has registers for
+/// (2 at SSE2, 4 at AVX2, 8 at AVX-512) and steps down by halves to one
+/// for the last `n` mod that many; every shape sums each dot alike.
+pub(crate) struct TransbBlock<'a, S> {
+    pub(crate) lanes: &'a [[f32; TILE_LANES]],
+    pub(crate) b: &'a [f32],
+    pub(crate) out: &'a mut [f32],
+    pub(crate) store: S,
+}
+
+impl<S: Fn(&mut f32, f32)> Kernel for TransbBlock<'_, S> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self, level: Level) {
+        let Self {
+            lanes,
+            b,
+            out,
+            store,
+        } = self;
+        let mut j = 0;
+        if level >= Level::Avx512 {
+            j = transb_rows::<8, _>(lanes, b, out, j, &store);
+        }
+        if level >= Level::Avx2 {
+            j = transb_rows::<4, _>(lanes, b, out, j, &store);
+        }
+        j = transb_rows::<2, _>(lanes, b, out, j, &store);
+        transb_rows::<1, _>(lanes, b, out, j, &store);
     }
 }
 
+/// [`TransbBlock`]'s weight rows from `j` on, `R` at a time, as far as
+/// whole groups of `R` go; returns the first row it left.
+#[inline(always)]
+fn transb_rows<const R: usize, S: Fn(&mut f32, f32)>(
+    lanes: &[[f32; TILE_LANES]],
+    b: &[f32],
+    out: &mut [f32],
+    j: usize,
+    store: &S,
+) -> usize {
+    let k = lanes.len();
+    let n = b.len() / k;
+    for (g, group) in b[j * k..].chunks_exact(R * k).enumerate() {
+        // Rows exactly `k` long, so the tile's loads need no bounds check.
+        let w = std::array::from_fn(|q| &group[q * k..(q + 1) * k]);
+        // The tile leaves through memory, lane by lane: seen through, the
+        // stores below, each row's `R` dots side by side, lead LLVM to
+        // vectorize the tile across the weight rows instead of the lanes,
+        // and the SSE2 instance runs about 4× slower.
+        let acc = std::hint::black_box(dot_rows::<R>(lanes, w));
+        let j = j + g * R;
+        for (q, acc) in (j..).zip(acc) {
+            for (o_row, v) in out.chunks_exact_mut(n).zip(acc) {
+                store(&mut o_row[q], v);
+            }
+        }
+    }
+    j + (n - j) / R * R
+}
+
 /// Output columns one strip of the backward products holds in registers:
-/// four AVX2 or eight SSE2 accumulator registers.
+/// four AVX2 or eight SSE2 accumulator registers. At AVX-512 the products
+/// run strips of 64 first (four registers), then this one.
 const STRIP: usize = 32;
 
 /// `out[i][j] += Σ_p c(i, p) · b[p·n + j]` for an `m×n` `out` and a `k×n`
@@ -625,7 +646,7 @@ impl Kernel for AddProducts<'_> {
     type Output = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run(self, level: Level) {
         let Self {
             out,
             n,
@@ -648,20 +669,14 @@ impl Kernel for AddProducts<'_> {
                 len += usize::from(c != 0.0);
             }
             let terms = &terms[..len];
-            let (strips, tail) = o_row.split_at_mut(n - n % STRIP);
-            for (s, o_strip) in strips.chunks_exact_mut(STRIP).enumerate() {
-                let mut acc = [0.0f32; STRIP];
-                for &(row, c) in terms {
-                    for (acc, &v) in acc.iter_mut().zip(&b[row + s * STRIP..][..STRIP]) {
-                        *acc += c * v;
-                    }
-                }
-                for (o, acc) in o_strip.iter_mut().zip(acc) {
-                    *o += acc;
-                }
+            let mut from = 0;
+            if level >= Level::Avx512 {
+                from = add_strips::<64>(o_row, from, terms, b);
             }
+            from = add_strips::<STRIP>(o_row, from, terms, b);
+            let tail = &mut o_row[from..];
             let mut acc = [0.0f32; STRIP];
-            let (acc, from) = (&mut acc[..tail.len()], strips.len());
+            let acc = &mut acc[..tail.len()];
             for &(row, c) in terms {
                 for (acc, &v) in acc.iter_mut().zip(&b[row + from..row + n]) {
                     *acc += c * v;
@@ -674,9 +689,31 @@ impl Kernel for AddProducts<'_> {
     }
 }
 
-/// `Σ a[p]·b[p]` summed in order from `+0.0`.
-fn dot_in_order(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + x * y)
+/// [`AddProducts`]' whole strips of `S` output columns of `o_row` from
+/// `from` on: each column sums `c · b[row + j]` over `terms` in order from
+/// `+0.0` in registers, then adds into its output once. Returns where the
+/// strips end.
+#[inline(always)]
+fn add_strips<const S: usize>(
+    o_row: &mut [f32],
+    from: usize,
+    terms: &[(usize, f32)],
+    b: &[f32],
+) -> usize {
+    let len = o_row.len();
+    let mut strips = o_row[from..].chunks_exact_mut(S);
+    for (j0, o_strip) in (from..).step_by(S).zip(&mut strips) {
+        let mut acc = [0.0f32; S];
+        for &(row, c) in terms {
+            for (acc, &v) in acc.iter_mut().zip(&b[row + j0..][..S]) {
+                *acc += c * v;
+            }
+        }
+        for (o, acc) in o_strip.iter_mut().zip(acc) {
+            *o += acc;
+        }
+    }
+    len - strips.into_remainder().len()
 }
 
 impl Add<&Tensor> for &Tensor {
@@ -779,14 +816,17 @@ mod tests {
 
     #[test]
     fn add_matmul_transb_adds_the_product_bit_for_bit() {
-        // Shapes around the 16-row tile and an odd row of `b`, into a start
-        // holding `-0.0` and awkward values, and an empty inner dimension.
+        // Shapes around the 16-row tile and every weight-row tile shape
+        // (8, 4, 2 and 1 rows of `b`), into a start holding `-0.0` and
+        // awkward values, and an empty inner dimension.
         let mut rng = Rng64::new(17);
         for (m, n, k) in [
             (1, 1, 3),
             (15, 3, 5),
             (16, 4, 7),
             (17, 5, 9),
+            (16, 15, 11),
+            (20, 21, 33),
             (33, 6, 0),
             (0, 3, 2),
         ] {
