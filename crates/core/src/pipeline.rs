@@ -877,13 +877,6 @@ impl NessaPipeline {
         }
     }
 
-    /// The trained target network (for inspection after [`run`]).
-    ///
-    /// [`run`]: NessaPipeline::run
-    pub fn target_mut(&mut self) -> &mut Network {
-        &mut self.target
-    }
-
     /// The simulated drive cluster (traffic/energy counters, eviction
     /// state, per-drive traces).
     pub fn device(&self) -> &SsdCluster {

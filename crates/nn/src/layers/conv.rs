@@ -62,11 +62,6 @@ impl Conv2d {
         (oh, ow)
     }
 
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_ch
-    }
-
     /// Walks every kernel tap that lands inside an `h × w` input (padding
     /// taps are skipped) in c, ky, kx, oy, ox order, handing `f` the tap's
     /// index in the `[c*k*k, oh*ow]` column matrix and in the `[c, h, w]`

@@ -112,13 +112,6 @@ impl Network {
         self.visit_params(&mut |p| p.zero_grad());
     }
 
-    /// Total number of scalar parameters.
-    pub fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.value.numel());
-        n
-    }
-
     /// Every parameter's shape, in [`Network::visit_params`] order; no
     /// weight is copied.
     pub fn param_shapes(&mut self) -> Vec<Shape> {

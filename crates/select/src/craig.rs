@@ -31,7 +31,8 @@ pub struct CraigOptions {
     /// chunks of at most this many candidates and select proportionally
     /// from each. `None` selects over whole classes.
     pub partition_chunk: Option<usize>,
-    /// Worker threads for per-class parallelism (1 = sequential).
+    /// Threads that select classes, the calling thread included: `1`
+    /// spawns none, and every count runs the same worker loop.
     pub threads: usize,
     /// Telemetry handles updated while the kernel runs (`None` = no
     /// instrumentation). Handles are shared across worker threads.
@@ -47,67 +48,6 @@ impl Default for CraigOptions {
             metrics: None,
         }
     }
-}
-
-/// Runs the per-class selection bodies, optionally on std scoped threads.
-/// RNGs are pre-split per class so the result is deterministic regardless
-/// of thread interleaving. Workers take classes from a shared counter, so
-/// a thread that finishes a small class moves on to the next one instead
-/// of idling behind a fixed share.
-fn run_per_class<F>(
-    factors: &F,
-    by_class: &[Vec<usize>],
-    fraction: f32,
-    options: &CraigOptions,
-    rng: &mut Rng64,
-) -> Result<Selection, SelectError>
-where
-    F: Fn(&[usize]) -> (Tensor, Tensor) + Sync,
-{
-    let classes = by_class.len();
-    let mut class_rngs: Vec<Rng64> = (0..classes).map(|_| rng.split()).collect();
-    let threads = options.threads.clamp(1, classes.max(1));
-    let mut per_class: Vec<Selection> = Vec::with_capacity(classes);
-    if threads == 1 {
-        for (members, class_rng) in by_class.iter().zip(class_rngs.iter_mut()) {
-            per_class.push(select_one_class(
-                factors, members, fraction, options, class_rng,
-            )?);
-        }
-    } else {
-        let slots: Vec<OnceLock<Result<Selection, SelectError>>> =
-            (0..classes).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    // The counter only hands out class numbers; results
-                    // are published through the slots and the scope's join.
-                    let class = next.fetch_add(1, Ordering::Relaxed);
-                    let (Some(members), Some(slot), Some(class_rng)) =
-                        (by_class.get(class), slots.get(class), class_rngs.get(class))
-                    else {
-                        break;
-                    };
-                    let mut class_rng = class_rng.clone();
-                    slot.get_or_init(|| {
-                        select_one_class(factors, members, fraction, options, &mut class_rng)
-                    });
-                });
-            }
-        });
-        for slot in slots {
-            let sel = slot
-                .into_inner()
-                .ok_or(SelectError::Internal("class worker never filled its slot"))?;
-            per_class.push(sel?);
-        }
-    }
-    let mut merged = Selection::default();
-    for sel in per_class {
-        merged.extend(sel);
-    }
-    Ok(merged)
 }
 
 /// Selects `⌈fraction · |class|⌉` medoids from every class of a candidate
@@ -128,6 +68,12 @@ where
 /// bit. With `options.threads > 1`, `factors` runs on several classes at
 /// once.
 ///
+/// Every class's RNG is split off `rng` before any class runs, so the
+/// result does not depend on which thread selects which class. The calling
+/// thread and `threads − 1` helpers take classes from a shared counter, so
+/// a thread that finishes a small class moves on to the next one instead
+/// of idling behind a fixed share; with one thread nothing is spawned.
+///
 /// * `factors` — the two factors of a class's members,
 /// * `labels` — class of each candidate (one per candidate),
 /// * `classes` — number of classes,
@@ -138,7 +84,8 @@ where
 /// [`SelectError::LengthMismatch`] if a factor's row count differs from
 /// its class's member count, [`SelectError::BadFraction`] if `fraction`
 /// is outside `(0, 1]`, [`SelectError::LabelOutOfRange`] if any label is
-/// `≥ classes`.
+/// `≥ classes`. Every class is selected before the first error in class
+/// order is returned.
 pub fn select_per_class_factored<F>(
     factors: F,
     labels: &[usize],
@@ -151,11 +98,43 @@ where
     F: Fn(&[usize]) -> (Tensor, Tensor) + Sync,
 {
     let by_class = group_by_class(labels, classes, fraction)?;
-    run_per_class(&factors, &by_class, fraction, options, rng)
+    let class_rngs: Vec<Rng64> = by_class.iter().map(|_| rng.split()).collect();
+    let slots: Vec<OnceLock<Result<Selection, SelectError>>> =
+        by_class.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        // The counter only hands out class numbers; results are published
+        // through the slots and the scope's join.
+        let class = next.fetch_add(1, Ordering::Relaxed);
+        let (Some(members), Some(slot), Some(class_rng)) =
+            (by_class.get(class), slots.get(class), class_rngs.get(class))
+        else {
+            break;
+        };
+        let mut class_rng = class_rng.clone();
+        slot.get_or_init(|| select_one_class(&factors, members, fraction, options, &mut class_rng));
+    };
+    let helpers = options.threads.min(by_class.len()).saturating_sub(1);
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    let mut merged = Selection::default();
+    for slot in slots {
+        let sel = slot
+            .into_inner()
+            .ok_or(SelectError::Internal("class worker never filled its slot"))?;
+        merged.extend(sel?);
+    }
+    Ok(merged)
 }
 
-/// Selects the medoids of one class: over the whole class, or chunk by
-/// chunk under partitioning, with `⌈fraction · |chunk|⌉` picks per chunk.
+/// Selects the medoids of one class, part by part, with `⌈fraction ·
+/// |part|⌉` picks per part. Without partitioning the one part is the whole
+/// class; with it, the class is dealt into `⌈|class| / chunk⌉` random
+/// chunks, none of them empty.
 fn select_one_class<F>(
     factors: &F,
     members: &[usize],
@@ -183,41 +162,27 @@ where
             });
         }
     }
-    let k = fraction_count(members.len(), fraction);
-    match options.partition_chunk {
-        None => {
-            if let Some(m) = metrics {
-                m.chunks.inc();
-            }
-            let sim = SimilarityMatrix::from_factored(&residuals, &features);
-            Ok(maximize_metered(&sim, k, options.variant, rng, metrics)?.into_global(members))
+    let parts = match options.partition_chunk {
+        None => vec![(0..members.len()).collect()],
+        Some(chunk) => rng.random_chunks(members.len(), members.len().div_ceil(chunk.max(2))),
+    };
+    let mut merged = Selection::default();
+    for part in parts {
+        if let Some(m) = metrics {
+            m.chunks.inc();
         }
-        Some(chunk_size) => {
-            let chunk_size = chunk_size.max(2);
-            let chunks = members.len().div_ceil(chunk_size).max(1);
-            let parts = rng.random_chunks(members.len(), chunks);
-            let mut merged = Selection::default();
-            for part in parts {
-                if part.is_empty() {
-                    continue;
-                }
-                if let Some(m) = metrics {
-                    m.chunks.inc();
-                }
-                let k_part = fraction_count(part.len(), fraction);
-                let sim = SimilarityMatrix::from_factored(
-                    &residuals.gather_rows(&part),
-                    &features.gather_rows(&part),
-                );
-                merged.extend(
-                    maximize_metered(&sim, k_part, options.variant, rng, metrics)?
-                        .into_global(&part)
-                        .into_global(members),
-                );
-            }
-            Ok(merged)
-        }
+        let sim = SimilarityMatrix::from_factored(
+            &residuals.gather_rows(&part),
+            &features.gather_rows(&part),
+        );
+        let k = fraction_count(part.len(), fraction);
+        merged.extend(
+            maximize_metered(&sim, k, options.variant, rng, metrics)?
+                .into_global(&part)
+                .into_global(members),
+        );
     }
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -326,11 +291,46 @@ mod tests {
         assert_eq!(sorted.len(), sel.len());
     }
 
+    /// One selection of `labels`' 3 classes at fraction 0.3 and seed 7:
+    /// the picks, the weight bits and the kernel counters `[classes,
+    /// chunks, rounds, gain_evals]`.
+    fn metered_run<F>(
+        factors: F,
+        labels: &[usize],
+        variant: GreedyVariant,
+        partition_chunk: Option<usize>,
+        threads: usize,
+    ) -> (Vec<usize>, Vec<u32>, [u64; 4])
+    where
+        F: Fn(&[usize]) -> (Tensor, Tensor) + Sync,
+    {
+        let metrics = SelectMetrics::default();
+        let opts = CraigOptions {
+            variant,
+            partition_chunk,
+            threads,
+            metrics: Some(metrics.clone()),
+        };
+        let sel =
+            select_per_class_factored(factors, labels, 3, 0.3, &opts, &mut Rng64::new(7)).unwrap();
+        let counters = [
+            &metrics.classes,
+            &metrics.chunks,
+            &metrics.rounds,
+            &metrics.gain_evals,
+        ]
+        .map(|c| c.get());
+        let weights = sel.weights.iter().map(|w| w.to_bits()).collect();
+        (sel.indices, weights, counters)
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         // Per-class factors (each class's rows built when it is selected)
-        // and gathered pool-wide factors give the same bits, whole-class
-        // and partitioned, on one thread or several.
+        // and gathered pool-wide factors give the same picks, weight bits
+        // and kernel counters, whole-class and partitioned, on one thread
+        // or several. Stochastic greedy is the variant that draws from the
+        // class RNG inside the greedy.
         let mut rng = Rng64::new(12);
         let n = 90;
         let a = Tensor::rand_uniform(&[n, 4], -1.0, 1.0, &mut rng);
@@ -345,45 +345,27 @@ mod tests {
             };
             (rows(&a), rows(&b))
         };
-        let bits = |s: &Selection| {
-            let w: Vec<u32> = s.weights.iter().map(|w| w.to_bits()).collect();
-            (s.indices.clone(), w)
-        };
-        for partition_chunk in [None, Some(8)] {
-            let opts = |threads| CraigOptions {
-                threads,
-                partition_chunk,
-                ..CraigOptions::default()
-            };
-            let reference = select_per_class_factored(
-                gathered(&a, &b),
-                &labels,
-                3,
-                0.3,
-                &opts(1),
-                &mut Rng64::new(7),
-            )
-            .unwrap();
-            for threads in [1, 2, 3, 7] {
-                for sel in [
-                    select_per_class_factored(
-                        gathered(&a, &b),
-                        &labels,
-                        3,
-                        0.3,
-                        &opts(threads),
-                        &mut Rng64::new(7),
-                    ),
-                    select_per_class_factored(
-                        per_class,
-                        &labels,
-                        3,
-                        0.3,
-                        &opts(threads),
-                        &mut Rng64::new(7),
-                    ),
-                ] {
-                    assert_eq!(bits(&sel.unwrap()), bits(&reference), "{partition_chunk:?}");
+        for variant in [
+            GreedyVariant::Lazy,
+            GreedyVariant::Stochastic { epsilon: 0.2 },
+        ] {
+            for partition_chunk in [None, Some(8)] {
+                let reference = metered_run(gathered(&a, &b), &labels, variant, partition_chunk, 1);
+                let [classes, chunks, rounds, _] = reference.2;
+                assert_eq!(classes, 3);
+                // A whole class is one chunk; ~30 members in chunks of 8
+                // are four.
+                let parts = if partition_chunk.is_some() { 4 } else { 1 };
+                assert_eq!(chunks, parts * classes);
+                assert_eq!(rounds, reference.0.len() as u64);
+                for threads in [1, 2, 3, 7] {
+                    for run in [
+                        metered_run(gathered(&a, &b), &labels, variant, partition_chunk, threads),
+                        metered_run(per_class, &labels, variant, partition_chunk, threads),
+                    ] {
+                        let at = format!("{variant:?}, {partition_chunk:?}, {threads} threads");
+                        assert_eq!(run, reference, "{at}");
+                    }
                 }
             }
         }

@@ -202,12 +202,12 @@ struct Cover {
     picks: Vec<usize>,
     /// `coverage[i] = max(0, max_{j∈S} sim(i, j))`, what gains are
     /// measured against. Coverage starts at `0.0`: every similarity is
-    /// `c0 − d ≥ 0`, so the first pick earns its full similarity column.
+    /// `c0 − d ≥ 0`, so the first pick earns its full similarity column,
+    /// and once a pick exists coverage is the best similarity so far.
     coverage: Vec<f32>,
-    /// `best[i] = max_{j∈S} sim(i, j)`, from `−∞`, so that a zero
-    /// similarity still claims an owner.
-    best: Vec<f32>,
-    /// Position in `picks` of the first pick that reached `best[i]`.
+    /// Position in `picks` of the first pick that reached `coverage[i]`.
+    /// It starts at the first pick, which so owns every candidate whose
+    /// similarity to every pick is zero.
     owner: Vec<usize>,
 }
 
@@ -216,32 +216,24 @@ impl Cover {
         Self {
             picks: Vec::with_capacity(k),
             coverage: vec![0.0; n],
-            best: vec![f32::NEG_INFINITY; n],
             owner: vec![0; n],
         }
     }
 
     /// Adds `j` to the solution. One pass over `j`'s similarities raises
     /// coverage and reassigns every candidate whose similarity to `j`
-    /// strictly beats its owner's: the first pick with the largest
+    /// strictly beats its coverage: the first pick with the largest
     /// similarity keeps it.
     fn absorb(&mut self, sim: &SimilarityMatrix, j: usize) {
         let pick = self.picks.len();
         self.picks.push(j);
-        let raise = |((c, b), o): ((&mut f32, &mut f32), &mut usize), s: f32| {
+        let raise = |(c, o): (&mut f32, &mut usize), s: f32| {
             if s > *c {
                 *c = s;
-            }
-            if s > *b {
-                *b = s;
                 *o = pick;
             }
         };
-        let mut entries = self
-            .coverage
-            .iter_mut()
-            .zip(&mut self.best)
-            .zip(&mut self.owner);
+        let mut entries = self.coverage.iter_mut().zip(&mut self.owner);
         for (s, entry) in sim.upper_column(j).zip(entries.by_ref()) {
             raise(entry, s);
         }
@@ -470,19 +462,15 @@ fn lazy_greedy(
         })
         .collect();
     note_evals(metrics, n as u64);
-    let mut in_set = vec![false; n];
     while cover.picks.len() < k {
+        // The heap holds every unchosen candidate once: a pick leaves it
+        // for good, and a stale entry goes back re-evaluated.
         let Some(top) = heap.pop() else {
-            // The heap holds every unchosen candidate; draining before k
-            // picks (k < n) would be a bookkeeping bug.
+            // Draining before k picks (k < n) would be a bookkeeping bug.
             return Err(SelectError::Internal("lazy greedy heap drained early"));
         };
-        if in_set[top.index] {
-            continue;
-        }
         if top.round == cover.picks.len() {
             note_pick(metrics, top.gain);
-            in_set[top.index] = true;
             cover.absorb(sim, top.index);
         } else {
             note_evals(metrics, 1);
@@ -507,7 +495,6 @@ fn stochastic_greedy(
     let eps = epsilon.clamp(1e-4, 0.99);
     let sample = (((n as f64 / k as f64) * (1.0 / eps as f64).ln()).ceil() as usize).max(1);
     let mut cover = Cover::new(n, k);
-    let mut in_set = vec![false; n];
     let mut remaining: Vec<usize> = (0..n).collect();
     for _ in 0..k {
         // Draw the candidate sample from the remaining pool.
@@ -527,9 +514,8 @@ fn stochastic_greedy(
         }
         note_evals(metrics, s as u64);
         note_pick(metrics, best_gain);
-        in_set[best] = true;
         cover.absorb(sim, best);
-        remaining.retain(|&j| !in_set[j]);
+        remaining.retain(|&j| j != best);
         if remaining.is_empty() {
             break;
         }

@@ -12,7 +12,7 @@
 //! that maps it, bit-identical to the Gram-matrix evaluation.
 
 use crate::dispatch::{self, Kernel, Level};
-use crate::tensor::{pack_lanes, TILE_LANES};
+use crate::tensor::{dot_rows, pack_lanes, TILE_LANES};
 use crate::Tensor;
 
 /// All pairwise squared Euclidean distances between the rows of `x`
@@ -196,8 +196,10 @@ impl Kernel for SqDistRows<'_> {
             // of pair (r0 + q, j0 + l).
             let mut prods = [[2.0f32; TILE_LANES]; GROUP_ROWS];
             for (&w, lanes) in w.iter().zip(self.packed) {
+                // Rows and lanes exactly `d` long, so the tile's loads
+                // need no bounds check.
                 let d = w[0].len();
-                let dots = dot_rows(&lanes[block * d..(block + 1) * d], w);
+                let dots = dot_rows(&lanes[block * d..][..d], w.map(|w| &w[..d]));
                 for (prod, dots) in prods.iter_mut().zip(&dots) {
                     for (p, g) in prod.iter_mut().zip(dots) {
                         *p *= g;
@@ -232,26 +234,6 @@ impl Kernel for SqDistRows<'_> {
         }
         max.into_iter().fold(0.0, f32::max)
     }
-}
-
-/// The dots of the packed candidate lanes with each of `w`'s rows: lane
-/// `l` of row `q` sums `lanes[p][l] * w[q][p]` over `p` in order from
-/// `+0.0`.
-#[inline(always)]
-fn dot_rows(
-    lanes: &[[f32; TILE_LANES]],
-    w: [&[f32]; GROUP_ROWS],
-) -> [[f32; TILE_LANES]; GROUP_ROWS] {
-    let mut acc = [[0.0f32; TILE_LANES]; GROUP_ROWS];
-    let [w0, w1, w2, w3] = w;
-    for ((((x, &a0), &a1), &a2), &a3) in lanes.iter().zip(w0).zip(w1).zip(w2).zip(w3) {
-        for (acc, a) in acc.iter_mut().zip([a0, a1, a2, a3]) {
-            for (acc, &v) in acc.iter_mut().zip(x) {
-                *acc += v * a;
-            }
-        }
-    }
-    acc
 }
 
 /// Squared Euclidean distances from every row of `x` (`n × d`) to every row

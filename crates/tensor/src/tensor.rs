@@ -544,7 +544,10 @@ pub(crate) fn pack_lanes(data: &[f32], rows: usize, k: usize) -> Vec<[f32; TILE_
 /// `lanes.len()` long: lane `l` of row `q` sums `lanes[p][l] * w[q][p]`
 /// over `p` in order from `+0.0`, with a separate multiply and add.
 #[inline(always)]
-fn dot_rows<const R: usize>(lanes: &[[f32; TILE_LANES]], w: [&[f32]; R]) -> [[f32; TILE_LANES]; R] {
+pub(crate) fn dot_rows<const R: usize>(
+    lanes: &[[f32; TILE_LANES]],
+    w: [&[f32]; R],
+) -> [[f32; TILE_LANES]; R] {
     let mut acc = [[0.0f32; TILE_LANES]; R];
     for (p, x) in lanes.iter().enumerate() {
         for (acc, w) in acc.iter_mut().zip(w) {
