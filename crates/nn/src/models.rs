@@ -372,6 +372,21 @@ mod tests {
     }
 
     #[test]
+    fn mlp_flops_are_pinned() {
+        // The benchmark workloads' three MLPs and the report goldens' one.
+        let mut rng = Rng64::new(13);
+        for (sizes, flops) in [
+            (&[32, 64, 10][..], 5_376),
+            (&[32, 384, 192, 10], 175_872),
+            (&[32, 256, 128, 10], 84_480),
+            (&[8, 24, 3], 528),
+        ] {
+            let net = mlp(sizes, &mut rng);
+            assert_eq!(net.flops_per_sample(&[sizes[0]]), flops, "{sizes:?}");
+        }
+    }
+
+    #[test]
     fn debug_shows_layers() {
         let mut rng = Rng64::new(9);
         let net = mlp(&[2, 2], &mut rng);
