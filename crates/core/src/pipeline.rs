@@ -556,7 +556,7 @@ impl NessaPipeline {
         // Forward FLOPs per training sample, the same for the target and
         // the selector (they share a structure): the GPU and FPGA cost
         // models' compute term.
-        let flops_per_sample = self.target.flops_per_sample(&[self.train.dim()]);
+        let flops_per_sample = self.target.flops_per_sample();
         let cfg = self.config.clone();
         // `select_every` is a public field; 0 means "every epoch", like 1.
         let select_every = cfg.select_every.max(1);

@@ -4,8 +4,7 @@ use nessa_tensor::Tensor;
 
 /// A labelled dataset held in memory as a `n × d` feature matrix.
 ///
-/// Models consume the rows directly (a CNN reshapes each row into its
-/// image itself). `bytes_per_sample` records the *storage* footprint each
+/// Models (MLPs) consume the rows directly. `bytes_per_sample` records the *storage* footprint each
 /// example has on the simulated SSD (the paper's 0.5 KB–130 KB per image),
 /// which can be much larger than the in-memory feature vector — raw pixels
 /// versus the features the models train on.

@@ -6,14 +6,6 @@
 //! caches whatever [`Layer::backward`] consumes; gradients accumulate into
 //! [`Param::grad`] and are consumed by the optimizer.
 
-mod conv;
-mod norm;
-mod pool;
-
-pub use conv::Conv2d;
-pub use norm::{BatchNorm1d, BatchNorm2d};
-pub use pool::GlobalAvgPool;
-
 use nessa_tensor::ops::{add_bias_rows, relu, sum_axis0};
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::Tensor;
@@ -26,15 +18,13 @@ pub struct Param {
     pub value: Tensor,
     /// Gradient of the loss with respect to [`Param::value`].
     pub grad: Tensor,
-    /// Whether weight decay applies (disabled for batch-norm scale/shift).
-    pub decay: bool,
 }
 
 impl Param {
     /// Wraps a value tensor with a zeroed gradient.
-    pub fn new(value: Tensor, decay: bool) -> Self {
+    pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape().dims());
-        Self { value, grad, decay }
+        Self { value, grad }
     }
 
     /// Resets the gradient to zero in place.
@@ -48,8 +38,7 @@ impl Param {
 /// A training [`Layer::forward`] caches activations; [`Layer::backward`]
 /// must be called with the gradient of the loss w.r.t. the layer's output
 /// *after* that forward, and returns the gradient w.r.t. the input.
-/// [`Layer::infer`] computes the same function in eval mode (batch-norm
-/// reads its running statistics) and touches no state.
+/// [`Layer::infer`] computes the same function and touches no state.
 ///
 /// The `Send + Sync` supertraits let a whole [`crate::models::Network`]
 /// move to, or be shared with, worker threads (layers are plain tensors):
@@ -59,8 +48,7 @@ pub trait Layer: Send + Sync {
     /// Eval pass over a batch.
     fn infer(&self, x: &Tensor) -> Tensor;
 
-    /// Training pass over a batch: batch statistics where the layer has
-    /// them, and caches what [`Layer::backward`] needs.
+    /// Training pass over a batch: caches what [`Layer::backward`] needs.
     fn forward(&mut self, x: &Tensor) -> Tensor;
 
     /// Back-propagates `grad_out` (gradient w.r.t. this layer's output),
@@ -88,21 +76,15 @@ pub trait Layer: Send + Sync {
     /// quantizer). Layers without parameters use the default no-op.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
-    /// The input width when this is a [`Linear`] layer, `None` otherwise.
-    fn linear_in_features(&self) -> Option<usize> {
-        None
-    }
-
-    /// The width of the flat rows this layer accepts, when it accepts only
-    /// one width (`None` for a layer that takes any shape, or no flat rows).
+    /// The input width when this is a [`Linear`] layer, `None` for a layer
+    /// that takes rows of any width.
     fn input_width(&self) -> Option<usize> {
         None
     }
 
-    /// Multiply-accumulate-dominated forward FLOPs per sample of `x`, a
-    /// batch shaped like this layer's input (backward is modelled as 2×
-    /// forward, as is conventional).
-    fn flops_per_sample(&self, _x: &Tensor) -> u64 {
+    /// Multiply-accumulate-dominated forward FLOPs per sample (backward is
+    /// modelled as 2× forward, as is conventional).
+    fn flops_per_sample(&self) -> u64 {
         0
     }
 
@@ -138,8 +120,8 @@ impl Linear {
         let weight = Tensor::randn(&[out_features, in_features], 0.0, std, rng);
         let bias = Tensor::zeros(&[out_features]);
         Self {
-            weight: Param::new(weight, true),
-            bias: Param::new(bias, true),
+            weight: Param::new(weight),
+            bias: Param::new(bias),
             in_features,
             out_features,
             cached_input: None,
@@ -198,15 +180,11 @@ impl Layer for Linear {
         f(&mut self.bias);
     }
 
-    fn linear_in_features(&self) -> Option<usize> {
-        Some(self.in_features)
-    }
-
     fn input_width(&self) -> Option<usize> {
         Some(self.in_features)
     }
 
-    fn flops_per_sample(&self, _x: &Tensor) -> u64 {
+    fn flops_per_sample(&self) -> u64 {
         2 * self.in_features as u64 * self.out_features as u64
     }
 
@@ -260,67 +238,12 @@ impl Layer for Relu {
     }
 }
 
-/// Reshapes flat `[n, d]` rows into `[n, c, h, w]` images — the adapter
-/// that lets convolutional networks consume dataset-style flat feature
-/// rows (e.g. inside the NeSSA pipeline).
-#[derive(Debug, Clone)]
-pub struct ToImage {
-    c: usize,
-    h: usize,
-    w: usize,
-}
-
-impl ToImage {
-    /// Creates an adapter to `c × h × w` images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn new(c: usize, h: usize, w: usize) -> Self {
-        assert!(c > 0 && h > 0 && w > 0, "image dims must be positive");
-        Self { c, h, w }
-    }
-}
-
-impl Layer for ToImage {
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.ndim(), 2, "ToImage expects flat [n, d] rows");
-        assert_eq!(
-            x.dim(1),
-            self.c * self.h * self.w,
-            "feature dim {} does not factor into {}x{}x{}",
-            x.dim(1),
-            self.c,
-            self.h,
-            self.w
-        );
-        x.reshape(&[x.dim(0), self.c, self.h, self.w])
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.infer(x)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let n = grad_out.dim(0);
-        grad_out.reshape(&[n, self.c * self.h * self.w])
-    }
-
-    fn input_width(&self) -> Option<usize> {
-        Some(self.c * self.h * self.w)
-    }
-
-    fn name(&self) -> &'static str {
-        "to_image"
-    }
-}
-
 #[cfg(test)]
-pub(crate) mod testutil {
+mod tests {
     use super::*;
 
     /// Finite-difference check of a layer's input gradient on a small batch.
-    pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
+    fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
         // Scalar loss: sum of outputs. dL/dy = ones.
         let y = layer.forward(x);
         let gin = layer.backward(&Tensor::ones(y.shape().dims()));
@@ -340,11 +263,6 @@ pub(crate) mod testutil {
             );
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn linear_forward_known_values() {
@@ -368,7 +286,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let mut l = Linear::new(3, 4, &mut rng);
         let x = Tensor::randn(&[2, 3], 0.0, 1.0, &mut rng);
-        testutil::check_input_gradient(&mut l, &x, 1e-2);
+        check_input_gradient(&mut l, &x, 1e-2);
     }
 
     #[test]
@@ -400,30 +318,12 @@ mod tests {
                 v
             }
         });
-        testutil::check_input_gradient(&mut l, &x, 1e-2);
-    }
-
-    #[test]
-    fn to_image_round_trip() {
-        let mut l = ToImage::new(3, 2, 2);
-        let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 12]);
-        let y = l.forward(&x);
-        assert_eq!(y.shape().dims(), &[2, 3, 2, 2]);
-        let back = l.backward(&y);
-        assert_eq!(back.shape().dims(), &[2, 12]);
-        assert_eq!(back.as_slice(), x.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "does not factor")]
-    fn to_image_rejects_bad_dims() {
-        let l = ToImage::new(3, 2, 2);
-        let _ = l.infer(&Tensor::zeros(&[1, 10]));
+        check_input_gradient(&mut l, &x, 1e-2);
     }
 
     #[test]
     fn param_zero_grad() {
-        let mut p = Param::new(Tensor::ones(&[3]), true);
+        let mut p = Param::new(Tensor::ones(&[3]));
         p.grad = Tensor::ones(&[3]);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
@@ -433,6 +333,6 @@ mod tests {
     fn linear_flops() {
         let mut rng = Rng64::new(4);
         let l = Linear::new(10, 20, &mut rng);
-        assert_eq!(l.flops_per_sample(&Tensor::zeros(&[1, 10])), 400);
+        assert_eq!(l.flops_per_sample(), 400);
     }
 }

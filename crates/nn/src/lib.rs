@@ -7,7 +7,8 @@
 //!
 //! * layers with a shared-borrow eval pass and an explicit training
 //!   forward/backward ([`layers`]),
-//! * the MLP and small-CNN builders ([`models`]),
+//! * the MLP builder ([`models`]), the one model family the experiments
+//!   train,
 //! * softmax cross-entropy with per-sample losses ([`loss`]) — the
 //!   per-sample losses feed NeSSA's subset-biasing optimization,
 //! * SGD with Nesterov momentum, weight decay and multi-step schedules

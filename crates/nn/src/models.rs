@@ -1,8 +1,8 @@
-//! Networks: a sequential container and the builders for the models this
-//! reproduction trains (MLPs and a small CNN over flat rows). The paper's
-//! ResNet costs come from the analytic models in [`crate::flops`].
+//! Networks: a sequential container and the builder for the models this
+//! reproduction trains, MLPs over flat rows. The paper's ResNet costs come
+//! from the analytic models in [`crate::flops`].
 
-use crate::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, Param, Relu, ToImage};
+use crate::layers::{Layer, Linear, Param, Relu};
 use crate::metrics::argmax_rows;
 use nessa_tensor::rng::Rng64;
 use nessa_tensor::{Shape, Tensor};
@@ -40,7 +40,7 @@ impl Network {
         self
     }
 
-    /// The network's name (e.g. `"small_cnn_on_flat"`).
+    /// The network's name (e.g. `"mlp[32, 64, 10]"`).
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -55,8 +55,7 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Eval pass over a batch: batch-norm uses its running statistics and
-    /// no layer writes any state.
+    /// Eval pass over a batch: no layer writes any state.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         infer_through(&self.layers, x)
     }
@@ -120,18 +119,10 @@ impl Network {
         shapes
     }
 
-    /// Forward FLOPs per sample summed over layers, for samples shaped
-    /// `sample_dims` (`&[d]` for flat rows). Threads the shape through one
-    /// single-sample [`Network::infer`], so each layer counts from the
-    /// input it receives.
-    pub fn flops_per_sample(&self, sample_dims: &[usize]) -> u64 {
-        let mut h = Tensor::zeros(&[&[1], sample_dims].concat());
-        let mut flops = 0;
-        for layer in &self.layers {
-            flops += layer.flops_per_sample(&h);
-            h = layer.infer(&h);
-        }
-        flops
+    /// Forward FLOPs per sample summed over layers: `2 · in · out` for
+    /// each [`Linear`], read from the layer widths without running them.
+    pub fn flops_per_sample(&self) -> u64 {
+        self.layers.iter().map(|l| l.flops_per_sample()).sum()
     }
 
     /// Width of the flat input rows the network accepts, read from its
@@ -143,13 +134,13 @@ impl Network {
 
     /// Width of the features a gradient proxy pairs with the residual: the
     /// input width of the network's last [`Linear`] layer (the features
-    /// [`Network::infer_with_features`] returns for an MLP or CNN head),
-    /// or `0` when it has none.
+    /// [`Network::infer_with_features`] returns for an MLP), or `0` when it
+    /// has none.
     pub fn feature_dim(&self) -> usize {
         self.layers
             .iter()
             .rev()
-            .find_map(|l| l.linear_in_features())
+            .find_map(|l| l.input_width())
             .unwrap_or(0)
     }
 
@@ -220,29 +211,6 @@ pub fn mlp(sizes: &[usize], rng: &mut Rng64) -> Network {
     net
 }
 
-/// Builds a small convolutional classifier (two convolutions, the second
-/// strided, then global average pooling and a [`Linear`] head) over flat
-/// `[n, c*h*w]` feature rows (the layout datasets use) via a leading
-/// [`ToImage`] adapter — the form the NeSSA pipeline and policy runner
-/// accept directly.
-pub fn small_cnn_on_flat(
-    (c, h, w): (usize, usize, usize),
-    classes: usize,
-    width: usize,
-    rng: &mut Rng64,
-) -> Network {
-    let mut net = Network::new("small_cnn_on_flat");
-    net.push(ToImage::new(c, h, w));
-    net.push(Conv2d::new(c, width, 3, 1, 1, rng));
-    net.push(BatchNorm2d::new(width));
-    net.push(Relu::new());
-    net.push(Conv2d::new(width, 2 * width, 3, 2, 1, rng));
-    net.push(Relu::new());
-    net.push(GlobalAvgPool::new());
-    net.push(Linear::new(2 * width, classes, rng));
-    net
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,23 +232,10 @@ mod tests {
         assert_eq!(shapes, [vec![16, 8], vec![16], vec![4, 16], vec![4]]);
     }
 
-    fn assert_param_grads_nonzero(net: &mut Network) {
-        let mut grad_sq = 0.0;
-        net.visit_params(&mut |p| grad_sq += p.grad.sq_norm());
-        assert!(
-            grad_sq > 0.0 && grad_sq.is_finite(),
-            "grad sq-norm {grad_sq}"
-        );
-    }
-
     #[test]
     fn feature_dim_is_the_head_input_width() {
         let mut rng = Rng64::new(12);
         assert_eq!(mlp(&[5, 8, 6, 3], &mut rng).feature_dim(), 6);
-        assert_eq!(
-            small_cnn_on_flat((3, 4, 4), 5, 4, &mut rng).feature_dim(),
-            8
-        );
         assert_eq!(Network::new("empty").feature_dim(), 0);
     }
 
@@ -348,30 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn small_cnn_on_flat_trains() {
-        let mut rng = Rng64::new(8);
-        let mut net = small_cnn_on_flat((3, 8, 8), 5, 4, &mut rng);
-        let x = Tensor::randn(&[2, 192], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x);
-        assert_eq!(y.shape().dims(), &[2, 5]);
-        net.backward(&Tensor::ones(&[2, 5]));
-        assert_param_grads_nonzero(&mut net);
-    }
-
-    #[test]
-    fn cnn_flops_come_from_the_input_shape_not_from_a_forward() {
-        let mut rng = Rng64::new(11);
-        let mut net = small_cnn_on_flat((3, 6, 6), 3, 4, &mut rng);
-        // conv 3→4 (3×3, stride 1, pad 1) on 6×6: 2·4·27·36 = 7776;
-        // conv 4→8 (3×3, stride 2, pad 1) on 6×6 → 3×3: 2·8·36·9 = 5184;
-        // linear 8→3: 2·8·3 = 48.
-        let hand = 7776 + 5184 + 48;
-        assert_eq!(net.flops_per_sample(&[108]), hand);
-        let _ = net.forward(&Tensor::randn(&[2, 108], 0.0, 1.0, &mut rng));
-        assert_eq!(net.flops_per_sample(&[108]), hand);
-    }
-
-    #[test]
     fn mlp_flops_are_pinned() {
         // The benchmark workloads' three MLPs and the report goldens' one.
         let mut rng = Rng64::new(13);
@@ -382,7 +313,7 @@ mod tests {
             (&[8, 24, 3], 528),
         ] {
             let net = mlp(sizes, &mut rng);
-            assert_eq!(net.flops_per_sample(&[sizes[0]]), flops, "{sizes:?}");
+            assert_eq!(net.flops_per_sample(), flops, "{sizes:?}");
         }
     }
 

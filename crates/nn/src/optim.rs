@@ -15,8 +15,7 @@ use nessa_tensor::Tensor;
 pub struct SgdConfig {
     /// Momentum coefficient (paper: 0.9).
     pub momentum: f32,
-    /// L2 weight decay (paper: 5e-4), applied to parameters whose
-    /// [`Param::decay`](crate::layers::Param::decay) flag is set.
+    /// L2 weight decay (paper: 5e-4), applied to every parameter.
     pub weight_decay: f32,
     /// Use Nesterov momentum (paper: yes).
     pub nesterov: bool,
@@ -73,7 +72,7 @@ impl Sgd {
                 w: p.value.as_mut_slice(),
                 grad: p.grad.as_slice(),
                 v: velocity[i].as_mut_slice(),
-                wd: if p.decay { cfg.weight_decay } else { 0.0 },
+                wd: cfg.weight_decay,
                 mu: cfg.momentum,
                 step: -lr,
                 nesterov: cfg.nesterov,

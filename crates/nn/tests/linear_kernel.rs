@@ -1,8 +1,8 @@
 //! Pins the dense training step's bit-exact contract.
 //!
 //! `Tensor::matmul_transb` runs a register tile of 16 rows of its left
-//! operand against two weight rows, with scalar dots on the ragged edges,
-//! and `Linear`'s training `forward` and eval `infer` both call it on the
+//! operand against 2, 4 or 8 weight rows by dispatch level, stepping down
+//! to one on the ragged edge, and `Linear`'s training `forward` and eval `infer` both call it on the
 //! weight in its stored `out × in` layout. Every output must still equal, bit
 //! for bit, the in-order dot product below (one serial `acc += a * b`
 //! chain per output, starting at `0.0`), which exists only here as the
@@ -11,10 +11,10 @@
 //!
 //! The backward products are pinned against their own in-order reference:
 //! `g·W` (`Tensor::matmul`, the input gradient) and `gᵀ·x`
-//! (`Tensor::matmul_transa`, the weight gradient) sum, for every output,
-//! exactly the terms whose coefficient in `g` is not `0.0`, in order from
-//! `+0.0`, and `Linear::backward` adds that sum once onto the weight
-//! gradient it already holds. Because the terms are the same ones, the
+//! (`Tensor::add_matmul_transa` into zeros, the weight gradient) sum, for
+//! every output, exactly the terms whose coefficient in `g` is not `0.0`,
+//! in order from `+0.0`, and `Linear::backward` adds that sum once onto the
+//! weight gradient it already holds. Because the terms are the same ones, the
 //! contract holds for `inf` and `NaN` operands too.
 //!
 //! The rest of the step is pinned the same way: `Network::backward` skips
@@ -23,7 +23,7 @@
 //! one-pass `Sgd::step` is bit-identical to the six-pass update it
 //! replaced, kept below as the reference.
 
-use nessa_nn::layers::{BatchNorm1d, Layer, Linear, Param, Relu};
+use nessa_nn::layers::{Layer, Linear, Param, Relu};
 use nessa_nn::loss::softmax_cross_entropy;
 use nessa_nn::models::{mlp, Network};
 use nessa_nn::optim::{Sgd, SgdConfig};
@@ -78,6 +78,11 @@ fn relu_like(m: usize, k: usize, scale: f32, zero_share: f64, seed: u64) -> Tens
         }
     }
     Tensor::from_vec(data, &[m, k])
+}
+
+/// A bias of `n` values uniform in `[-scale, scale)`, a few of them `-0.0`.
+fn bias_like(n: usize, scale: f32, seed: u64) -> Tensor {
+    Tensor::from_vec(relu_like(1, n, scale, 0.0, seed).into_vec(), &[n])
 }
 
 /// The bits of each value, with every `NaN` read as `f32::NAN`: Rust does
@@ -150,7 +155,7 @@ fn kernels_match_dot_reference_at_workload_shapes() {
                 let seed = 100 * w_i as u64 + 10 * l as u64 + m as u64;
                 let x = relu_like(m, w[0], 2.0, if l == 0 { 0.0 } else { 0.5 }, seed);
                 let weight = relu_like(w[1], w[0], 0.3, 0.0, seed + 1);
-                let bias = relu_like(1, w[1], 0.1, 0.0, seed + 2).reshape(&[w[1]]);
+                let bias = bias_like(w[1], 0.1, seed + 2);
                 assert_kernels_match_reference(&x, &weight, &bias);
             }
         }
@@ -172,7 +177,7 @@ fn kernels_match_dot_reference_on_empty_and_all_zero_operands() {
         for zero_share in [0.0, 1.0] {
             let x = relu_like(m, k, 1.0, zero_share, 1);
             let weight = relu_like(n, k, 1.0, zero_share, 2);
-            let bias = relu_like(1, n, 1.0, 0.0, 3).reshape(&[n]);
+            let bias = bias_like(n, 1.0, 3);
             assert_kernels_match_reference(&x, &weight, &bias);
         }
     }
@@ -288,8 +293,8 @@ fn matmul_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
     backward_reference(a.dim(0), k, |i, p| a.as_slice()[i * k + p], b)
 }
 
-/// The reference for `a.matmul_transa(b)`: row `i`'s coefficients are
-/// column `i` of `a`.
+/// The reference for `aᵀ · b`: row `i`'s coefficients are column `i` of
+/// `a`.
 fn matmul_transa_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
     let m = a.dim(1);
     backward_reference(m, a.dim(0), |i, p| a.as_slice()[p * m + i], b)
@@ -365,9 +370,9 @@ fn accumulated(init: &Tensor, add: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// Checks `g.matmul(weight)` and `g.matmul_transa(x)` against the
-/// reference, then two `Linear::backward`s through a layer holding
-/// `weight`: the first onto the weight gradient `init` (which holds
+/// Checks `g.matmul(weight)` and `gᵀ·x` (`add_matmul_transa` into zeros)
+/// against the reference, then two `Linear::backward`s through a layer
+/// holding `weight`: the first onto the weight gradient `init` (which holds
 /// `-0.0`s), the second, with `g2`, onto what the first left.
 fn assert_backward_matches_reference(
     x: &Tensor,
@@ -388,11 +393,9 @@ fn assert_backward_matches_reference(
         bits(&dx),
         "matmul, {ctx}"
     );
-    assert_eq!(
-        bits(g.matmul_transa(x).as_slice()),
-        bits(&dw),
-        "matmul_transa, {ctx}"
-    );
+    let mut gtx = Tensor::zeros(&[g.dim(1), x.dim(1)]);
+    gtx.add_matmul_transa(g, x);
+    assert_eq!(bits(gtx.as_slice()), bits(&dw), "add_matmul_transa, {ctx}");
 
     let mut layer = linear_with(weight, &Tensor::zeros(&[weight.dim(0)]));
     layer.visit_params(&mut |p: &mut Param| {
@@ -500,7 +503,7 @@ fn six_pass_step(net: &mut Network, velocity: &mut Vec<Tensor>, cfg: SgdConfig, 
         }
         let v = &mut velocity[i];
         let mut g = p.grad.clone();
-        if cfg.weight_decay != 0.0 && p.decay {
+        if cfg.weight_decay != 0.0 {
             g.axpy(cfg.weight_decay, &p.value);
         }
         v.scale_inplace(cfg.momentum);
@@ -515,15 +518,9 @@ fn six_pass_step(net: &mut Network, velocity: &mut Vec<Tensor>, cfg: SgdConfig, 
     });
 }
 
-/// Linear → BatchNorm1d (parameters without weight decay) → ReLU → Linear.
+/// Linear → ReLU → Linear.
 fn sgd_net() -> Network {
-    let mut rng = Rng64::new(21);
-    let mut net = Network::new("sgd");
-    net.push(Linear::new(6, 9, &mut rng));
-    net.push(BatchNorm1d::new(9));
-    net.push(Relu::new());
-    net.push(Linear::new(9, 4, &mut rng));
-    net
+    mlp(&[6, 9, 4], &mut Rng64::new(21))
 }
 
 /// Gives every parameter a gradient with zeros, `-0.0`s and both signs.
@@ -531,8 +528,8 @@ fn set_grads(net: &mut Network, seed: u64) {
     let mut s = seed;
     net.visit_params(&mut |p| {
         s += 1;
-        let dims = p.value.shape().dims().to_vec();
-        p.grad = relu_like(1, p.value.numel(), 2.0, 0.3, s).reshape(&dims);
+        let grad = relu_like(1, p.value.numel(), 2.0, 0.3, s).into_vec();
+        p.grad = Tensor::from_vec(grad, p.value.shape().dims());
     });
 }
 
@@ -591,7 +588,7 @@ proptest! {
     ) {
         let x = relu_like(m, k, 3.0, zero_share, seed);
         let weight = relu_like(n, k, 1.0, zero_share / 4.0, seed ^ 0x9e37);
-        let bias = relu_like(1, n, 0.5, 0.0, seed ^ 0x51).reshape(&[n]);
+        let bias = bias_like(n, 0.5, seed ^ 0x51);
         assert_kernels_match_reference(&x, &weight, &bias);
     }
 }

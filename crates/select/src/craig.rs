@@ -171,10 +171,14 @@ where
         if let Some(m) = metrics {
             m.chunks.inc();
         }
-        let sim = SimilarityMatrix::from_factored(
-            &residuals.gather_rows(&part),
-            &features.gather_rows(&part),
-        );
+        // The whole class (the identity part) is read in place.
+        let sim = match options.partition_chunk {
+            None => SimilarityMatrix::from_factored(&residuals, &features),
+            Some(_) => SimilarityMatrix::from_factored(
+                &residuals.gather_rows(&part),
+                &features.gather_rows(&part),
+            ),
+        };
         let k = fraction_count(part.len(), fraction);
         merged.extend(
             maximize_metered(&sim, k, options.variant, rng, metrics)?

@@ -196,7 +196,7 @@ mod tests {
         // Row widths of the dense layers in `linear_kernel.rs` (32, 64,
         // 128, 192, 256, 384) and a few short ones; weight-row counts that
         // take every tile shape from 8 rows down to 1; full and partial
-        // blocks; plain and accumulating stores.
+        // blocks.
         let mut rng = Rng64::new(41);
         for k in [1, 3, 10, 32, 64, 128, 192, 256, 384] {
             for n in [1, 2, 3, 7, 8, 15, 16, 21] {
@@ -204,23 +204,20 @@ mod tests {
                     let lanes = pack_lanes(&awkward(rows * k, 2.0, &mut rng), rows, k);
                     let b = awkward(n * k, 1.0, &mut rng);
                     let start = awkward(rows * n, 1.0, &mut rng);
-                    for add in [false, true] {
-                        let mut base = start.clone();
-                        let mut wide = vec![start.clone(); levels.len()];
-                        let block = |out| TransbBlock {
-                            lanes: &lanes,
-                            b: &b,
-                            out,
-                            store: |o: &mut f32, dot| *o = if add { *o + dot } else { dot },
-                        };
-                        block(&mut base).run(Level::Baseline);
-                        for (&level, wide) in levels.iter().zip(&mut wide) {
-                            instance(level, block(wide));
-                        }
-                        for (level, wide) in levels.iter().zip(&wide) {
-                            let at = format!("{level:?}, k {k}, n {n}, rows {rows}, add {add}");
-                            assert_eq!(bits(wide), bits(&base), "{at}");
-                        }
+                    let mut base = start.clone();
+                    let mut wide = vec![start; levels.len()];
+                    let block = |out| TransbBlock {
+                        lanes: &lanes,
+                        b: &b,
+                        out,
+                    };
+                    block(&mut base).run(Level::Baseline);
+                    for (&level, wide) in levels.iter().zip(&mut wide) {
+                        instance(level, block(wide));
+                    }
+                    for (level, wide) in levels.iter().zip(&wide) {
+                        let at = format!("{level:?}, k {k}, n {n}, rows {rows}");
+                        assert_eq!(bits(wide), bits(&base), "{at}");
                     }
                 }
             }
@@ -297,7 +294,6 @@ mod tests {
                 lanes: &lanes,
                 b: &b,
                 out: &mut out,
-                store: |o: &mut f32, dot| *o = dot,
             };
             let mut sums = vec![0.0; n];
             let product = AddProducts {

@@ -132,13 +132,6 @@ pub enum ShapeError {
         /// The tensor shape.
         shape: Vec<usize>,
     },
-    /// A reshape changed the element count.
-    BadReshape {
-        /// Source shape.
-        from: Vec<usize>,
-        /// Requested shape.
-        to: Vec<usize>,
-    },
 }
 
 impl fmt::Display for ShapeError {
@@ -149,12 +142,6 @@ impl fmt::Display for ShapeError {
             }
             ShapeError::IndexOutOfBounds { index, shape } => {
                 write!(f, "index {index:?} out of bounds for shape {shape:?}")
-            }
-            ShapeError::BadReshape { from, to } => {
-                write!(
-                    f,
-                    "cannot reshape {from:?} into {to:?}: element counts differ"
-                )
             }
         }
     }

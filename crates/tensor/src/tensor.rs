@@ -4,7 +4,7 @@ use crate::dispatch::{self, Kernel, Level};
 use crate::rng::Rng64;
 use crate::shape::{Shape, ShapeError};
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Sub};
+use std::ops::AddAssign;
 
 /// A dense, row-major tensor of `f32` values.
 ///
@@ -150,34 +150,6 @@ impl Tensor {
         self.data[off] = value;
     }
 
-    /// Returns a reshaped copy sharing the same element order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError::BadReshape`] if the element counts differ.
-    pub fn try_reshape(&self, dims: &[usize]) -> Result<Tensor, ShapeError> {
-        let to = Shape::new(dims);
-        if to.numel() != self.numel() {
-            return Err(ShapeError::BadReshape {
-                from: self.shape.dims().to_vec(),
-                to: dims.to_vec(),
-            });
-        }
-        Ok(Tensor {
-            shape: to,
-            data: self.data.clone(),
-        })
-    }
-
-    /// Returns a reshaped copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ; see [`Tensor::try_reshape`].
-    pub fn reshape(&self, dims: &[usize]) -> Tensor {
-        self.try_reshape(dims).expect("invalid reshape")
-    }
-
     /// Row `r` of a 2-D tensor as a slice.
     ///
     /// # Panics
@@ -266,45 +238,23 @@ impl Tensor {
     pub fn matmul_transb(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul_transb lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul_transb rhs must be 2-D");
-        let mut out = vec![0.0f32; self.dim(0) * other.dim(0)];
-        transb_tile(self, other, &mut out, |o, dot| *o = dot);
-        Tensor::from_vec(out, &[self.dim(0), other.dim(0)])
-    }
-
-    /// `self (m×n) += a (m×k) · bᵀ` for `b` of `n×k`: the convolution's
-    /// weight-gradient accumulation `dW += g·colᵀ`, with no temporary.
-    /// It runs the register tile of [`Tensor::matmul_transb`] and adds each
-    /// in-order dot into its output, so each output becomes exactly
-    /// `o + dot`, as adding the product tensor would make it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or inner-dimension mismatch, or when `self` is not
-    /// `m×n`.
-    pub fn add_matmul_transb(&mut self, a: &Tensor, b: &Tensor) {
-        assert_eq!(a.ndim(), 2, "matmul_transb lhs must be 2-D");
-        assert_eq!(b.ndim(), 2, "matmul_transb rhs must be 2-D");
-        let (m, n) = (a.dim(0), b.dim(0));
-        assert_eq!(
-            self.shape.dims(),
-            [m, n],
-            "add_matmul_transb output must be {m}×{n}"
-        );
-        transb_tile(a, b, &mut self.data, |o, dot| *o += dot);
-    }
-
-    /// `selfᵀ (k×m) · other (k×n)` producing `m×n`: zeros plus
-    /// [`Tensor::add_matmul_transa`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or leading-dimension mismatch.
-    pub fn matmul_transa(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2, "matmul_transa lhs must be 2-D");
-        assert_eq!(other.ndim(), 2, "matmul_transa rhs must be 2-D");
-        let mut out = Tensor::zeros(&[self.dim(1), other.dim(1)]);
-        out.add_matmul_transa(self, other);
-        out
+        let (m, k) = (self.dim(0), self.dim(1));
+        let (n, k2) = (other.dim(0), other.dim(1));
+        assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
+        let mut out = vec![0.0f32; m * n];
+        // With `k == 0` every dot is an empty sum, the `+0.0` already there
+        // (and `chunks_exact` needs a non-zero row width).
+        if k > 0 && n > 0 {
+            let packed = pack_lanes(&self.data, m, k);
+            for (lanes, out) in packed.chunks_exact(k).zip(out.chunks_mut(TILE_LANES * n)) {
+                dispatch::run(TransbBlock {
+                    lanes,
+                    b: &other.data,
+                    out,
+                });
+            }
+        }
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// `self (m×n) += aᵀ · b` for `a` of `k×m` and `b` of `k×n`: the
@@ -316,24 +266,24 @@ impl Tensor {
     /// and advances the length by `c != 0.0`. It then sums those terms over
     /// a strip of 32 output columns held in registers (a shorter one for
     /// the last `n mod 32`), in `p` order from `+0.0`, and adds each
-    /// finished strip to `self` once. So every output gains exactly the
-    /// sum [`Tensor::matmul_transa`] returns, bit for bit, for any
-    /// operands: an accumulator that starts at `+0.0` never becomes
-    /// `-0.0`, so `0.0 + sum == sum`, and an output whose row has no
-    /// non-zero coefficient still gains `+0.0`.
+    /// finished strip to `self` once. So every output gains exactly that
+    /// in-order sum, bit for bit, for any operands: into zeros it is the
+    /// product `aᵀ · b` itself, because an accumulator that starts at
+    /// `+0.0` never becomes `-0.0`, so `0.0 + sum == sum`, and an output
+    /// whose row has no non-zero coefficient still gains `+0.0`.
     ///
     /// # Panics
     ///
     /// Panics on rank or leading-dimension mismatch, or when `self` is not
     /// `m×n`.
     pub fn add_matmul_transa(&mut self, a: &Tensor, b: &Tensor) {
-        assert_eq!(a.ndim(), 2, "matmul_transa lhs must be 2-D");
-        assert_eq!(b.ndim(), 2, "matmul_transa rhs must be 2-D");
+        assert_eq!(a.ndim(), 2, "add_matmul_transa lhs must be 2-D");
+        assert_eq!(b.ndim(), 2, "add_matmul_transa rhs must be 2-D");
         let (k, m) = (a.dim(0), a.dim(1));
         let (k2, n) = (b.dim(0), b.dim(1));
         assert_eq!(
             k, k2,
-            "matmul_transa leading dimensions differ: {k} vs {k2}"
+            "add_matmul_transa leading dimensions differ: {k} vs {k2}"
         );
         assert_eq!(
             self.shape.dims(),
@@ -438,24 +388,6 @@ impl Tensor {
         self.sq_norm().sqrt()
     }
 
-    /// Dot product of two same-shape tensors viewed as flat vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if element counts differ.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(
-            self.numel(),
-            other.numel(),
-            "dot requires equal element counts"
-        );
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| a * b)
-            .sum()
-    }
-
     /// `self += alpha * other`, the in-place AXPY used by the optimizer.
     ///
     /// # Panics
@@ -484,36 +416,6 @@ impl Tensor {
     /// sanity checks and failure-injection tests.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-}
-
-/// The register tile of [`Tensor::matmul_transb`]: `store(&mut out[i·n +
-/// j], dot)` for every row `i` of `a` (`m×k`) and row `j` of `b` (`n×k`),
-/// where `dot` is their in-order dot product from `+0.0`. The store is a
-/// parameter so that [`Tensor::add_matmul_transb`] can accumulate through
-/// the same tile while the forward keeps its plain stores. `a` is packed
-/// in blocks of [`TILE_LANES`] rows, the last one zero-padded, and each
-/// block is one dispatched [`TransbBlock`].
-fn transb_tile(a: &Tensor, b: &Tensor, out: &mut [f32], store: impl Fn(&mut f32, f32)) {
-    let (k, k2) = (a.dim(1), b.dim(1));
-    assert_eq!(k, k2, "matmul_transb inner dimensions differ: {k} vs {k2}");
-    let n = b.dim(0);
-    if k == 0 || n == 0 {
-        // Every dot is an empty sum, and `chunks_exact` below needs a
-        // non-zero row width.
-        for o in out {
-            store(o, 0.0);
-        }
-        return;
-    }
-    let packed = pack_lanes(&a.data, a.dim(0), k);
-    for (lanes, out) in packed.chunks_exact(k).zip(out.chunks_mut(TILE_LANES * n)) {
-        dispatch::run(TransbBlock {
-            lanes,
-            b: &b.data,
-            out,
-            store: &store,
-        });
     }
 }
 
@@ -560,51 +462,45 @@ pub(crate) fn dot_rows<const R: usize>(
     acc
 }
 
-/// One packed block of [`transb_tile`]: `store(&mut out[l·n + j], dot)`
-/// for each of the block's rows `l` (up to [`TILE_LANES`]; `out` holds
-/// them) and every row `j` of `b` (`n×k`, `k` = `lanes.len()`). It holds
-/// the block against as many weight rows as its level has registers for
-/// (2 at SSE2, 4 at AVX2, 8 at AVX-512) and steps down by halves to one
-/// for the last `n` mod that many; every shape sums each dot alike.
-pub(crate) struct TransbBlock<'a, S> {
+/// One packed block of [`Tensor::matmul_transb`]: `out[l·n + j]` is the
+/// in-order dot, from `+0.0`, of the block's row `l` (up to
+/// [`TILE_LANES`]; `out` holds them) with row `j` of `b` (`n×k`, `k` =
+/// `lanes.len()`). It holds the block against as many weight rows as its
+/// level has registers for (2 at SSE2, 4 at AVX2, 8 at AVX-512) and steps
+/// down by halves to one for the last `n` mod that many; every shape sums
+/// each dot alike.
+pub(crate) struct TransbBlock<'a> {
     pub(crate) lanes: &'a [[f32; TILE_LANES]],
     pub(crate) b: &'a [f32],
     pub(crate) out: &'a mut [f32],
-    pub(crate) store: S,
 }
 
-impl<S: Fn(&mut f32, f32)> Kernel for TransbBlock<'_, S> {
+impl Kernel for TransbBlock<'_> {
     type Output = ();
 
     #[inline(always)]
     fn run(self, level: Level) {
-        let Self {
-            lanes,
-            b,
-            out,
-            store,
-        } = self;
+        let Self { lanes, b, out } = self;
         let mut j = 0;
         if level >= Level::Avx512 {
-            j = transb_rows::<8, _>(lanes, b, out, j, &store);
+            j = transb_rows::<8>(lanes, b, out, j);
         }
         if level >= Level::Avx2 {
-            j = transb_rows::<4, _>(lanes, b, out, j, &store);
+            j = transb_rows::<4>(lanes, b, out, j);
         }
-        j = transb_rows::<2, _>(lanes, b, out, j, &store);
-        transb_rows::<1, _>(lanes, b, out, j, &store);
+        j = transb_rows::<2>(lanes, b, out, j);
+        transb_rows::<1>(lanes, b, out, j);
     }
 }
 
 /// [`TransbBlock`]'s weight rows from `j` on, `R` at a time, as far as
 /// whole groups of `R` go; returns the first row it left.
 #[inline(always)]
-fn transb_rows<const R: usize, S: Fn(&mut f32, f32)>(
+fn transb_rows<const R: usize>(
     lanes: &[[f32; TILE_LANES]],
     b: &[f32],
     out: &mut [f32],
     j: usize,
-    store: &S,
 ) -> usize {
     let k = lanes.len();
     let n = b.len() / k;
@@ -619,7 +515,7 @@ fn transb_rows<const R: usize, S: Fn(&mut f32, f32)>(
         let j = j + g * R;
         for (q, acc) in (j..).zip(acc) {
             for (o_row, v) in out.chunks_exact_mut(n).zip(acc) {
-                store(&mut o_row[q], v);
+                o_row[q] = v;
             }
         }
     }
@@ -719,33 +615,6 @@ fn add_strips<const S: usize>(
     len - strips.into_remainder().len()
 }
 
-impl Add<&Tensor> for &Tensor {
-    type Output = Tensor;
-
-    fn add(self, rhs: &Tensor) -> Tensor {
-        self.try_zip(rhs, "add", |a, b| a + b)
-            .expect("add shape mismatch")
-    }
-}
-
-impl Sub<&Tensor> for &Tensor {
-    type Output = Tensor;
-
-    fn sub(self, rhs: &Tensor) -> Tensor {
-        self.try_zip(rhs, "sub", |a, b| a - b)
-            .expect("sub shape mismatch")
-    }
-}
-
-impl Mul<&Tensor> for &Tensor {
-    type Output = Tensor;
-
-    fn mul(self, rhs: &Tensor) -> Tensor {
-        self.try_zip(rhs, "mul", |a, b| a * b)
-            .expect("mul shape mismatch")
-    }
-}
-
 impl AddAssign<&Tensor> for Tensor {
     fn add_assign(&mut self, rhs: &Tensor) {
         self.axpy(1.0, rhs);
@@ -818,37 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn add_matmul_transb_adds_the_product_bit_for_bit() {
-        // Shapes around the 16-row tile and every weight-row tile shape
-        // (8, 4, 2 and 1 rows of `b`), into a start holding `-0.0` and
-        // awkward values, and an empty inner dimension.
-        let mut rng = Rng64::new(17);
-        for (m, n, k) in [
-            (1, 1, 3),
-            (15, 3, 5),
-            (16, 4, 7),
-            (17, 5, 9),
-            (16, 15, 11),
-            (20, 21, 33),
-            (33, 6, 0),
-            (0, 3, 2),
-        ] {
-            let a = Tensor::randn(&[m, k], 0.0, 1.0, &mut rng);
-            let b = Tensor::randn(&[n, k], 0.0, 1.0, &mut rng);
-            let mut start = Tensor::randn(&[m, n], 0.0, 1.0, &mut rng);
-            if let Some(v) = start.as_mut_slice().first_mut() {
-                *v = -0.0;
-            }
-            let mut got = start.clone();
-            got.add_matmul_transb(&a, &b);
-            let mut expect = start;
-            expect += &a.matmul_transb(&b);
-            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&expect), "{m}×{n}×{k}");
-        }
-    }
-
-    #[test]
     fn matmul_transb_matches_explicit_transpose() {
         let mut rng = Rng64::new(3);
         let a = Tensor::rand_uniform(&[4, 5], -1.0, 1.0, &mut rng);
@@ -861,11 +699,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transa_matches_explicit_transpose() {
+    fn add_matmul_transa_matches_explicit_transpose() {
         let mut rng = Rng64::new(4);
         let a = Tensor::rand_uniform(&[5, 4], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[5, 6], -1.0, 1.0, &mut rng);
-        let fast = a.matmul_transa(&b);
+        let mut fast = Tensor::zeros(&[4, 6]);
+        fast.add_matmul_transa(&a, &b);
         let slow = a.transpose().matmul(&b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-5);
@@ -888,14 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 4]);
-        let b = a.reshape(&[2, 6]);
-        assert_eq!(a.as_slice(), b.as_slice());
-        assert!(a.try_reshape(&[5, 5]).is_err());
-    }
-
-    #[test]
     fn gather_rows_selects() {
         let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[4, 3]);
         let g = a.gather_rows(&[2, 0]);
@@ -914,17 +745,13 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_operators() {
+    fn axpy_and_add_assign() {
         let mut a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
         let b = Tensor::from_vec(vec![10.0, 20.0], &[2]);
         a.axpy(0.5, &b);
         assert_eq!(a.as_slice(), &[6.0, 12.0]);
-        let c = &a + &b;
-        assert_eq!(c.as_slice(), &[16.0, 32.0]);
-        let d = &c - &b;
-        assert_eq!(d.as_slice(), a.as_slice());
-        let e = &a * &b;
-        assert_eq!(e.as_slice(), &[60.0, 240.0]);
+        a += &b;
+        assert_eq!(a.as_slice(), &[16.0, 32.0]);
     }
 
     #[test]
